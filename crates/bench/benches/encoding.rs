@@ -4,15 +4,22 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dra_adjgraph::DiffParams;
-use dra_core::lowend::{compile_benchmark, Approach, LowEndSetup};
+use dra_core::lowend::LowEndSetup;
 use dra_encoding::{encode_fields, insert_set_last_reg_program, EncodingConfig};
+use dra_regalloc::{allocate_program, AllocConfig, DenseIrc};
 use std::hint::black_box;
 
 fn bench_encoding(c: &mut Criterion) {
-    let setup = LowEndSetup::default();
     // A program allocated with 12 registers, not yet repaired.
-    let (allocated, _, _) = compile_benchmark("bitcount", Approach::Remapping, &setup).unwrap();
+    let mut allocated = dra_workloads::benchmark("bitcount");
+    let mut alloc_cfg = AllocConfig::baseline(12);
+    alloc_cfg.call_clobbers = LowEndSetup::default().call_clobbers;
+    allocate_program(&DenseIrc, &mut allocated, &alloc_cfg, false).unwrap();
+    assert_eq!(allocated.count_insts(|i| i.is_set_last_reg()), 0, "input is unrepaired");
     let cfg = EncodingConfig::new(DiffParams::new(12, 8));
+    // Field encoding needs the repairs in place.
+    let mut repaired = allocated.clone();
+    insert_set_last_reg_program(&mut repaired, &cfg);
 
     c.bench_function("repair-pass/bitcount", |b| {
         b.iter(|| {
@@ -24,7 +31,7 @@ fn bench_encoding(c: &mut Criterion) {
 
     c.bench_function("encode-fields/bitcount", |b| {
         b.iter(|| {
-            for f in &allocated.funcs {
+            for f in &repaired.funcs {
                 black_box(encode_fields(f, &cfg).unwrap());
             }
         })

@@ -10,8 +10,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dra_adjgraph::DiffParams;
-use dra_core::lowend::{compile_benchmark, Approach, LowEndSetup};
-use dra_regalloc::{remap_function, RemapConfig, RemapStrategy};
+use dra_core::lowend::LowEndSetup;
+use dra_regalloc::{
+    allocate_program, remap_function, AllocConfig, DenseIrc, RemapConfig, RemapStrategy,
+};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -32,10 +34,14 @@ fn budget_cfg(strategy: RemapStrategy) -> RemapConfig {
 }
 
 fn bench_remap(c: &mut Criterion) {
-    // A program allocated with 12 registers via the plain allocator; the
-    // remap pass is then applied with different search settings.
-    let setup = LowEndSetup::default();
-    let (prog, _, _) = compile_benchmark("bitcount", Approach::Remapping, &setup).unwrap();
+    // A program allocated with 12 registers via the plain allocator, not
+    // yet remapped or repaired; the remap pass is then applied with
+    // different search settings.
+    let mut prog = dra_workloads::benchmark("bitcount");
+    let mut alloc_cfg = AllocConfig::baseline(12);
+    alloc_cfg.call_clobbers = LowEndSetup::default().call_clobbers;
+    allocate_program(&DenseIrc, &mut prog, &alloc_cfg, false).unwrap();
+    assert_eq!(prog.count_insts(|i| i.is_set_last_reg()), 0, "input is unrepaired");
     let func = prog.funcs[0].clone();
 
     let mut group = c.benchmark_group("remap-search");
@@ -103,16 +109,17 @@ fn bench_remap(c: &mut Criterion) {
             black_box(remap_function(&mut f, cfg));
         });
         eprintln!(
-            "  {label:<22} cost {:>8.1}  evals {:>8}  starts {:>5}  min wall {wall:>10.2?}",
-            stats.cost_after, stats.evaluations, stats.starts_run
+            "  {label:<22} cost {:>6.1} -> {:>6.1}  evals {:>8}  starts {:>5}  min wall {wall:>10.2?}",
+            stats.cost_before, stats.cost_after, stats.evaluations, stats.starts_run
         );
         json_entries.push(format!(
             concat!(
-                "    {{\"config\": \"{}\", \"cost_after\": {:.6}, ",
+                "    {{\"config\": \"{}\", \"cost_before\": {:.6}, \"cost_after\": {:.6}, ",
                 "\"evaluations\": {}, \"starts_run\": {}, \"cycle_moves\": {}, ",
                 "\"winner\": \"{}\", \"min_wall_nanos\": {}}}"
             ),
             label,
+            stats.cost_before,
             stats.cost_after,
             stats.evaluations,
             stats.starts_run,

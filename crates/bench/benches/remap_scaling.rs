@@ -15,7 +15,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dra_adjgraph::{build_preg_adjacency, AdjacencyGraph, DiffParams};
-use dra_core::lowend::{compile_benchmark, Approach, LowEndSetup};
+use dra_core::lowend::{compile_program_telemetry, Approach, LowEndSetup};
+use dra_core::Telemetry;
 use dra_ir::{Function, RegClass};
 use dra_regalloc::{remap_function, RemapConfig};
 use rand::rngs::SmallRng;
@@ -75,7 +76,8 @@ fn full_rescore_greedy(g: &AdjacencyGraph, params: DiffParams, starts: u32, seed
 fn allocated_function(reg_n: u16) -> Function {
     let mut setup = LowEndSetup::default();
     setup.direct_regs = reg_n;
-    let (prog, _, _) = compile_benchmark("sha", Approach::Baseline, &setup)
+    let mut prog = dra_workloads::benchmark("sha");
+    compile_program_telemetry(&mut prog, Approach::Baseline, &setup, None, &mut Telemetry::new())
         .expect("sha allocates under baseline");
     prog.funcs
         .into_iter()

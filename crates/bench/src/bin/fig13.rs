@@ -12,7 +12,10 @@
 use dra_adjgraph::DiffParams;
 use dra_bench::{average, batch_threads, emit_telemetry, render_table};
 use dra_core::batch::run_lowend_matrix_with_telemetry;
-use dra_core::lowend::{compile_and_run, compile_benchmark, Approach, LowEndRun, LowEndSetup};
+use dra_core::lowend::{
+    compile_and_run, compile_program_telemetry, Approach, LowEndRun, LowEndSetup,
+};
+use dra_core::Telemetry;
 use dra_regalloc::{remap_function, RemapConfig, RemapStrategy};
 use dra_workloads::benchmark_names;
 use std::fmt::Write as _;
@@ -195,7 +198,9 @@ fn main() {
     for gap_budget in [2_000u64, 50_000] {
         let mut gap_rows = Vec::new();
         for name in &names {
-            let (prog, _, _) = compile_benchmark(name, Approach::Baseline, &setup)
+            let mut prog = dra_workloads::benchmark(name);
+            let mut t = Telemetry::new();
+            compile_program_telemetry(&mut prog, Approach::Baseline, &setup, None, &mut t)
                 .unwrap_or_else(|e| panic!("{name}/baseline: {e}"));
             let mut bb_cfg = RemapConfig::new(gap_params);
             bb_cfg.strategy = RemapStrategy::BranchBound;

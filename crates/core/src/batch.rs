@@ -19,7 +19,7 @@
 //!   benchmark is parsed and analyzed once per process no matter how many
 //!   approaches or sweep points consume it; the `Adaptive` approach's
 //!   per-function liveness pass is served from the cache.
-//! * [`run_lowend_matrix`] combines the two: the full
+//! * [`run_lowend_matrix_with_telemetry`] combines the two: the full
 //!   benchmarks × approaches grid of Figures 11–14 in one call, with the
 //!   thread count taken from [`LowEndSetup::batch_threads`].
 //!
@@ -28,10 +28,7 @@
 //! reproducible bit-for-bit at any `batch_threads`.
 
 use crate::cache::LruCache;
-use crate::lowend::{
-    compile_program_telemetry, finish_run_or_degrade, Approach, LowEndRun, LowEndSetup,
-    PipelineError,
-};
+use crate::lowend::{Approach, LowEndRun, LowEndSetup, PipelineError};
 use crate::session::CompileSession;
 use crate::telemetry::{arm_cancel, take_panic_stage, CancelToken, CancelUnwind, Telemetry};
 use dra_ir::Program;
@@ -441,49 +438,14 @@ impl SourceCache {
     }
 }
 
-/// [`crate::lowend::compile_and_run`] served from a [`SourceCache`]: the
-/// benchmark is cloned out of the cache instead of re-parsed, and the
-/// `Adaptive` approach reuses the memoized pressures.
-///
-/// # Errors
-///
-/// See [`PipelineError`].
-pub fn compile_and_run_cached(
-    cache: &SourceCache,
-    name: &str,
-    approach: Approach,
-    setup: &LowEndSetup,
-) -> Result<LowEndRun, PipelineError> {
-    let mut telemetry = Telemetry::new();
-    let src = cache.get(name);
-    let mut program = src.program.clone();
-    let remap = compile_program_telemetry(
-        &mut program,
-        approach,
-        setup,
-        Some(&src.pressures),
-        &mut telemetry,
-    )?;
-    finish_run_or_degrade(Some(&src.program), program, approach, setup, remap, telemetry)
-}
-
 /// Run the full benchmarks × approaches grid in parallel
 /// ([`LowEndSetup::batch_threads`] workers), sharing one [`SourceCache`].
 ///
 /// Returns `matrix[bi][ai]` = the run of `names[bi]` under
-/// `approaches[ai]`, bit-identical at any thread count.
-pub fn run_lowend_matrix(
-    names: &[&str],
-    approaches: &[Approach],
-    setup: &LowEndSetup,
-) -> Vec<Vec<Result<LowEndRun, PipelineError>>> {
-    run_lowend_matrix_with_telemetry(names, approaches, setup).0
-}
-
-/// [`run_lowend_matrix`], additionally aggregating batch-level telemetry:
-/// every successful cell's counters and spans summed in cell-index order
-/// (so the aggregate is bit-identical at any thread count, like the cells
-/// themselves), plus the cell census
+/// `approaches[ai]`, bit-identical at any thread count, and batch-level
+/// telemetry: every successful cell's counters and spans summed in
+/// cell-index order (so the aggregate is bit-identical at any thread
+/// count, like the cells themselves), plus the cell census
 /// (`cells.ok`/`cells.err`/`cells.failed`/`cells.retried`, always
 /// present), the shared [`CompileSession`]'s cache counters
 /// (`source_cache.*` and `result_cache.*`), and a wall-clock `batch` span
@@ -731,11 +693,11 @@ mod tests {
     #[test]
     fn cached_run_matches_direct_pipeline() {
         let setup = LowEndSetup::default();
-        let cache = SourceCache::new();
+        let session = CompileSession::new(setup.clone());
         for approach in [Approach::Baseline, Approach::Select, Approach::Adaptive] {
             let direct = normalized(compile_and_run("crc32", approach, &setup).unwrap());
-            let cached =
-                normalized(compile_and_run_cached(&cache, "crc32", approach, &setup).unwrap());
+            let (cached, _) = session.compile_bench("crc32", approach).unwrap();
+            let cached = normalized((*cached).clone());
             assert_eq!(direct, cached, "{} diverged", approach.label());
         }
     }
@@ -745,7 +707,7 @@ mod tests {
         let setup = LowEndSetup::default();
         let names = ["crc32", "bitcount"];
         let approaches = [Approach::Baseline, Approach::Coalesce];
-        let matrix = run_lowend_matrix(&names, &approaches, &setup);
+        let (matrix, _) = run_lowend_matrix_with_telemetry(&names, &approaches, &setup);
         assert_eq!(matrix.len(), names.len());
         for (bi, name) in names.iter().enumerate() {
             assert_eq!(matrix[bi].len(), approaches.len());

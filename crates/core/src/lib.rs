@@ -40,8 +40,8 @@ pub mod session;
 pub mod telemetry;
 
 pub use batch::{
-    compile_and_run_cached, run_batch, run_batch_isolated, run_isolated, run_lowend_matrix,
-    run_lowend_matrix_with_telemetry, CellOutcome, IsolationStats, SourceCache,
+    run_batch, run_batch_isolated, run_isolated, run_lowend_matrix_with_telemetry, CellOutcome,
+    IsolationStats, SourceCache,
 };
 pub use cache::LruCache;
 pub use corpus::{
@@ -59,8 +59,7 @@ pub use highend::{
     HighEndSetup,
 };
 pub use lowend::{
-    compile_and_run, compile_and_run_source, compile_benchmark, Approach, LowEndRun, LowEndSetup,
-    PipelineError,
+    compile_and_run, compile_and_run_source, Approach, LowEndRun, LowEndSetup, PipelineError,
 };
 pub use profile::{apply_profile, compile_and_run_profiled};
 pub use serve_chaos::{run_chaos_serve, ChaosServeConfig, ChaosServeReport};

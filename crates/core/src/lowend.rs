@@ -3,17 +3,18 @@
 use crate::faults::PipelineFaults;
 use crate::telemetry::Telemetry;
 use dra_adjgraph::DiffParams;
-use dra_encoding::{insert_set_last_reg_program, verify_program, EncodingConfig};
+use dra_encoding::{insert_set_last_reg, verify_function, EncodingConfig};
 use dra_ir::parse::ParseError;
 use dra_ir::{Function, Program};
-use dra_isa::{code_size_bits, IsaGeometry};
+use dra_isa::code_size_bits;
 use dra_regalloc::{
-    allocate_program, check_allocation, check_function_encoding, remap_program, AllocConfig,
-    AllocStats, AllocationRecord, Allocator, AllocatorStats, CheckError, CheckStats, Coalescing,
-    DenseIrc, Ospill, RemapConfig, RemapStats, RemapStrategy,
+    check_allocation, check_function_encoding, remap_function, AllocConfig, AllocationRecord,
+    Allocator, AllocatorStats, CheckError, CheckStats, Coalescing, DenseIrc, Ospill, RemapConfig,
+    RemapStats, RemapStrategy,
 };
-use dra_sim::{simulate, LowEndConfig, SimResult};
+use dra_sim::{simulate, LowEndConfig};
 use dra_workloads::benchmark;
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -374,129 +375,21 @@ impl From<CheckError> for PipelineError {
     }
 }
 
-/// Compile a named benchmark under `approach`.
-///
-/// Returns the fully physical, differential-encoded (where applicable),
-/// decode-verified program plus the static `set_last_reg` count and the
-/// per-function remapping statistics (empty when the approach never
-/// remaps).
-///
-/// # Errors
-///
-/// See [`PipelineError`].
-pub fn compile_benchmark(
-    name: &str,
-    approach: Approach,
-    setup: &LowEndSetup,
-) -> Result<(Program, usize, Vec<RemapStats>), PipelineError> {
-    let mut p = benchmark(name);
-    let remap = compile_program(&mut p, approach, setup)?;
-    let set_last_regs = p.count_insts(|i| i.is_set_last_reg());
-    Ok((p, set_last_regs, remap))
-}
-
-/// Compile an arbitrary program in place under `approach`.
-///
-/// Returns the per-function remapping-search statistics, in function
-/// order; empty for approaches that never remap.
-///
-/// # Errors
-///
-/// See [`PipelineError`].
-pub fn compile_program(
-    p: &mut Program,
-    approach: Approach,
-    setup: &LowEndSetup,
-) -> Result<Vec<RemapStats>, PipelineError> {
-    compile_program_with(p, approach, setup, None)
-}
-
-/// [`compile_program`] with optionally precomputed per-function register
-/// pressures (MAXLIVE, in `p.funcs` order).
-///
-/// Only the `Adaptive` approach consults pressure; passing a memoized
-/// slice (see [`crate::batch::SourceCache`]) skips its per-function
-/// liveness recomputation. `None` computes pressures on demand.
-///
-/// # Errors
-///
-/// See [`PipelineError`].
-pub fn compile_program_with(
-    p: &mut Program,
-    approach: Approach,
-    setup: &LowEndSetup,
-    pressures: Option<&[usize]>,
-) -> Result<Vec<RemapStats>, PipelineError> {
-    let mut scratch = Telemetry::new();
-    compile_program_telemetry(p, approach, setup, pressures, &mut scratch)
-}
-
-/// Record an allocation's work counters and phase spans.
-fn record_alloc(t: &mut Telemetry, s: &AllocStats) {
-    t.count("alloc.rounds", s.rounds as u64);
-    t.count("alloc.spilled_vregs", s.spilled_vregs as u64);
-    t.count("alloc.moves_coalesced", s.moves_coalesced as u64);
-    t.span_ns("alloc.liveness", s.liveness_nanos);
-    t.span_ns("alloc.build", s.build_nanos);
-    t.span_ns("alloc.color", s.color_nanos);
-    record_irc_steps(t, s);
-}
-
-/// Record the IRC engine's per-stage work counters (schedule-invariant:
-/// pure worklist step counts, no wall-clock contribution).
-fn record_irc_steps(t: &mut Telemetry, s: &AllocStats) {
-    t.count("irc.simplify", s.simplify_steps);
-    t.count("irc.coalesce", s.coalesce_steps);
-    t.count("irc.freeze", s.freeze_steps);
-    t.count("irc.spill", s.spill_selects);
-}
-
-/// Record the remapping search's work counters and wall-clock span.
-///
-/// Every counter here is a pure function of the input (the portfolio's
-/// budget split and tie-breaks are schedule-invariant), so aggregates are
-/// identical at any `remap_threads` / batch thread count; only the `remap`
-/// span varies with the wall clock.
-fn record_remap(t: &mut Telemetry, stats: &[RemapStats]) {
-    t.count("remap.functions", stats.len() as u64);
-    for st in stats {
-        t.count("remap.evaluations", st.evaluations);
-        t.count("remap.starts_run", st.starts_run as u64);
-        t.count("remap.cycle_moves", st.cycle_moves);
-        t.count("remap.bb_nodes", st.bb_nodes);
-        t.count(
-            match st.winner {
-                dra_regalloc::RemapWinner::Identity => "remap.win.identity",
-                dra_regalloc::RemapWinner::Exhaustive => "remap.win.exhaustive",
-                dra_regalloc::RemapWinner::Greedy => "remap.win.greedy",
-                dra_regalloc::RemapWinner::Anneal => "remap.win.anneal",
-                dra_regalloc::RemapWinner::Lns => "remap.win.lns",
-                dra_regalloc::RemapWinner::BranchBound => "remap.win.branch-bound",
-            },
-            1,
-        );
-        if st.certified {
-            t.count("remap.certified", 1);
-        }
-        t.span_ns("remap", st.search_nanos);
-    }
-}
-
-fn record_repair(t: &mut Telemetry, s: &dra_encoding::RepairStats) {
-    t.count("repair.inserted", s.inserted as u64);
-    t.count("repair.out_of_range", s.out_of_range as u64);
-    t.count("repair.inconsistency", s.inconsistency as u64);
-}
-
 /// Record an engine's statistics under the telemetry names the
 /// engine-specific arms have always used.
 fn record_allocator_stats(t: &mut Telemetry, s: &AllocatorStats) {
-    match s {
-        AllocatorStats::Irc(s) => record_alloc(t, s),
+    let irc = match s {
+        AllocatorStats::Irc(s) => {
+            t.count("alloc.rounds", s.rounds as u64);
+            t.count("alloc.spilled_vregs", s.spilled_vregs as u64);
+            t.count("alloc.moves_coalesced", s.moves_coalesced as u64);
+            s
+        }
         AllocatorStats::Ospill(s) => {
             t.count("alloc.pressure_spills", s.pressure_spills as u64);
             t.count("alloc.coloring_spills", s.coloring_spills as u64);
             t.count("alloc.moves_coalesced", s.moves_coalesced as u64);
+            return;
         }
         AllocatorStats::Coalesce(s) => {
             t.count("alloc.pressure_spills", s.pressure_spills as u64);
@@ -504,12 +397,54 @@ fn record_allocator_stats(t: &mut Telemetry, s: &AllocatorStats) {
             t.count("alloc.moves_coalesced", s.moves_coalesced as u64);
             // The final coloring pass is a full IRC run; surface its
             // per-stage work counters alongside the direct approaches'.
-            record_irc_steps(t, &s.irc);
-            t.span_ns("alloc.liveness", s.irc.liveness_nanos);
-            t.span_ns("alloc.build", s.irc.build_nanos);
-            t.span_ns("alloc.color", s.irc.color_nanos);
+            &s.irc
         }
+    };
+    // The IRC engine's per-stage work counters are schedule-invariant:
+    // pure worklist step counts, no wall-clock contribution.
+    t.count("irc.simplify", irc.simplify_steps);
+    t.count("irc.coalesce", irc.coalesce_steps);
+    t.count("irc.freeze", irc.freeze_steps);
+    t.count("irc.spill", irc.spill_selects);
+    t.span_ns("alloc.liveness", irc.liveness_nanos);
+    t.span_ns("alloc.build", irc.build_nanos);
+    t.span_ns("alloc.color", irc.color_nanos);
+}
+
+/// Record one function's remapping-search work counters and wall-clock
+/// span.
+///
+/// Every counter here is a pure function of the input (the portfolio's
+/// budget split and tie-breaks are schedule-invariant), so aggregates are
+/// identical at any `remap_threads` / batch thread count; only the `remap`
+/// span varies with the wall clock.
+fn record_remap(t: &mut Telemetry, st: &RemapStats) {
+    t.count("remap.functions", 1);
+    t.count("remap.evaluations", st.evaluations);
+    t.count("remap.starts_run", st.starts_run as u64);
+    t.count("remap.cycle_moves", st.cycle_moves);
+    t.count("remap.bb_nodes", st.bb_nodes);
+    t.count(
+        match st.winner {
+            dra_regalloc::RemapWinner::Identity => "remap.win.identity",
+            dra_regalloc::RemapWinner::Exhaustive => "remap.win.exhaustive",
+            dra_regalloc::RemapWinner::Greedy => "remap.win.greedy",
+            dra_regalloc::RemapWinner::Anneal => "remap.win.anneal",
+            dra_regalloc::RemapWinner::Lns => "remap.win.lns",
+            dra_regalloc::RemapWinner::BranchBound => "remap.win.branch-bound",
+        },
+        1,
+    );
+    if st.certified {
+        t.count("remap.certified", 1);
     }
+    t.span_ns("remap", st.search_nanos);
+}
+
+fn record_repair(t: &mut Telemetry, s: &dra_encoding::RepairStats) {
+    t.count("repair.inserted", s.inserted as u64);
+    t.count("repair.out_of_range", s.out_of_range as u64);
+    t.count("repair.inconsistency", s.inconsistency as u64);
 }
 
 /// Run the symbolic checker on one compiled function: the substitution
@@ -554,26 +489,6 @@ fn check_function(
     }
 }
 
-/// [`check_function`] over a whole program. `records` is in `p.funcs`
-/// order (as produced by [`allocate_program`]); `enc_flags[fi]` marks the
-/// functions that are differential-encoded and must also replay through
-/// the decoder.
-fn check_program(
-    p: &Program,
-    records: &[Option<AllocationRecord>],
-    enc_flags: &[bool],
-    setup: &LowEndSetup,
-    t: &mut Telemetry,
-) -> Result<(), PipelineError> {
-    let enc = EncodingConfig::new(setup.diff);
-    for (fi, f) in p.funcs.iter().enumerate() {
-        let rec = records.get(fi).and_then(|r| r.as_ref());
-        let e = enc_flags.get(fi).copied().unwrap_or(false);
-        check_function(f, rec, e.then_some(&enc), t)?;
-    }
-    Ok(())
-}
-
 /// Map a differential-path failure to its `degrade.*` cause counter.
 fn degrade_counter(e: &PipelineError) -> &'static str {
     match e {
@@ -585,30 +500,106 @@ fn degrade_counter(e: &PipelineError) -> &'static str {
     }
 }
 
-/// Fail with [`PipelineError::Injected`] when the fault plan targets any
-/// in-range function of the program being compiled.
-fn check_injected(
-    targets: &std::collections::BTreeSet<usize>,
-    stage: &'static str,
-    nfuncs: usize,
-) -> Result<(), PipelineError> {
-    match targets.iter().copied().find(|&fi| fi < nfuncs) {
-        Some(func) => Err(PipelineError::Injected { stage, func }),
-        None => Ok(()),
+/// How one function compiles: the allocation engine, its register file,
+/// and whether the result is differential-encoded (remapped, repaired and
+/// decode-verified) or direct.
+struct Plan {
+    engine: &'static dyn Allocator,
+    cfg: AllocConfig,
+    differential: bool,
+}
+
+impl Plan {
+    /// The one place an approach becomes an engine and a register file
+    /// (Figure 4). `Adaptive` decides per function (Section 8.2): a
+    /// function whose MAXLIVE, from `pressure`, fits the direct registers
+    /// compiles as `Baseline`, a pressured one as `Select`.
+    fn of(approach: Approach, setup: &LowEndSetup, pressure: impl FnOnce() -> usize) -> Plan {
+        let approach = match approach {
+            Approach::Adaptive if pressure() > setup.direct_regs as usize => Approach::Select,
+            Approach::Adaptive => Approach::Baseline,
+            a => a,
+        };
+        let (engine, mut cfg): (&'static dyn Allocator, AllocConfig) = match approach {
+            Approach::Remapping => (&DenseIrc, AllocConfig::baseline(setup.diff.reg_n())),
+            Approach::Select => (&DenseIrc, AllocConfig::differential(setup.diff)),
+            Approach::OSpill => (&Ospill, AllocConfig::baseline(setup.direct_regs)),
+            Approach::Coalesce => (&Coalescing, AllocConfig::differential(setup.diff)),
+            Approach::Baseline | Approach::Adaptive => {
+                (&DenseIrc, AllocConfig::baseline(setup.direct_regs))
+            }
+        };
+        cfg.call_clobbers = setup.call_clobbers.clone();
+        Plan {
+            engine,
+            cfg,
+            differential: approach.is_differential(),
+        }
+    }
+
+    /// The bottom of the degradation lattice: direct encoding
+    /// (`RegN = DiffN =` [`LowEndSetup::direct_regs`]), repair-free.
+    fn direct(setup: &LowEndSetup) -> Plan {
+        Plan::of(Approach::Baseline, setup, || 0)
     }
 }
 
-/// [`compile_program_with`], recording per-stage spans and work counters
-/// into `t` (see [`crate::telemetry`] for the names and the determinism
-/// contract).
+/// Compile function `fi` in place under `plan`: allocate, then — for a
+/// differential plan — remap, repair and decode-verify, then run the
+/// symbolic checker when [`LowEndSetup::check`] is set. Returns the remap
+/// statistics of a differential plan. The [`PipelineFaults`] alloc and
+/// verify injection points target differential plans only.
+fn compile_function(
+    f: &mut Function,
+    fi: usize,
+    plan: &Plan,
+    setup: &LowEndSetup,
+    t: &mut Telemetry,
+) -> Result<Option<RemapStats>, PipelineError> {
+    let injected = |targets: &BTreeSet<usize>, stage: &'static str| {
+        if plan.differential && targets.contains(&fi) {
+            Err(PipelineError::Injected { stage, func: fi })
+        } else {
+            Ok(())
+        }
+    };
+    injected(&setup.faults.fail_alloc_funcs, "alloc")?;
+    let (s, rec) = t.time("alloc", || plan.engine.allocate_fn(f, &plan.cfg, setup.check))?;
+    record_allocator_stats(t, &s);
+    let enc = EncodingConfig::new(setup.diff);
+    let mut remap = None;
+    if plan.differential {
+        // Figure 4: remapping may always run after any allocator.
+        let rs = remap_function(f, &setup.remap_config());
+        record_remap(t, &rs);
+        remap = Some(rs);
+        let repair = t.time("repair", || insert_set_last_reg(f, &enc));
+        record_repair(t, &repair);
+        injected(&setup.faults.fail_verify_funcs, "verify")?;
+        t.time("verify", || verify_function(f, &enc))?;
+    }
+    if setup.check {
+        check_function(f, rec.as_ref(), plan.differential.then_some(&enc), t)?;
+    }
+    Ok(remap)
+}
+
+/// Compile `p` in place under `approach`, recording per-stage spans and
+/// work counters into `t` (see [`crate::telemetry`] for the names and the
+/// determinism contract). `pressures` optionally supplies each function's
+/// precomputed MAXLIVE (in `p.funcs` order; see
+/// [`crate::batch::SourceCache`]); only `Adaptive` consults it, and `None`
+/// computes it on demand.
+///
+/// Returns the per-function remapping-search statistics, in function
+/// order, for the functions compiled differentially.
 ///
 /// When [`LowEndSetup::degrade`] is set (the default) and the approach
-/// has a differential path, a failure anywhere in that path does not fail
-/// the program: the pipeline restores the pristine input and recompiles
-/// it function by function, degrading exactly the failing functions to
-/// direct encoding ([`compile_program_degraded`]). The happy path is
-/// byte-identical to a `degrade = false` compile — the fallback only
-/// costs one up-front program clone.
+/// has a differential path, each differential function is compiled on a
+/// clone: a failure anywhere in its differential path counts `degrade.*`
+/// and recompiles the pristine function direct-encoded, marked with
+/// [`RemapStats::degraded_marker`]. The happy path is byte-identical to a
+/// `degrade = false` compile and costs one program's worth of clones.
 ///
 /// # Errors
 ///
@@ -634,357 +625,95 @@ pub fn compile_program_telemetry(
             });
         }
     }
-    let fallback = (setup.degrade && approach.can_degrade()).then(|| p.clone());
-    match compile_program_attempt(p, approach, setup, pressures, t) {
-        Ok(rs) => Ok(rs),
-        Err(e) => match fallback {
-            Some(pristine) => {
-                t.count("degrade.programs", 1);
-                t.count(degrade_counter(&e), 0); // ensure the cause key exists
-                compile_program_degraded(p, pristine, approach, setup, pressures, t)
-            }
-            None => Err(e),
-        },
-    }
-}
-
-/// One full program-level compile under `approach` — the pre-lattice
-/// pipeline, plus the [`PipelineFaults`] injection points. May leave `p`
-/// partially compiled on failure; the caller holds the pristine clone.
-fn compile_program_attempt(
-    p: &mut Program,
-    approach: Approach,
-    setup: &LowEndSetup,
-    pressures: Option<&[usize]>,
-    t: &mut Telemetry,
-) -> Result<Vec<RemapStats>, PipelineError> {
-    let mut remap_stats: Vec<RemapStats> = Vec::new();
-    // Checker snapshots (one per function, captured only under
-    // `setup.check`) and which functions are differential-encoded.
-    let record = setup.check;
-    let mut records: Vec<Option<AllocationRecord>> = Vec::new();
-    let mut enc_flags: Vec<bool> = Vec::new();
-    match approach {
-        Approach::Baseline => {
-            let mut cfg = AllocConfig::baseline(setup.direct_regs);
-            cfg.call_clobbers = setup.call_clobbers.clone();
-            let (s, recs) = t.time("alloc", || allocate_program(&DenseIrc, p, &cfg, record))?;
-            record_allocator_stats(t, &s);
-            records = recs;
-        }
-        Approach::Remapping => {
-            // Allocate with the larger register file using the plain
-            // allocator, then permute the numbers post-pass.
-            check_injected(&setup.faults.fail_alloc_funcs, "alloc", p.funcs.len())?;
-            let mut cfg = AllocConfig::baseline(setup.diff.reg_n());
-            cfg.call_clobbers = setup.call_clobbers.clone();
-            let (s, recs) = t.time("alloc", || allocate_program(&DenseIrc, p, &cfg, record))?;
-            record_allocator_stats(t, &s);
-            records = recs;
-            remap_stats = remap_program(p, &setup.remap_config());
-            record_remap(t, &remap_stats);
-        }
-        Approach::Select => {
-            check_injected(&setup.faults.fail_alloc_funcs, "alloc", p.funcs.len())?;
-            let mut cfg = AllocConfig::differential(setup.diff);
-            cfg.call_clobbers = setup.call_clobbers.clone();
-            let (s, recs) = t.time("alloc", || allocate_program(&DenseIrc, p, &cfg, record))?;
-            record_allocator_stats(t, &s);
-            records = recs;
-            // Figure 4: remapping may always run after approach 2.
-            remap_stats = remap_program(p, &setup.remap_config());
-            record_remap(t, &remap_stats);
-        }
-        Approach::OSpill => {
-            let mut cfg = AllocConfig::baseline(setup.direct_regs);
-            cfg.call_clobbers = setup.call_clobbers.clone();
-            let (s, recs) = t.time("alloc", || allocate_program(&Ospill, p, &cfg, record))?;
-            record_allocator_stats(t, &s);
-            records = recs;
-        }
-        Approach::Coalesce => {
-            check_injected(&setup.faults.fail_alloc_funcs, "alloc", p.funcs.len())?;
-            let mut cfg = AllocConfig::differential(setup.diff);
-            cfg.call_clobbers = setup.call_clobbers.clone();
-            let (s, recs) = t.time("alloc", || allocate_program(&Coalescing, p, &cfg, record))?;
-            record_allocator_stats(t, &s);
-            records = recs;
-            // Figure 4: remapping may always run after approach 3.
-            remap_stats = remap_program(p, &setup.remap_config());
-            record_remap(t, &remap_stats);
-        }
-        Approach::Adaptive => {
-            // Section 8.2: "we only need to enable differential encoding
-            // when the benefits … exceed the extra costs due to
-            // set_last_reg instructions." Functions whose pressure fits
-            // the direct registers stay direct-encoded (no repairs at
-            // all); the pressured ones get the full differential-select
-            // treatment.
-            let enc = EncodingConfig::new(setup.diff);
-            for (fi, f) in p.funcs.iter_mut().enumerate() {
-                let pressure = match pressures {
-                    Some(ps) => ps[fi],
-                    None => dra_ir::liveness::max_pressure_of(f),
-                };
-                if pressure <= setup.direct_regs as usize {
-                    let mut cfg = AllocConfig::baseline(setup.direct_regs);
-                    cfg.call_clobbers = setup.call_clobbers.clone();
-                    let (s, rec) = t.time("alloc", || DenseIrc.allocate_fn(f, &cfg, record))?;
-                    record_allocator_stats(t, &s);
-                    records.push(rec);
-                    enc_flags.push(false);
-                } else {
-                    if setup.faults.fail_alloc_funcs.contains(&fi) {
-                        return Err(PipelineError::Injected {
-                            stage: "alloc",
-                            func: fi,
-                        });
-                    }
-                    let mut cfg = AllocConfig::differential(setup.diff);
-                    cfg.call_clobbers = setup.call_clobbers.clone();
-                    let (s, rec) = t.time("alloc", || DenseIrc.allocate_fn(f, &cfg, record))?;
-                    record_allocator_stats(t, &s);
-                    records.push(rec);
-                    enc_flags.push(true);
-                    let rs = dra_regalloc::remap_function(f, &setup.remap_config());
-                    record_remap(t, std::slice::from_ref(&rs));
-                    remap_stats.push(rs);
-                    let repair = t.time("repair", || dra_encoding::insert_set_last_reg(f, &enc));
-                    record_repair(t, &repair);
-                    if setup.faults.fail_verify_funcs.contains(&fi) {
-                        return Err(PipelineError::Injected {
-                            stage: "verify",
-                            func: fi,
-                        });
-                    }
-                    t.time("verify", || dra_encoding::verify_function(f, &enc))?;
-                }
-            }
-        }
-    }
-
-    // Differential approaches need the repair pass and verification.
-    // (Adaptive handled repairs per function above.)
-    if approach.is_differential() {
-        let enc = EncodingConfig::new(setup.diff);
-        let repair = t.time("repair", || insert_set_last_reg_program(p, &enc));
-        record_repair(t, &repair);
-        check_injected(&setup.faults.fail_verify_funcs, "verify", p.funcs.len())?;
-        t.time("verify", || verify_program(p, &enc))?;
-    }
-    if setup.check {
-        if approach != Approach::Adaptive {
-            enc_flags = vec![approach.is_differential(); p.funcs.len()];
-        }
-        check_program(p, &records, &enc_flags, setup, t)?;
-    }
-    Ok(remap_stats)
-}
-
-/// One function's share of the differential pipeline. The `*_program`
-/// passes are per-function loops, so this produces exactly the code the
-/// program-level attempt would have produced for that function — degraded
-/// runs keep every *surviving* function bit-identical to a clean compile.
-fn compile_function_attempt(
-    f: &mut Function,
-    fi: usize,
-    approach: Approach,
-    setup: &LowEndSetup,
-    pressure: Option<usize>,
-    t: &mut Telemetry,
-) -> Result<Vec<RemapStats>, PipelineError> {
-    let faults = &setup.faults;
-    let enc = EncodingConfig::new(setup.diff);
+    let degrade = setup.degrade && approach.can_degrade();
     let mut remap_stats = Vec::new();
-    let record = setup.check;
-    let rec: Option<AllocationRecord>;
-    match approach {
-        Approach::Baseline | Approach::OSpill => {
-            unreachable!("direct approaches have no differential path to retry")
-        }
-        Approach::Remapping | Approach::Select => {
-            if faults.fail_alloc_funcs.contains(&fi) {
-                return Err(PipelineError::Injected {
-                    stage: "alloc",
-                    func: fi,
-                });
-            }
-            let mut cfg = if approach == Approach::Remapping {
-                AllocConfig::baseline(setup.diff.reg_n())
-            } else {
-                AllocConfig::differential(setup.diff)
-            };
-            cfg.call_clobbers = setup.call_clobbers.clone();
-            let (s, r) = t.time("alloc", || DenseIrc.allocate_fn(f, &cfg, record))?;
-            record_allocator_stats(t, &s);
-            rec = r;
-            let rs = dra_regalloc::remap_function(f, &setup.remap_config());
-            record_remap(t, std::slice::from_ref(&rs));
-            remap_stats.push(rs);
-        }
-        Approach::Coalesce => {
-            if faults.fail_alloc_funcs.contains(&fi) {
-                return Err(PipelineError::Injected {
-                    stage: "alloc",
-                    func: fi,
-                });
-            }
-            let mut cfg = AllocConfig::differential(setup.diff);
-            cfg.call_clobbers = setup.call_clobbers.clone();
-            let (s, r) = t.time("alloc", || Coalescing.allocate_fn(f, &cfg, record))?;
-            record_allocator_stats(t, &s);
-            rec = r;
-            let rs = dra_regalloc::remap_function(f, &setup.remap_config());
-            record_remap(t, std::slice::from_ref(&rs));
-            remap_stats.push(rs);
-        }
-        Approach::Adaptive => {
-            let pressure =
-                pressure.unwrap_or_else(|| dra_ir::liveness::max_pressure_of(f));
-            if pressure <= setup.direct_regs as usize {
-                let mut cfg = AllocConfig::baseline(setup.direct_regs);
-                cfg.call_clobbers = setup.call_clobbers.clone();
-                let (s, r) = t.time("alloc", || DenseIrc.allocate_fn(f, &cfg, record))?;
-                record_allocator_stats(t, &s);
-                if setup.check {
-                    check_function(f, r.as_ref(), None, t)?;
-                }
-            } else {
-                if faults.fail_alloc_funcs.contains(&fi) {
-                    return Err(PipelineError::Injected {
-                        stage: "alloc",
-                        func: fi,
-                    });
-                }
-                let mut cfg = AllocConfig::differential(setup.diff);
-                cfg.call_clobbers = setup.call_clobbers.clone();
-                let (s, r) = t.time("alloc", || DenseIrc.allocate_fn(f, &cfg, record))?;
-                record_allocator_stats(t, &s);
-                let rs = dra_regalloc::remap_function(f, &setup.remap_config());
-                record_remap(t, std::slice::from_ref(&rs));
-                remap_stats.push(rs);
-                let repair = t.time("repair", || dra_encoding::insert_set_last_reg(f, &enc));
-                record_repair(t, &repair);
-                if faults.fail_verify_funcs.contains(&fi) {
-                    return Err(PipelineError::Injected {
-                        stage: "verify",
-                        func: fi,
-                    });
-                }
-                t.time("verify", || dra_encoding::verify_function(f, &enc))?;
-                if setup.check {
-                    check_function(f, r.as_ref(), Some(&enc), t)?;
-                }
-            }
-            return Ok(remap_stats);
-        }
-    }
-    let repair = t.time("repair", || dra_encoding::insert_set_last_reg(f, &enc));
-    record_repair(t, &repair);
-    if faults.fail_verify_funcs.contains(&fi) {
-        return Err(PipelineError::Injected {
-            stage: "verify",
-            func: fi,
-        });
-    }
-    t.time("verify", || dra_encoding::verify_function(f, &enc))?;
-    if setup.check {
-        check_function(f, rec.as_ref(), Some(&enc), t)?;
-    }
-    Ok(remap_stats)
-}
-
-/// The degradation lattice's middle rung: recompile the pristine program
-/// function by function, keeping every function whose differential
-/// pipeline succeeds and dropping exactly the failing ones to direct
-/// encoding (`RegN = DiffN =` [`LowEndSetup::direct_regs`], repair-free).
-///
-/// Each degraded function is recorded in the `degrade.*` counters (cause
-/// via [`degrade_counter`]) and marked with
-/// [`RemapStats::degraded_marker`] in the returned stats so downstream
-/// reporting can see the holes. The bottom of the lattice — direct
-/// allocation itself failing — is a hard error.
-fn compile_program_degraded(
-    p: &mut Program,
-    pristine: Program,
-    approach: Approach,
-    setup: &LowEndSetup,
-    pressures: Option<&[usize]>,
-    t: &mut Telemetry,
-) -> Result<Vec<RemapStats>, PipelineError> {
-    *p = pristine;
-    let mut remap_stats = Vec::new();
+    let mut degraded = 0;
     for (fi, f) in p.funcs.iter_mut().enumerate() {
-        let pressure = pressures.map(|ps| ps[fi]);
+        let plan = Plan::of(approach, setup, || match pressures {
+            Some(ps) => ps[fi],
+            None => dra_ir::liveness::max_pressure_of(f),
+        });
+        if !(degrade && plan.differential) {
+            remap_stats.extend(compile_function(f, fi, &plan, setup, t)?);
+            continue;
+        }
         let mut attempt = f.clone();
-        match compile_function_attempt(&mut attempt, fi, approach, setup, pressure, t) {
-            Ok(mut rs) => {
+        match compile_function(&mut attempt, fi, &plan, setup, t) {
+            Ok(rs) => {
                 *f = attempt;
-                remap_stats.append(&mut rs);
+                remap_stats.extend(rs);
             }
             Err(e) => {
-                t.count("degrade.functions", 1);
+                degraded += 1;
                 t.count(degrade_counter(&e), 1);
-                // `f` is still pristine (the attempt ran on a clone):
-                // compile it direct.
-                let differential_func = match approach {
-                    Approach::Adaptive => {
-                        let pr = pressure
-                            .unwrap_or_else(|| dra_ir::liveness::max_pressure_of(f));
-                        pr > setup.direct_regs as usize
-                    }
-                    _ => true,
-                };
-                let mut cfg = AllocConfig::baseline(setup.direct_regs);
-                cfg.call_clobbers = setup.call_clobbers.clone();
-                let (s, rec) = t.time("alloc", || DenseIrc.allocate_fn(f, &cfg, setup.check))?;
-                record_allocator_stats(t, &s);
-                if setup.check {
-                    // The degraded function is direct-encoded: the
-                    // substitution check applies, the decoder replay
-                    // doesn't.
-                    check_function(f, rec.as_ref(), None, t)?;
-                }
-                if differential_func {
-                    remap_stats.push(RemapStats::degraded_marker());
-                }
+                compile_function(f, fi, &Plan::direct(setup), setup, t)?;
+                remap_stats.push(RemapStats::degraded_marker());
             }
         }
+    }
+    if degraded > 0 {
+        t.count("degrade.programs", 1);
+        t.count("degrade.functions", degraded);
     }
     Ok(remap_stats)
 }
 
-/// Shared tail of every `compile_and_run*` front end: simulate the
-/// compiled program, record the simulator's counters and span into
-/// `telemetry`, and assemble the [`LowEndRun`].
+/// The one body behind every `compile_and_run*` front end and
+/// [`crate::CompileSession`]: compile a copy of `source` (with `pressures`
+/// as in [`compile_program_telemetry`]), simulate it, and assemble the
+/// [`LowEndRun`], recording into `t`.
 ///
-/// Failure returns the telemetry alongside the error so
-/// [`finish_run_or_degrade`] can carry the attempt's record into the
-/// degraded re-run.
-pub(crate) fn finish_run(
-    program: Program,
+/// A simulation failure of a differential artifact (including one
+/// injected via [`PipelineFaults::fail_sim`]) is the last rung of the
+/// degradation lattice: with [`LowEndSetup::degrade`] on, `source` is
+/// recompiled direct-encoded and that is simulated instead — counted as
+/// `degrade.sim` (plus `degrade.programs`/`degrade.functions`) and marked
+/// in every [`RemapStats`] slot.
+pub(crate) fn compile_and_simulate(
+    source: &Program,
+    pressures: Option<&[usize]>,
     approach: Approach,
     setup: &LowEndSetup,
-    remap: Vec<RemapStats>,
-    mut telemetry: Telemetry,
-) -> Result<LowEndRun, (PipelineError, Telemetry)> {
-    let set_last_regs = program.count_insts(|i| i.is_set_last_reg());
-    let sim: SimResult =
-        match telemetry.time("simulate", || simulate(&program, &setup.machine, &setup.args)) {
-            Ok(sim) => sim,
-            Err(e) => return Err((PipelineError::Sim(e), telemetry)),
-        };
+    mut t: Telemetry,
+) -> Result<LowEndRun, PipelineError> {
+    let mut program = source.clone();
+    let mut remap = compile_program_telemetry(&mut program, approach, setup, pressures, &mut t)?;
+    let attempt = if setup.faults.fail_sim && approach.can_degrade() {
+        Err(PipelineError::Injected {
+            stage: "simulate",
+            func: 0,
+        })
+    } else {
+        t.time("simulate", || simulate(&program, &setup.machine, &setup.args))
+            .map_err(PipelineError::Sim)
+    };
+    let sim = match attempt {
+        Ok(sim) => sim,
+        Err(e) if !(setup.degrade && approach.can_degrade()) => return Err(e),
+        Err(e) => {
+            t.count("degrade.sim", 1);
+            t.count("degrade.programs", 1);
+            t.count(degrade_counter(&e), 0); // ensure the cause key exists
+
+            // The differential artifact is unrunnable: rebuild the whole
+            // program with the direct plan (`Baseline`) and simulate that.
+            program = source.clone();
+            compile_program_telemetry(&mut program, Approach::Baseline, setup, None, &mut t)?;
+            t.count("degrade.functions", program.funcs.len() as u64);
+            remap = vec![RemapStats::degraded_marker(); program.funcs.len()];
+            t.time("simulate", || simulate(&program, &setup.machine, &setup.args))?
+        }
+    };
     for (name, value) in sim.counters() {
-        telemetry.count(name, value);
+        t.count(name, value);
     }
-    let geometry: IsaGeometry = setup.machine.geometry;
     Ok(LowEndRun {
         approach,
         remap,
         spill_insts: program.count_insts(|i| i.is_spill()),
-        set_last_regs,
+        set_last_regs: program.count_insts(|i| i.is_set_last_reg()),
         total_insts: program.num_insts(),
-        code_bits: code_size_bits(&program, &geometry),
+        code_bits: code_size_bits(&program, &setup.machine.geometry),
         cycles: sim.cycles,
         dynamic_spills: sim.spill_accesses,
         dynamic_set_last_regs: sim.set_last_regs,
@@ -993,67 +722,9 @@ pub(crate) fn finish_run(
         ret_value: sim.ret_value,
         entry_trace: sim.entry_trace,
         block_counts: sim.block_counts,
-        telemetry,
+        telemetry: t,
         program,
     })
-}
-
-/// The last rung of the degradation lattice: run [`finish_run`], and on a
-/// simulation failure of a *differential* artifact (including one
-/// injected via [`PipelineFaults::fail_sim`]) recompile the pristine
-/// `source` program direct-encoded and simulate that instead — counted as
-/// `degrade.sim` (plus `degrade.programs`/`degrade.functions`) and marked
-/// in every [`RemapStats`] slot.
-///
-/// With no `source`, with [`LowEndSetup::degrade`] off, or for an already
-/// direct approach, a failure is simply returned.
-pub(crate) fn finish_run_or_degrade(
-    source: Option<&Program>,
-    program: Program,
-    approach: Approach,
-    setup: &LowEndSetup,
-    remap: Vec<RemapStats>,
-    telemetry: Telemetry,
-) -> Result<LowEndRun, PipelineError> {
-    let attempt = if setup.faults.fail_sim && approach.can_degrade() {
-        Err((
-            PipelineError::Injected {
-                stage: "simulate",
-                func: 0,
-            },
-            telemetry,
-        ))
-    } else {
-        finish_run(program, approach, setup, remap, telemetry)
-    };
-    match attempt {
-        Ok(run) => Ok(run),
-        Err((e, mut telemetry)) => {
-            let degradable = setup.degrade && approach.can_degrade();
-            let Some(src) = source.filter(|_| degradable) else {
-                return Err(e);
-            };
-            telemetry.count("degrade.sim", 1);
-            telemetry.count("degrade.programs", 1);
-            telemetry.count(degrade_counter(&e), 0); // ensure the cause key exists
-            // The differential artifact is unrunnable; rebuild the whole
-            // program at the bottom of the lattice (direct encoding,
-            // repair-free) and simulate that.
-            let mut p = src.clone();
-            let mut cfg = AllocConfig::baseline(setup.direct_regs);
-            cfg.call_clobbers = setup.call_clobbers.clone();
-            let (s, recs) =
-                telemetry.time("alloc", || allocate_program(&DenseIrc, &mut p, &cfg, setup.check))?;
-            record_allocator_stats(&mut telemetry, &s);
-            if setup.check {
-                let enc_flags = vec![false; p.funcs.len()];
-                check_program(&p, &recs, &enc_flags, setup, &mut telemetry)?;
-            }
-            telemetry.count("degrade.functions", p.funcs.len() as u64);
-            let remap = vec![RemapStats::degraded_marker(); p.funcs.len()];
-            finish_run(p, approach, setup, remap, telemetry).map_err(|(e, _)| e)
-        }
-    }
 }
 
 /// Compile and simulate a benchmark; the full Figure 11–14 measurement.
@@ -1067,10 +738,8 @@ pub fn compile_and_run(
     setup: &LowEndSetup,
 ) -> Result<LowEndRun, PipelineError> {
     let mut telemetry = Telemetry::new();
-    let mut program = telemetry.time("parse", || benchmark(name));
-    let source = (setup.degrade && approach.can_degrade()).then(|| program.clone());
-    let remap = compile_program_telemetry(&mut program, approach, setup, None, &mut telemetry)?;
-    finish_run_or_degrade(source.as_ref(), program, approach, setup, remap, telemetry)
+    let program = telemetry.time("parse", || benchmark(name));
+    compile_and_simulate(&program, None, approach, setup, telemetry)
 }
 
 /// [`compile_and_run`] over arbitrary (possibly hostile) program *text*
@@ -1088,7 +757,7 @@ pub fn compile_and_run_source(
     setup: &LowEndSetup,
 ) -> Result<LowEndRun, PipelineError> {
     let mut telemetry = Telemetry::new();
-    let mut program = telemetry.time("parse", || dra_ir::parse::parse_program(text))?;
+    let program = telemetry.time("parse", || dra_ir::parse::parse_program(text))?;
     for (fi, f) in program.funcs.iter().enumerate() {
         dra_ir::validate::validate_function(f).map_err(|e| PipelineError::Validate {
             func: fi,
@@ -1101,9 +770,7 @@ pub fn compile_and_run_source(
         func: 0,
         message: e.to_string(),
     })?;
-    let source = (setup.degrade && approach.can_degrade()).then(|| program.clone());
-    let remap = compile_program_telemetry(&mut program, approach, setup, None, &mut telemetry)?;
-    finish_run_or_degrade(source.as_ref(), program, approach, setup, remap, telemetry)
+    compile_and_simulate(&program, None, approach, setup, telemetry)
 }
 
 #[cfg(test)]

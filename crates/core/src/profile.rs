@@ -12,10 +12,7 @@
 //! 3. recompile with a differential approach — the adjacency-graph edge
 //!    weights, spill costs, and coalesce scores now reflect reality.
 
-use crate::lowend::{
-    compile_and_run, compile_program_telemetry, finish_run_or_degrade, Approach, LowEndSetup,
-    PipelineError,
-};
+use crate::lowend::{compile_and_run, compile_and_simulate, Approach, LowEndSetup, PipelineError};
 use crate::telemetry::Telemetry;
 use crate::LowEndRun;
 use dra_ir::Program;
@@ -64,9 +61,7 @@ pub fn compile_and_run_profiled(
     let mut p = telemetry.time("parse", || benchmark(name));
     let cold = apply_profile(&mut p, &profile_run.block_counts);
     telemetry.count("profile.cold_blocks", cold as u64);
-    let source = (setup.degrade && approach.can_degrade()).then(|| p.clone());
-    let remap = compile_program_telemetry(&mut p, approach, setup, None, &mut telemetry)?;
-    finish_run_or_degrade(source.as_ref(), p, approach, setup, remap, telemetry)
+    compile_and_simulate(&p, None, approach, setup, telemetry)
 }
 
 #[cfg(test)]

@@ -32,9 +32,11 @@
 //! duplicate computation is neither hit nor miss, and an error is
 //! counted under `result_cache.uncacheable`).
 
-use crate::batch::{compile_and_run_cached, SourceCache};
+use crate::batch::SourceCache;
 use crate::cache::LruCache;
-use crate::lowend::{compile_and_run_source, Approach, LowEndRun, LowEndSetup, PipelineError};
+use crate::lowend::{
+    compile_and_run_source, compile_and_simulate, Approach, LowEndRun, LowEndSetup, PipelineError,
+};
 use crate::telemetry::Telemetry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -136,8 +138,9 @@ impl CompileSession {
     }
 
     /// Compile a named built-in benchmark, serving repeats from the
-    /// result cache. Returns the run and whether it was served from
-    /// cache.
+    /// result cache. A miss clones the benchmark out of the source cache
+    /// instead of re-parsing it, and `Adaptive` reuses its memoized
+    /// pressures. Returns the run and whether it was served from cache.
     ///
     /// # Errors
     ///
@@ -149,7 +152,9 @@ impl CompileSession {
     ) -> Result<(Arc<LowEndRun>, bool), PipelineError> {
         let key = result_key("bench", name, approach);
         self.compile_keyed(key, || {
-            compile_and_run_cached(&self.sources, name, approach, &self.setup)
+            let src = self.sources.get(name);
+            let t = Telemetry::new();
+            compile_and_simulate(&src.program, Some(&src.pressures), approach, &self.setup, t)
         })
     }
 

@@ -42,6 +42,6 @@ pub use state::{
     transfer_block, DecodeState, LastReg,
 };
 pub use verify::{
-    decode_field, decode_trace, decode_trace_fields, encode_fields, verify_function,
-    verify_program, DecodeError, InstFields,
+    decode_field, decode_trace, decode_trace_fields, encode_fields, verify_function, DecodeError,
+    InstFields,
 };

@@ -27,7 +27,7 @@
 
 use crate::repair::EncodingConfig;
 use crate::state::{class_accesses_ordered, LastReg};
-use dra_ir::{BlockId, Function, Inst, Program};
+use dra_ir::{BlockId, Function, Inst};
 use std::error::Error;
 use std::fmt;
 
@@ -279,18 +279,6 @@ fn encode_inst(
 /// The first [`DecodeError`] encountered.
 pub fn verify_function(f: &Function, cfg: &EncodingConfig) -> Result<(), DecodeError> {
     encode_fields(f, cfg).map(|_| ())
-}
-
-/// Verify every function of a program.
-///
-/// # Errors
-///
-/// The first [`DecodeError`] encountered in any function.
-pub fn verify_program(p: &Program, cfg: &EncodingConfig) -> Result<(), DecodeError> {
-    for f in &p.funcs {
-        verify_function(f, cfg)?;
-    }
-    Ok(())
 }
 
 /// Decode a dynamic execution trace and check every register against the

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, one-shot smokes of
-# the remap_scaling, remap_ablation, and irc benches (criterion's `--test` mode runs
+# Tier-1 verification: release build, full test suite, a build of every
+# bench target (`cargo test` builds none of them), one-shot smokes of
+# the remap_scaling, remap_ablation, irc and encoding benches (criterion's `--test` mode runs
 # each bench body exactly once, so regressions in the bench harnesses,
 # the incremental-search plumbing, or the interference-graph
 # representations fail CI without paying for a full sweep), and a
@@ -11,10 +12,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q
+cargo bench --no-run
 cargo bench --bench remap_scaling -- --test
 cargo bench --bench remap_ablation -- --test
 cargo bench --bench irc_build -- --test
 cargo bench --bench irc_color -- --test
+cargo bench --bench encoding -- --test
 
 rm -f results/telemetry/fig11.json
 cargo run -q -p dra-bench --release --bin fig11 > /dev/null

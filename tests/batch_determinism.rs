@@ -10,7 +10,7 @@
 //! exits early based on another task's result, so they are pure functions
 //! of the input at any thread count.
 
-use dra_core::batch::{run_batch, run_lowend_matrix, run_lowend_matrix_with_telemetry};
+use dra_core::batch::{run_batch, run_lowend_matrix_with_telemetry};
 use dra_core::highend::run_highend_sweep;
 use dra_core::lowend::{Approach, LowEndRun, LowEndSetup, PipelineError};
 use dra_workloads::{generate_loop_suite, LoopSuiteConfig};
@@ -42,7 +42,8 @@ fn lowend_matrix_identical_across_thread_counts() {
     let mut reference: Option<Vec<Vec<LowEndRun>>> = None;
     for threads in [1usize, 2, 8] {
         setup.batch_threads = threads;
-        let matrix: Vec<Vec<LowEndRun>> = run_lowend_matrix(&names, &approaches, &setup)
+        let (matrix, _) = run_lowend_matrix_with_telemetry(&names, &approaches, &setup);
+        let matrix: Vec<Vec<LowEndRun>> = matrix
             .into_iter()
             .map(|row| {
                 row.into_iter()

@@ -5,7 +5,7 @@
 //! reproducing form, together with the seeded-corruption cases that prove
 //! the checker itself has teeth end to end.
 
-use dra_core::lowend::{compile_program, compile_program_telemetry, Approach, LowEndSetup};
+use dra_core::lowend::{compile_program_telemetry, Approach, LowEndSetup};
 use dra_core::telemetry::Telemetry;
 use dra_ir::{BinOp, FunctionBuilder, PReg, Reg};
 use dra_regalloc::{check_allocation, AllocConfig, Allocator, CheckError, DenseIrc};
@@ -154,7 +154,8 @@ fn checked_compile_matches_unchecked() {
     ] {
         let plain_setup = LowEndSetup::default();
         let mut plain = generate(&spec);
-        compile_program(&mut plain, approach, &plain_setup).unwrap();
+        compile_program_telemetry(&mut plain, approach, &plain_setup, None, &mut Telemetry::new())
+            .unwrap();
 
         let mut checked_setup = LowEndSetup::default();
         checked_setup.check = true;

@@ -96,12 +96,14 @@ fn analytic_and_executed_loop_cycles_agree() {
 /// the real assembler agree on every compiled benchmark function.
 #[test]
 fn size_model_matches_assembler_on_compiled_benchmarks() {
-    use dra_core::lowend::{compile_benchmark, Approach, LowEndSetup};
+    use dra_core::lowend::{compile_program_telemetry, Approach, LowEndSetup};
     let setup = LowEndSetup::default();
     let geom = dra_isa::IsaGeometry::leaf16(3);
     let enc = EncodingConfig::new(setup.diff);
     for name in ["crc32", "qsort"] {
-        let (p, _, _) = compile_benchmark(name, Approach::Select, &setup).unwrap();
+        let mut p = dra_workloads::benchmark(name);
+        let mut t = dra_core::Telemetry::new();
+        compile_program_telemetry(&mut p, Approach::Select, &setup, None, &mut t).unwrap();
         for f in &p.funcs {
             let image = dra_encoding::assemble_function(f, &enc, &geom)
                 .unwrap_or_else(|e| panic!("{name}/{}: {e}", f.name));

@@ -219,6 +219,26 @@ fn injected_verify_failure_degrades_too() {
     }
 }
 
+/// A degraded run does each function's differential work once: the
+/// failing function's attempt is remapped and repaired before its
+/// injected verify failure, and the direct recompile adds no remap or
+/// repair work, so the remap and repair counters match the clean run's.
+#[test]
+fn degraded_runs_do_not_repeat_differential_work() {
+    let clean = compile_and_run("crc32", Approach::Select, &quick_setup()).unwrap();
+    let mut faulty = quick_setup();
+    faulty.faults.fail_verify_funcs.insert(0);
+    let run = compile_and_run("crc32", Approach::Select, &faulty).unwrap();
+    assert_eq!(run.telemetry.counter("degrade.functions"), 1);
+    for key in ["remap.functions", "remap.evaluations", "repair.inserted"] {
+        assert_eq!(
+            run.telemetry.counter(key),
+            clean.telemetry.counter(key),
+            "{key}"
+        );
+    }
+}
+
 #[test]
 fn injected_sim_failure_degrades_whole_program() {
     let setup = quick_setup();

@@ -7,7 +7,8 @@
 //! broken spill rewrite shows up as divergent output.
 
 use dra_adjgraph::DiffParams;
-use dra_core::lowend::{compile_program, Approach, LowEndSetup};
+use dra_core::lowend::{compile_program_telemetry, Approach, LowEndSetup, PipelineError};
+use dra_core::Telemetry;
 use dra_encoding::{insert_set_last_reg, EncodingConfig};
 use dra_ir::{BinOp, Function, FunctionBuilder, PReg, Reg, VReg};
 use dra_regalloc::{
@@ -17,6 +18,15 @@ use dra_regalloc::{
 use dra_sim::{simulate, LowEndConfig};
 use dra_workloads::mibench::{generate, BenchSpec};
 use proptest::prelude::*;
+
+/// Compile `p` in place under `approach`, discarding the telemetry.
+fn compile_program(
+    p: &mut dra_ir::Program,
+    approach: Approach,
+    setup: &LowEndSetup,
+) -> Result<(), PipelineError> {
+    compile_program_telemetry(p, approach, setup, None, &mut Telemetry::new()).map(drop)
+}
 
 /// A bounded random benchmark spec (all knobs in safe ranges).
 fn arb_spec() -> impl Strategy<Value = BenchSpec> {
