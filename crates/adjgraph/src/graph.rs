@@ -148,8 +148,8 @@ impl AdjacencyGraph {
     /// Build a per-node incidence index for fast repeated [`AdjacencyIndex::node_cost`]
     /// queries (the inner loop of differential select and coalesce).
     ///
-    /// The spine comes from a per-thread pool (see
-    /// [`dra_ir::scratch::set_reuse`]); hand a finished index back with
+    /// The spine comes from a per-thread pool (see `dra_ir::scratch` for
+    /// the pool rules); hand a finished index back with
     /// [`AdjacencyIndex::recycle`] so the next build on the same thread
     /// reuses its row capacities.
     pub fn index(&self) -> AdjacencyIndex {
@@ -162,8 +162,8 @@ impl AdjacencyGraph {
     }
 }
 
-/// Per-thread pool of incidence-index spines (`Vec<Vec<(from, to, w)>>`),
-/// governed by the workspace-wide [`dra_ir::scratch::set_reuse`] switch.
+/// Per-thread, capped pool of incidence-index spines
+/// (`Vec<Vec<(from, to, w)>>`); every row is cleared on take.
 mod index_pool {
     use std::cell::RefCell;
 
@@ -176,9 +176,6 @@ mod index_pool {
     const CAP: usize = 8;
 
     pub(super) fn take(n: usize) -> Spine {
-        if !dra_ir::scratch::reuse_enabled() {
-            return vec![Vec::new(); n];
-        }
         POOL.with(|p| match p.borrow_mut().pop() {
             Some(mut s) => {
                 s.truncate(n);
@@ -193,9 +190,6 @@ mod index_pool {
     }
 
     pub(super) fn put(s: Spine) {
-        if !dra_ir::scratch::reuse_enabled() {
-            return;
-        }
         POOL.with(|p| {
             let mut p = p.borrow_mut();
             if p.len() < CAP {

@@ -1,12 +1,10 @@
-//! Corpus-scale workloads: profile artifacts on disk and the end-to-end
-//! throughput benchmark.
+//! Corpus-scale workloads: profile artifacts on disk and the
+//! profile-driven corpus compile.
 //!
 //! The mibench substitutes are ten programs; the paper's high-end suite
 //! is 1928 loops. Neither says anything about how the pipeline behaves
 //! at *corpus* scale — tens of thousands of distinct functions through
-//! one resident [`CompileSession`] — which is exactly the regime the
-//! serving work (PR 7) and the scratch arenas (this PR) target. This
-//! module closes the loop:
+//! one resident [`CompileSession`]. This module closes the loop:
 //!
 //! * **`dra-profile-v1`** — a [`WorkloadProfile`] serialized with the
 //!   same hand-rolled JSON the telemetry schema uses (no dependencies),
@@ -18,18 +16,14 @@
 //!   profile and push every program through the session-backed batch
 //!   driver with the symbolic checker on; any checker rejection is a
 //!   hard failure.
-//! * [`run_corpus_bench`] — `drac bench-corpus`: the throughput
-//!   experiment. One generated corpus, compiled at each worker count
-//!   with the scratch arenas off and then on, reporting jobs/sec, the
-//!   arena speedup per thread count, per-stage spans, cache evictions
-//!   (the caches are deliberately overrun — a 10k-function corpus
-//!   against a 256-entry result cache is the eviction path's first real
-//!   workout), and a peak-RSS estimate.
+//!
+//! Corpus throughput is measured outside the crate, by perfbench's
+//! `corpus-mix` workload, which builds on [`corpus_setup`] and
+//! [`peak_rss_bytes`].
 //!
 //! Determinism: the corpus itself is a pure function of
 //! `(profile, seed, count)` at any thread count (see
-//! [`dra_workloads::generate_from_profile`]); the bench's *timings* are
-//! wall-clock and excluded from any byte-stable artifact.
+//! [`dra_workloads::generate_from_profile`]).
 
 use crate::batch::run_batch;
 use crate::lowend::{Approach, LowEndSetup};
@@ -307,196 +301,9 @@ pub fn run_corpus_compile(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Throughput benchmark (drac bench-corpus)
-// ---------------------------------------------------------------------------
-
-/// Configuration for [`run_corpus_bench`].
-pub struct CorpusBenchConfig {
-    /// The workload shape to synthesize.
-    pub profile: WorkloadProfile,
-    /// Total functions in the corpus.
-    pub count: usize,
-    /// Generator seed.
-    pub seed: u64,
-    /// Worker counts to sweep.
-    pub threads: Vec<usize>,
-    /// The per-compile setup (see [`corpus_setup`]).
-    pub setup: LowEndSetup,
-}
-
-impl CorpusBenchConfig {
-    /// The headline experiment: 10k functions at 1, 2, and 8 workers.
-    pub fn standard(profile: WorkloadProfile) -> CorpusBenchConfig {
-        CorpusBenchConfig {
-            profile,
-            count: 10_000,
-            seed: 0,
-            threads: vec![1, 2, 8],
-            setup: corpus_setup(),
-        }
-    }
-
-    /// CI scale: a few hundred functions, two worker counts.
-    pub fn smoke(profile: WorkloadProfile) -> CorpusBenchConfig {
-        CorpusBenchConfig {
-            profile,
-            count: 200,
-            seed: 0,
-            threads: vec![1, 2],
-            setup: corpus_setup(),
-        }
-    }
-}
-
-/// One (worker count, arenas on/off) measurement.
-pub struct CorpusPhase {
-    /// Batch-driver workers.
-    pub threads: usize,
-    /// Whether the scratch arenas were enabled.
-    pub arena: bool,
-    /// Wall-clock for the whole corpus.
-    pub elapsed_ns: u64,
-    /// Programs compiled per second.
-    pub jobs_per_sec: f64,
-    /// Functions compiled per second.
-    pub functions_per_sec: f64,
-    /// Failed compiles (must be zero on a healthy corpus).
-    pub errors: u64,
-    /// Source-cache evictions during the phase.
-    pub source_evictions: u64,
-    /// Result-cache evictions during the phase (a corpus overruns the
-    /// result cache by design — this counts the overrun).
-    pub result_evictions: u64,
-}
-
-/// The full bench result.
-pub struct CorpusBenchReport {
-    /// Profile name.
-    pub profile: String,
-    /// Requested function count.
-    pub functions: usize,
-    /// Programs those functions were grouped into.
-    pub programs: usize,
-    /// Generator seed.
-    pub seed: u64,
-    /// Wall-clock spent generating + rendering the corpus.
-    pub generate_ns: u64,
-    /// Every measured phase, in sweep order.
-    pub phases: Vec<CorpusPhase>,
-    /// Per-stage spans from the single-threaded arenas-on phase (the
-    /// only phase whose span sum decomposes its own wall-clock).
-    pub spans_ns: BTreeMap<String, u64>,
-    /// `VmHWM` after the sweep, if the platform exposes it (linux).
-    pub peak_rss_bytes: Option<u64>,
-}
-
-impl CorpusBenchReport {
-    /// Arena speedup (arenas-off elapsed / arenas-on elapsed) per worker
-    /// count, in sweep order.
-    pub fn arena_speedups(&self) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        for pair in self.phases.chunks(2) {
-            if let [off, on] = pair {
-                debug_assert!(!off.arena && on.arena && off.threads == on.threads);
-                out.push((off.threads, off.elapsed_ns as f64 / on.elapsed_ns.max(1) as f64));
-            }
-        }
-        out
-    }
-
-    /// The `dra-corpus-bench-v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\n  \"schema\": \"dra-corpus-bench-v1\",\n  \"profile\": \"{}\",\n  \"functions\": {},\n  \"programs\": {},\n  \"seed\": {},\n  \"generate_ns\": {},\n",
-            escape_json(&self.profile),
-            self.functions,
-            self.programs,
-            self.seed,
-            self.generate_ns,
-        );
-        out.push_str("  \"phases\": [\n");
-        for (i, p) in self.phases.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"threads\": {}, \"arena\": {}, \"elapsed_ns\": {}, \"jobs_per_sec\": {:.3}, \"functions_per_sec\": {:.3}, \"errors\": {}, \"source_evictions\": {}, \"result_evictions\": {}}}{}\n",
-                p.threads,
-                p.arena,
-                p.elapsed_ns,
-                p.jobs_per_sec,
-                p.functions_per_sec,
-                p.errors,
-                p.source_evictions,
-                p.result_evictions,
-                if i + 1 < self.phases.len() { "," } else { "" },
-            );
-        }
-        out.push_str("  ],\n  \"arena_speedup\": {");
-        let speedups = self.arena_speedups();
-        for (i, (threads, s)) in speedups.iter().enumerate() {
-            let _ = write!(
-                out,
-                "\"{threads}\": {s:.4}{}",
-                if i + 1 < speedups.len() { ", " } else { "" }
-            );
-        }
-        out.push_str("},\n  \"spans_ns\": {");
-        for (i, (k, v)) in self.spans_ns.iter().enumerate() {
-            let _ = write!(
-                out,
-                "\"{}\": {v}{}",
-                escape_json(k),
-                if i + 1 < self.spans_ns.len() { ", " } else { "" }
-            );
-        }
-        let _ = write!(
-            out,
-            "}},\n  \"peak_rss_bytes\": {}\n}}\n",
-            self.peak_rss_bytes
-                .map_or("null".to_string(), |v| v.to_string()),
-        );
-        out
-    }
-
-    /// Human-readable summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "corpus: {} — {} functions in {} programs (seed {})",
-            self.profile, self.functions, self.programs, self.seed
-        );
-        let _ = writeln!(
-            out,
-            "{:<8} {:>6} {:>12} {:>12} {:>8}",
-            "threads", "arena", "jobs/sec", "funcs/sec", "errors"
-        );
-        for p in &self.phases {
-            let _ = writeln!(
-                out,
-                "{:<8} {:>6} {:>12.1} {:>12.1} {:>8}",
-                p.threads,
-                if p.arena { "on" } else { "off" },
-                p.jobs_per_sec,
-                p.functions_per_sec,
-                p.errors
-            );
-        }
-        for (threads, s) in self.arena_speedups() {
-            let _ = writeln!(out, "arena speedup @{threads} threads: {s:.3}x");
-        }
-        if let Some(rss) = self.peak_rss_bytes {
-            let _ = writeln!(out, "peak RSS: {:.1} MiB", rss as f64 / (1024.0 * 1024.0));
-        }
-        out
-    }
-}
-
 /// `VmHWM` (peak resident set) from `/proc/self/status`, in bytes.
-/// `None` where proc is unavailable — the bench reports the estimate as
-/// absent rather than faking one.
+/// `None` where proc is unavailable, so a caller can report the figure
+/// as absent rather than fake one.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     for line in status.lines() {
@@ -506,76 +313,6 @@ pub fn peak_rss_bytes() -> Option<u64> {
         }
     }
     None
-}
-
-/// Run the corpus throughput benchmark: one generated corpus, each
-/// worker count measured with the scratch arenas off and then on (a
-/// fresh [`CompileSession`] per phase, so phases are independent and
-/// every phase compiles every program). The global arena switch is
-/// restored on exit.
-///
-/// # Errors
-///
-/// Generation failures as `String`.
-pub fn run_corpus_bench(cfg: &CorpusBenchConfig) -> Result<CorpusBenchReport, String> {
-    let t0 = Instant::now();
-    let programs = generate_from_profile(&cfg.profile, cfg.seed, cfg.count)?;
-    let texts: Vec<String> = programs.iter().map(|p| p.to_string()).collect();
-    let generate_ns = t0.elapsed().as_nanos() as u64;
-    drop(programs);
-
-    let prev = dra_ir::scratch::reuse_enabled();
-    let mut phases = Vec::new();
-    let mut spans: BTreeMap<String, u64> = BTreeMap::new();
-    for &threads in &cfg.threads {
-        for arena in [false, true] {
-            dra_ir::scratch::set_reuse(arena);
-            let session = CompileSession::new(cfg.setup.clone());
-            let t0 = Instant::now();
-            let cells = run_batch(&texts, threads, |_, text| {
-                session
-                    .compile_source(text, Approach::Adaptive)
-                    .map(|(run, _)| run.telemetry.clone())
-            });
-            let elapsed = t0.elapsed().as_nanos().max(1) as u64;
-            let errors = cells.iter().filter(|c| c.is_err()).count() as u64;
-            // Per-stage spans: only the single-threaded arenas-on phase
-            // decomposes its own wall-clock (parallel phases sum worker
-            // time across threads).
-            if arena && threads == 1 {
-                let mut merged = Telemetry::new();
-                for t in cells.iter().flatten() {
-                    merged.merge(t);
-                }
-                spans = merged.spans().clone();
-            }
-            let mut counters = Telemetry::new();
-            session.record_counters(&mut counters);
-            let secs = elapsed as f64 / 1e9;
-            phases.push(CorpusPhase {
-                threads,
-                arena,
-                elapsed_ns: elapsed,
-                jobs_per_sec: texts.len() as f64 / secs,
-                functions_per_sec: cfg.count as f64 / secs,
-                errors,
-                source_evictions: counters.counter("source_cache.evictions"),
-                result_evictions: counters.counter("result_cache.evictions"),
-            });
-        }
-    }
-    dra_ir::scratch::set_reuse(prev);
-
-    Ok(CorpusBenchReport {
-        profile: cfg.profile.name.clone(),
-        functions: cfg.count,
-        programs: texts.len(),
-        seed: cfg.seed,
-        generate_ns,
-        phases,
-        spans_ns: spans,
-        peak_rss_bytes: peak_rss_bytes(),
-    })
 }
 
 #[cfg(test)]
@@ -636,28 +373,5 @@ mod tests {
         assert_eq!(report.errors, 0, "corpus compiles must not error");
         assert_eq!(report.violations, 0, "checker must accept the corpus");
         assert!(report.telemetry.counter("checker.functions") >= 40);
-    }
-
-    #[test]
-    fn corpus_bench_reports_every_phase() {
-        let profile = dra_workloads::builtin_profile("pointer-chasing").unwrap();
-        let mut cfg = CorpusBenchConfig::smoke(profile);
-        cfg.count = 30;
-        cfg.threads = vec![1, 2];
-        let report = run_corpus_bench(&cfg).unwrap();
-        assert_eq!(report.phases.len(), 4, "2 thread counts x arena off/on");
-        for p in &report.phases {
-            assert_eq!(p.errors, 0);
-            assert!(p.jobs_per_sec > 0.0);
-        }
-        assert_eq!(report.arena_speedups().len(), 2);
-        assert!(!report.spans_ns.is_empty(), "per-stage spans captured");
-        let json = report.to_json();
-        let doc = parse_json(&json).expect("bench JSON parses");
-        let obj = doc.as_obj().unwrap();
-        assert_eq!(obj["schema"].as_str(), Some("dra-corpus-bench-v1"));
-        assert!(obj.contains_key("arena_speedup"));
-        // The arena switch is restored for the rest of the process.
-        assert!(dra_ir::scratch::reuse_enabled());
     }
 }

@@ -45,8 +45,8 @@ pub use batch::{
 };
 pub use cache::LruCache;
 pub use corpus::{
-    profile_from_json, profile_to_json, resolve_profile, run_corpus_bench, run_corpus_compile,
-    write_profile, CorpusBenchConfig, CorpusBenchReport, CorpusReport,
+    profile_from_json, profile_to_json, resolve_profile, run_corpus_compile, write_profile,
+    CorpusReport,
 };
 pub use knob::{apply_cache_cap, env_knob, parse_knob};
 pub use session::{result_key, CompileSession, ResultKey};

@@ -482,8 +482,15 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts. Every document
+/// the workspace writes nests at most a handful of levels; the cap keeps
+/// a hostile line of `[[[[…` from overflowing the parsing thread's
+/// stack.
+const MAX_DEPTH: usize = 64;
+
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
-/// garbage rejected).
+/// garbage rejected, nesting capped at 64 levels). Linear in the input
+/// length.
 ///
 /// # Errors
 ///
@@ -491,7 +498,7 @@ impl Json {
 pub fn parse_json(src: &str) -> Result<Json, String> {
     let b = src.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(b, &mut pos)?;
+    let v = parse_value(b, &mut pos, 0)?;
     skip_ws(b, &mut pos);
     if pos != b.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -505,12 +512,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} at byte {pos}",
+            pos = *pos
+        )),
+        Some(b'{') => parse_obj(b, pos, depth + 1),
+        Some(b'[') => parse_arr(b, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
         Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
@@ -584,17 +595,20 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences intact).
-                let s = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain bytes up to the next quote or
+                // backslash in one slice. Both are ASCII, so the run ends
+                // on a character boundary of the (already UTF-8) input.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }
 }
 
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '{'
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -613,7 +627,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
             return Err(format!("expected ':' at byte {pos}", pos = *pos));
         }
         *pos += 1;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -627,7 +641,7 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     *pos += 1; // '['
     let mut arr = Vec::new();
     skip_ws(b, pos);
@@ -636,7 +650,7 @@ fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(arr));
     }
     loop {
-        arr.push(parse_value(b, pos)?);
+        arr.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -886,6 +900,48 @@ mod tests {
         assert!(parse_json("12 34").is_err());
         assert!(parse_json("\"open").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    #[test]
+    fn json_nesting_is_capped() {
+        let deep = "[".repeat(100_000);
+        let err = parse_json(&deep).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json(&at_cap).is_ok());
+        let over = format!("[{at_cap}]");
+        assert!(parse_json(&over).is_err());
+        let objs = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse_json(&objs).unwrap_err().contains("nesting"));
+    }
+
+    #[test]
+    fn strings_round_trip_through_escape_and_parse() {
+        let control: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        for s in [
+            "",
+            "plain ascii",
+            "é ü ß — 中文 😀 mixed with \"quotes\" and \\backslashes\\",
+            "\n\t\r\u{8}\u{c}",
+            control.as_str(),
+            "trailing multi-byte 😀",
+        ] {
+            let doc = format!("\"{}\"", escape_json(s));
+            assert_eq!(parse_json(&doc), Ok(Json::Str(s.to_string())), "{doc:?}");
+        }
+        // Every short escape and `\u` escapes the writer never emits.
+        assert_eq!(
+            parse_json(r#""\"\\\/\b\f\n\r\t""#),
+            Ok(Json::Str("\"\\/\u{8}\u{c}\n\r\t".to_string()))
+        );
+        assert_eq!(
+            parse_json(r#""\u00e9\u4E2D é\u0000""#),
+            Ok(Json::Str("é中 é\0".to_string()))
+        );
     }
 
     #[test]

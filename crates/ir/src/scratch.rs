@@ -15,34 +15,17 @@
 //!   is untouched.
 //! - Every buffer taken from a pool is **fully re-initialized** before
 //!   use ([`crate::BitSet::reset`], `clear` + `resize`), so a pooled
-//!   buffer is observationally identical to a fresh allocation — output
-//!   stays bit-identical with reuse on or off.
+//!   buffer is observationally identical to a fresh allocation, whatever
+//!   capacity or contents an earlier compile on the thread left behind.
 //! - Recycling is **opt-in at the call site**: an analysis result that
 //!   escapes to a caller (e.g. [`crate::Liveness`]) is only returned to
 //!   the pool through an explicit `recycle()` once the caller is done.
 //!   Dropping it instead is always safe, merely slower.
-//! - The global [`set_reuse`] switch (default on) exists so benchmarks
-//!   can measure the pre-arena baseline in-process; it flips allocation
-//!   strategy only, never results.
+//! - Pools are **capped** per kind, so one outlier function cannot pin
+//!   unbounded memory; a buffer returned to a full pool is dropped.
 
 use crate::bitset::BitSet;
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-static REUSE: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable buffer reuse process-wide (default: enabled).
-///
-/// Purely an allocation-strategy switch: results are bit-identical either
-/// way. Benchmarks flip it to compare arena vs. fresh-allocation cost.
-pub fn set_reuse(on: bool) {
-    REUSE.store(on, Ordering::Relaxed);
-}
-
-/// Is buffer reuse currently enabled?
-pub fn reuse_enabled() -> bool {
-    REUSE.load(Ordering::Relaxed)
-}
 
 thread_local! {
     static POOL: RefCell<Pool> = RefCell::new(Pool::default());
@@ -61,11 +44,8 @@ struct Pool {
     set_vecs: Vec<Vec<BitSet>>,
 }
 
-/// Take a bitset of exactly `capacity`, pooled when reuse is on.
+/// Take an empty bitset of exactly `capacity` from the thread pool.
 pub fn take_set(capacity: usize) -> BitSet {
-    if !reuse_enabled() {
-        return BitSet::new(capacity);
-    }
     POOL.with(|p| match p.borrow_mut().sets.pop() {
         Some(mut s) => {
             s.reset(capacity);
@@ -75,12 +55,8 @@ pub fn take_set(capacity: usize) -> BitSet {
     })
 }
 
-/// Return a bitset to the thread pool (dropped when reuse is off or the
-/// pool is full).
+/// Return a bitset to the thread pool (dropped when the pool is full).
 pub fn put_set(s: BitSet) {
-    if !reuse_enabled() {
-        return;
-    }
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         if p.sets.len() < MAX_SETS {
@@ -91,9 +67,6 @@ pub fn put_set(s: BitSet) {
 
 /// Take an empty `Vec<BitSet>` spine with capacity for at least `n`.
 pub fn take_set_vec(n: usize) -> Vec<BitSet> {
-    if !reuse_enabled() {
-        return Vec::with_capacity(n);
-    }
     POOL.with(|p| match p.borrow_mut().set_vecs.pop() {
         Some(mut v) => {
             debug_assert!(v.is_empty());
@@ -107,9 +80,6 @@ pub fn take_set_vec(n: usize) -> Vec<BitSet> {
 /// Return a `Vec<BitSet>` to the pool: its elements go back as individual
 /// set carcasses and the emptied spine is kept for reuse.
 pub fn put_set_vec(mut v: Vec<BitSet>) {
-    if !reuse_enabled() {
-        return;
-    }
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         for s in v.drain(..) {
@@ -148,16 +118,5 @@ mod tests {
         put_set_vec(v);
         let w = take_set_vec(2);
         assert!(w.is_empty());
-    }
-
-    #[test]
-    fn reuse_toggle_is_inert_for_values() {
-        set_reuse(false);
-        let s = take_set(33);
-        assert_eq!(s.capacity(), 33);
-        put_set(s);
-        set_reuse(true);
-        let t = take_set(33);
-        assert!(t.is_empty());
     }
 }

@@ -399,16 +399,10 @@ thread_local! {
 }
 
 fn take_irc_arena() -> IrcArena {
-    if !dra_ir::scratch::reuse_enabled() {
-        return IrcArena::default();
-    }
     IRC_ARENA.with(|a| std::mem::take(&mut *a.borrow_mut()))
 }
 
 fn put_irc_arena(a: IrcArena) {
-    if !dra_ir::scratch::reuse_enabled() {
-        return;
-    }
     IRC_ARENA.with(|slot| *slot.borrow_mut() = a);
 }
 

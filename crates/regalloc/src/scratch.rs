@@ -6,15 +6,13 @@
 //! scale that allocation churn dominates; these pools recycle the buffers
 //! across compiles on the same worker thread.
 //!
-//! The global switch is [`dra_ir::scratch::set_reuse`] — one flag governs
-//! every arena in the workspace. Ownership rules are the same as in
-//! `dra_ir::scratch` (and DESIGN.md §13): pools are thread-local, every
-//! taken buffer is fully re-initialized, and results are bit-identical
-//! with reuse on or off.
+//! Ownership rules are the same as in `dra_ir::scratch` (and DESIGN.md
+//! §13): pools are thread-local and capped, and every taken buffer is
+//! fully re-initialized, so a pooled buffer is indistinguishable from a
+//! fresh one.
 
 use crate::interference::MoveRef;
 use dra_ir::bitset::BitMatrix;
-use dra_ir::scratch::reuse_enabled;
 use std::cell::RefCell;
 
 thread_local! {
@@ -42,9 +40,6 @@ fn with_pool<T>(f: impl FnOnce(&mut Pool) -> T) -> T {
 
 /// Take an empty triangular bit-matrix over `0..n`.
 pub fn take_matrix(n: usize) -> BitMatrix {
-    if !reuse_enabled() {
-        return BitMatrix::new(n);
-    }
     with_pool(|p| match p.matrices.pop() {
         Some(mut m) => {
             m.reset(n);
@@ -56,9 +51,6 @@ pub fn take_matrix(n: usize) -> BitMatrix {
 
 /// Return a bit-matrix to the pool.
 pub fn put_matrix(m: BitMatrix) {
-    if !reuse_enabled() {
-        return;
-    }
     with_pool(|p| {
         if p.matrices.len() < CAP_SMALL {
             p.matrices.push(m);
@@ -69,9 +61,6 @@ pub fn put_matrix(m: BitMatrix) {
 /// Take an adjacency-list spine of exactly `n` empty rows; recycled rows
 /// keep their capacity, which is where most of the win comes from.
 pub fn take_adj(n: usize) -> Vec<Vec<u32>> {
-    if !reuse_enabled() {
-        return vec![Vec::new(); n];
-    }
     with_pool(|p| match p.adjs.pop() {
         Some(mut a) => {
             a.truncate(n);
@@ -87,9 +76,6 @@ pub fn take_adj(n: usize) -> Vec<Vec<u32>> {
 
 /// Return an adjacency-list spine to the pool.
 pub fn put_adj(a: Vec<Vec<u32>>) {
-    if !reuse_enabled() {
-        return;
-    }
     with_pool(|p| {
         if p.adjs.len() < CAP_SMALL {
             p.adjs.push(a);
@@ -99,9 +85,6 @@ pub fn put_adj(a: Vec<Vec<u32>>) {
 
 /// Take an empty `Vec<u32>`.
 pub fn take_u32() -> Vec<u32> {
-    if !reuse_enabled() {
-        return Vec::new();
-    }
     with_pool(|p| p.u32s.pop().unwrap_or_default())
 }
 
@@ -115,9 +98,6 @@ pub fn take_u32_zeroed(n: usize) -> Vec<u32> {
 
 /// Return a `Vec<u32>` to the pool (cleared on take, not here).
 pub fn put_u32(mut v: Vec<u32>) {
-    if !reuse_enabled() {
-        return;
-    }
     v.clear();
     with_pool(|p| {
         if p.u32s.len() < CAP_VECS {
@@ -128,11 +108,7 @@ pub fn put_u32(mut v: Vec<u32>) {
 
 /// Take a `Vec<f64>` of `n` zeros.
 pub fn take_f64_zeroed(n: usize) -> Vec<f64> {
-    let mut v = if !reuse_enabled() {
-        Vec::new()
-    } else {
-        with_pool(|p| p.f64s.pop().unwrap_or_default())
-    };
+    let mut v = with_pool(|p| p.f64s.pop().unwrap_or_default());
     v.clear();
     v.resize(n, 0.0);
     v
@@ -140,9 +116,6 @@ pub fn take_f64_zeroed(n: usize) -> Vec<f64> {
 
 /// Return a `Vec<f64>` to the pool.
 pub fn put_f64(mut v: Vec<f64>) {
-    if !reuse_enabled() {
-        return;
-    }
     v.clear();
     with_pool(|p| {
         if p.f64s.len() < CAP_SMALL {
@@ -153,17 +126,11 @@ pub fn put_f64(mut v: Vec<f64>) {
 
 /// Take an empty move list.
 pub fn take_moves() -> Vec<MoveRef> {
-    if !reuse_enabled() {
-        return Vec::new();
-    }
     with_pool(|p| p.moves.pop().unwrap_or_default())
 }
 
 /// Return a move list to the pool.
 pub fn put_moves(mut v: Vec<MoveRef>) {
-    if !reuse_enabled() {
-        return;
-    }
     v.clear();
     with_pool(|p| {
         if p.moves.len() < CAP_SMALL {

@@ -24,12 +24,6 @@ cargo run -q -p dra-bench --release --bin fig13 > /dev/null
 # counters feed the `checker` headline below.
 cargo run -q -p dra-core --release --bin drac -- check > /dev/null
 
-# Corpus throughput: 10k profile-generated functions through the
-# session-backed batch driver at 1/2/8 workers, scratch arenas off vs
-# on. Refreshes results/corpus_bench.json (jobs/sec, arena speedups,
-# cache evictions, peak RSS).
-cargo run -q -p dra-core --release --bin drac -- bench-corpus > /dev/null
-
 python3 - <<'EOF'
 import json, os
 
@@ -99,20 +93,6 @@ if checker:
         "fields_replayed": c.get("checker.fields_replayed", 0),
         "violations": c.get("checker.violations", 0),
         "ns_per_inst": ns / insts if insts else 0.0,
-    }
-
-corpus = load("corpus_bench.json")
-if corpus:
-    rates = [p["jobs_per_sec"] for p in corpus.get("phases", [])]
-    fn_rates = [p["functions_per_sec"] for p in corpus.get("phases", [])]
-    summary["sources"]["corpus_bench"] = {
-        "profile": corpus["profile"],
-        "functions": corpus["functions"],
-        "max_jobs_per_sec": max(rates, default=0.0),
-        "max_functions_per_sec": max(fn_rates, default=0.0),
-        "arena_speedup": corpus.get("arena_speedup", {}),
-        "errors": sum(p["errors"] for p in corpus.get("phases", [])),
-        "peak_rss_bytes": corpus.get("peak_rss_bytes"),
     }
 
 serve = load("serve_bench.json")

@@ -4,7 +4,9 @@
 # the remap_scaling, remap_ablation, irc and encoding benches (criterion's `--test` mode runs
 # each bench body exactly once, so regressions in the bench harnesses,
 # the incremental-search plumbing, or the interference-graph
-# representations fail CI without paying for a full sweep), and a
+# representations fail CI without paying for a full sweep), the
+# perfbench benchmark's own tests (it is a separate workspace built
+# against the crates by path, so nothing else here compiles it), and a
 # telemetry smoke: one figure binary must emit a schema-valid
 # results/telemetry/*.json that `drac report` accepts.
 set -euo pipefail
@@ -18,6 +20,7 @@ cargo bench --bench remap_ablation -- --test
 cargo bench --bench irc_build -- --test
 cargo bench --bench irc_color -- --test
 cargo bench --bench encoding -- --test
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 rm -f results/telemetry/fig11.json
 cargo run -q -p dra-bench --release --bin fig11 > /dev/null

@@ -4,10 +4,11 @@
 //! pipeline citizen: its rendered text parses back, the program
 //! validates, every function allocates cleanly under every `Allocator`
 //! engine and passes the symbolic checker, and the whole corpus compiles
-//! to identical artifacts at any batch thread count and with the scratch
-//! arenas on or off. These are the load-bearing guarantees behind
-//! `drac corpus` / `drac bench-corpus`: a corpus that occasionally emits
-//! an invalid program would poison every throughput number downstream.
+//! to identical artifacts at any batch thread count and whatever an
+//! earlier compile left in the thread's scratch arenas. These are the
+//! load-bearing guarantees behind `drac corpus` and the corpus
+//! throughput benchmark: a corpus that occasionally emits an invalid
+//! program would poison every throughput number downstream.
 
 use dra_adjgraph::DiffParams;
 use dra_core::batch::run_batch;
@@ -117,20 +118,30 @@ fn corpus_is_byte_identical_at_any_thread_count() {
     }
 }
 
-/// The scratch arenas are a pure allocation optimization: with reuse off
-/// (every buffer freshly allocated) and on (thread-local pools), the
-/// compiled corpus is bit-identical.
+/// The scratch arenas are a pure allocation optimization: every buffer
+/// taken from a pool is fully re-initialized, so what an earlier compile
+/// left in the pools cannot reach the output. The same corpus compiled
+/// on a fresh thread (cold pools) and on a thread that first compiled a
+/// different corpus (pools holding other capacities and contents) is
+/// bit-identical.
 #[test]
 fn scratch_arenas_do_not_change_compiled_output() {
-    let profile = builtin_profile("embedded-dsp").unwrap();
-    let corpus = generate_from_profile(&profile, 7, 24).unwrap();
-    let texts: Vec<String> = corpus.iter().map(|p| p.to_string()).collect();
+    let corpus_texts = |name: &str, seed: u64| -> Vec<String> {
+        let profile = builtin_profile(name).unwrap();
+        let corpus = generate_from_profile(&profile, seed, 24).unwrap();
+        corpus.iter().map(|p| p.to_string()).collect()
+    };
+    let texts = corpus_texts("embedded-dsp", 7);
+    let other = corpus_texts("call-heavy", 11);
 
-    let prev = dra_ir::scratch::reuse_enabled();
-    dra_ir::scratch::set_reuse(false);
-    let off = compile_fingerprints(&texts, 2);
-    dra_ir::scratch::set_reuse(true);
-    let on = compile_fingerprints(&texts, 2);
-    dra_ir::scratch::set_reuse(prev);
-    assert_eq!(off, on, "arena reuse must not change any artifact");
+    let cold = std::thread::scope(|s| s.spawn(|| compile_fingerprints(&texts, 1)).join().unwrap());
+    let dirty = std::thread::scope(|s| {
+        s.spawn(|| {
+            compile_fingerprints(&other, 1);
+            compile_fingerprints(&texts, 1)
+        })
+        .join()
+        .unwrap()
+    });
+    assert_eq!(cold, dirty, "pooled buffers must not change any artifact");
 }

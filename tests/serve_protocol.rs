@@ -126,6 +126,27 @@ fn oversized_lines_are_rejected_with_a_structured_error() {
     handle.join().expect("clean shutdown");
 }
 
+/// A line of 100k `[` is a tenth of the default line cap. It must be
+/// answered `bad-json`, not overflow the connection thread's stack, and
+/// the same connection must keep working.
+#[test]
+fn deeply_nested_line_is_bad_json_and_the_connection_survives() {
+    let mut config = tcp_config();
+    config.workers = 1;
+    let handle = serve(config).expect("bind");
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+
+    let resp = client.request(&"[".repeat(100_000)).unwrap();
+    assert!(!resp.ok);
+    assert_eq!(resp.error.as_ref().unwrap().0, "bad-json");
+
+    let pong = client.ping("after-deep").unwrap();
+    assert_eq!(pong.kind.as_deref(), Some("pong"));
+
+    client.shutdown("q").unwrap();
+    handle.join().expect("clean shutdown");
+}
+
 #[test]
 fn truncated_line_at_eof_gets_a_structured_error() {
     let path = unix_path("trunc");
