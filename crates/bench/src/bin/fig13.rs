@@ -140,8 +140,6 @@ fn main() {
             format!("{}", port.dynamic_set_last_regs),
             format!("{g_evals}"),
             format!("{p_evals}"),
-            format!("{:.2}", g_nanos as f64 / 1e6),
-            format!("{:.2}", p_nanos as f64 / 1e6),
         ]);
         json_portfolio.push(format!(
             concat!(
@@ -173,8 +171,6 @@ fn main() {
                 "portfolio dyn slr".into(),
                 "greedy evals".into(),
                 "portfolio evals".into(),
-                "greedy ms".into(),
-                "portfolio ms".into(),
             ],
             &port_rows
         )

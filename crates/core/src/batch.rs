@@ -181,7 +181,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 
 /// Run `f` under [`catch_unwind`] with up to `retries` deterministic
 /// re-attempts, attributing a final panic to the innermost telemetry
-/// stage it unwound through.
+/// stage it unwound through, and with an optional cooperative
+/// [`CancelToken`].
 ///
 /// This is the per-cell core of [`run_batch_isolated`], exposed on its
 /// own so the resident serving workers ([`crate::serve`]) give every
@@ -189,11 +190,6 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// panicking request yields a structured [`CellOutcome::Failed`] with
 /// stage attribution instead of killing its worker thread. Returns the
 /// outcome plus the number of retried attempts.
-pub fn run_isolated<R>(retries: u32, f: impl Fn() -> R) -> (CellOutcome<R>, u32) {
-    run_isolated_cancellable(retries, None, f)
-}
-
-/// [`run_isolated`] with an optional cooperative [`CancelToken`].
 ///
 /// When a token is supplied it is armed on this thread for the duration of
 /// every attempt, so each telemetry stage boundary inside `f` (and every
@@ -275,7 +271,7 @@ where
     let failed = AtomicU64::new(0);
     let retried = AtomicU64::new(0);
     let outcomes = run_batch(items, threads, |i, item| {
-        let (outcome, attempts) = run_isolated(retries, || f(i, item));
+        let (outcome, attempts) = run_isolated_cancellable(retries, None, || f(i, item));
         retried.fetch_add(attempts as u64, Ordering::Relaxed);
         if !outcome.is_ok() {
             failed.fetch_add(1, Ordering::Relaxed);

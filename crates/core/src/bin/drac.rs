@@ -14,7 +14,6 @@
 //! and pretty-print a run's emitted telemetry.
 
 use dra_core::batch::run_lowend_matrix_with_telemetry;
-use dra_core::bench_serve::{run_bench_serve, BenchServeConfig};
 use dra_core::corpus::{corpus_setup, resolve_profile, run_corpus_compile, write_profile};
 use dra_core::faults::{run_fault_campaign, PipelineFaults};
 use dra_core::lowend::{compile_and_run, compile_program_telemetry, Approach, LowEndSetup};
@@ -30,13 +29,9 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  drac list\n  drac compile --bench <name> --approach <a> [--emit ir|stats|bits|json] [--profile] [--check] [--remap-strategy <s>]\n  drac run --bench <name> --approach <a> [--profile] [--check] [--remap-strategy <s>]\n  drac sweep --bench <name> [--check] [--remap-strategy <s>]\n  drac check [--bench <name>] [--approach <a>]\n  drac chaos [--seed <n>] [--faults <n>] [--serve]\n  drac serve --addr <unix:PATH|tcp:HOST:PORT> [--workers <n>] [--retries <n>] [--queue-cap <n>] [--telemetry-root <dir>]\n  drac bench-serve [--smoke] [--workers <csv>] [--jobs <n>] [--clients <n>] [--seed <n>] [--bench <name>] [--corpus <profile>] [--approach <a>] [--deadline-ms <n>] [--queue-cap <n>] [--out <path>] [--telemetry-root <dir>]\n  drac profile [--bench <name>] [--name <out-name>] [--builtin <name|all>]   (default: all benchmarks)\n  drac corpus --profile <name|path> --count <n> [--seed <n>] [--threads <n>]\n  drac report [<telemetry.json>|<dir>]…   (default: results/telemetry)\n\napproaches: baseline remapping select o-spill coalesce adaptive\nremap strategies: greedy anneal lns bb portfolio\nbuiltin profiles: embedded-dsp pointer-chasing deep-cfg call-heavy"
+        "usage:\n  drac list\n  drac compile --bench <name> --approach <a> [--emit ir|stats|bits|json] [--profile] [--check] [--remap-strategy <s>]\n  drac run --bench <name> --approach <a> [--profile] [--check] [--remap-strategy <s>]\n  drac sweep --bench <name> [--check] [--remap-strategy <s>]\n  drac check [--bench <name>] [--approach <a>]\n  drac chaos [--seed <n>] [--faults <n>] [--serve]\n  drac serve --addr <unix:PATH|tcp:HOST:PORT> [--workers <n>] [--retries <n>] [--queue-cap <n>] [--telemetry-root <dir>]\n  drac profile [--bench <name>] [--name <out-name>] [--builtin <name|all>]   (default: all benchmarks)\n  drac corpus --profile <name|path> --count <n> [--seed <n>] [--threads <n>]\n  drac report [<telemetry.json>|<dir>]…   (default: results/telemetry)\n\napproaches: baseline remapping select o-spill coalesce adaptive\nremap strategies: greedy anneal lns bb portfolio\nbuiltin profiles: embedded-dsp pointer-chasing deep-cfg call-heavy"
     );
     ExitCode::FAILURE
-}
-
-fn parse_approach(s: &str) -> Option<Approach> {
-    Approach::parse(s)
 }
 
 struct Args {
@@ -61,7 +56,7 @@ fn parse_args(rest: &[String]) -> Option<Args> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--bench" => args.bench = Some(it.next()?.clone()),
-            "--approach" => args.approach = Some(parse_approach(it.next()?)?),
+            "--approach" => args.approach = Some(Approach::parse(it.next()?)?),
             "--emit" => args.emit = it.next()?.clone(),
             "--profile" => args.profile = true,
             "--check" => args.check = true,
@@ -239,7 +234,6 @@ fn main() -> ExitCode {
             run_check(args.bench.as_deref(), args.approach)
         }
         "serve" => run_serve(&argv[1..]),
-        "bench-serve" => run_bench_serve_cmd(&argv[1..]),
         "profile" => run_profile_cmd(&argv[1..]),
         "corpus" => run_corpus_cmd(&argv[1..]),
         "report" => run_report(&argv[1..]),
@@ -469,116 +463,6 @@ fn run_serve(args: &[String]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-/// `drac bench-serve`: the seeded load harness; `--smoke` shrinks the
-/// sweep to CI scale and asserts the caches actually served hits.
-fn run_bench_serve_cmd(args: &[String]) -> ExitCode {
-    let mut smoke = false;
-    let mut config = BenchServeConfig::standard();
-    let mut out: Option<PathBuf> = Some(PathBuf::from("results/serve_bench.json"));
-    let mut telemetry_root: Option<PathBuf> = Some(PathBuf::from("."));
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--workers" => match it.next() {
-                Some(v) => {
-                    let parsed: Option<Vec<usize>> =
-                        v.split(',').map(|w| w.trim().parse().ok()).collect();
-                    match parsed {
-                        Some(w) if !w.is_empty() => config.workers = w,
-                        _ => return usage(),
-                    }
-                }
-                None => return usage(),
-            },
-            "--jobs" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.jobs = v,
-                None => return usage(),
-            },
-            "--clients" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.clients = v,
-                None => return usage(),
-            },
-            "--seed" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.seed = v,
-                None => return usage(),
-            },
-            "--bench" => match it.next() {
-                Some(v) => config.bench = v.clone(),
-                None => return usage(),
-            },
-            "--approach" => match it.next().and_then(|v| parse_approach(v)) {
-                Some(v) => config.approach = v,
-                None => return usage(),
-            },
-            "--corpus" => match it.next() {
-                Some(v) => config.corpus_profile = Some(v.clone()),
-                None => return usage(),
-            },
-            "--deadline-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.deadline_ms = Some(v),
-                None => return usage(),
-            },
-            "--queue-cap" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => config.queue_cap = v,
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(v) => out = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            "--telemetry-root" => match it.next() {
-                Some(v) => telemetry_root = Some(PathBuf::from(v)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    if smoke {
-        let full = config;
-        config = BenchServeConfig::smoke();
-        config.seed = full.seed;
-        config.bench = full.bench;
-        config.approach = full.approach;
-        config.corpus_profile = full.corpus_profile;
-        config.deadline_ms = full.deadline_ms;
-        config.queue_cap = full.queue_cap;
-    }
-    if config.corpus_profile.is_none() && !benchmark_names().contains(&config.bench.as_str()) {
-        eprintln!("bench-serve: unknown benchmark {:?}", config.bench);
-        return ExitCode::FAILURE;
-    }
-    config.out_path = out.clone();
-    config.telemetry_root = telemetry_root;
-    let report = match run_bench_serve(&config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench-serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render());
-    if let Some(path) = out {
-        println!("report: {}", path.display());
-    }
-    let errors: u64 = report
-        .sweeps
-        .iter()
-        .flat_map(|s| s.phases.iter())
-        .map(|p| p.errors)
-        .sum();
-    let hits: u64 = report.sweeps.iter().map(|s| s.server_cache_hits).sum();
-    if errors > 0 {
-        eprintln!("bench-serve: {errors} jobs failed");
-        return ExitCode::FAILURE;
-    }
-    if smoke && hits == 0 {
-        eprintln!("bench-serve: smoke expected nonzero cache hits");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
 }
 
 /// `drac profile`: extract a `dra-profile-v1` workload profile from one

@@ -26,7 +26,6 @@
 //! ```
 
 pub mod batch;
-pub mod bench_serve;
 pub mod cache;
 pub mod corpus;
 pub mod faults;
@@ -40,8 +39,8 @@ pub mod session;
 pub mod telemetry;
 
 pub use batch::{
-    run_batch, run_batch_isolated, run_isolated, run_lowend_matrix_with_telemetry, CellOutcome,
-    IsolationStats, SourceCache,
+    run_batch, run_batch_isolated, run_lowend_matrix_with_telemetry, CellOutcome, IsolationStats,
+    SourceCache,
 };
 pub use cache::LruCache;
 pub use corpus::{

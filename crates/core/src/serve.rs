@@ -43,9 +43,10 @@
 //! input never kills a connection silently and never reaches a worker:
 //! bad JSON, unknown fields, unknown benchmarks, oversized lines and
 //! truncated trailing lines all produce a structured error response.
-//! Worker panics are contained per request by [`run_isolated`] — the
-//! same containment the batch driver uses — and surface as an
-//! `"error":{"kind":"panic",…}` response with stage attribution.
+//! Worker panics are contained per request by
+//! [`run_isolated_cancellable`] — the same containment the batch driver
+//! uses — and surface as an `"error":{"kind":"panic",…}` response with
+//! stage attribution.
 //!
 //! ## Sharding, admission control, and supervision
 //!
@@ -335,8 +336,8 @@ pub enum LineEvent {
         /// Whether a partial line was discarded.
         partial: bool,
     },
-    /// The current line exceeded the configured byte cap before its
-    /// newline arrived.
+    /// The current line exceeded the configured byte cap, whether or not
+    /// its newline had arrived.
     Oversized,
 }
 
@@ -363,6 +364,10 @@ impl LineReader {
     pub fn next_line(&mut self) -> io::Result<LineEvent> {
         loop {
             if let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
+                if pos > self.max_line {
+                    self.buf.clear();
+                    return Ok(LineEvent::Oversized);
+                }
                 let mut line: Vec<u8> = self.buf.drain(..=pos).collect();
                 line.pop(); // the newline
                 if line.last() == Some(&b'\r') {
@@ -830,7 +835,7 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------------
-// Request builders (shared by the client and the load harness).
+// Request builders (shared by the client, tests and benchmarks).
 // ---------------------------------------------------------------------------
 
 /// Build a benchmark compile request line.
@@ -874,27 +879,9 @@ fn v2_suffix(deadline_ms: Option<u64>, priority: Priority) -> String {
     out
 }
 
-/// Build a `dra-serve-v2` benchmark compile request line with an
+/// Build a `dra-serve-v2` source-text compile request line with an
 /// optional deadline and an explicit priority (defaulted fields are
 /// omitted — absent means v1 semantics by construction).
-pub fn request_compile_bench_v2(
-    id: &str,
-    bench: &str,
-    approach: Approach,
-    deadline_ms: Option<u64>,
-    priority: Priority,
-) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA_V2}\",\"id\":\"{}\",\"kind\":\"compile\",\"approach\":\"{}\",\"bench\":\"{}\"{}}}",
-        escape_json(id),
-        escape_json(approach.label()),
-        escape_json(bench),
-        v2_suffix(deadline_ms, priority),
-    )
-}
-
-/// Build a `dra-serve-v2` source-text compile request line (see
-/// [`request_compile_bench_v2`]).
 pub fn request_compile_source_v2(
     id: &str,
     source: &str,
@@ -922,7 +909,7 @@ pub struct ServeConfig {
     pub addr: ServeAddr,
     /// Worker pool size; 0 means one per available core.
     pub workers: usize,
-    /// Per-request panic re-attempts (see [`run_isolated`]).
+    /// Per-request panic re-attempts (see [`run_isolated_cancellable`]).
     pub retries: u32,
     /// Pipeline setup shared by every request.
     pub setup: LowEndSetup,
@@ -2000,14 +1987,8 @@ mod tests {
 
     #[test]
     fn parse_request_accepts_v2_deadline_and_priority() {
-        let line = request_compile_bench_v2(
-            "a",
-            "crc32",
-            Approach::Select,
-            Some(250),
-            Priority::Batch,
-        );
-        let (r, wire) = parse_request(&line).unwrap();
+        let line = r#"{"schema":"dra-serve-v2","id":"a","kind":"compile","approach":"select","bench":"crc32","deadline_ms":250,"priority":"batch"}"#;
+        let (r, wire) = parse_request(line).unwrap();
         assert_eq!(wire, Wire::V2);
         assert_eq!(
             r,
@@ -2225,6 +2206,22 @@ mod tests {
         let mut reader = LineReader::new(Stream::Unix(a), 1024);
         let mut tx = b;
         tx.write_all(&vec![b'x'; 4096]).unwrap();
+        drop(tx);
+        match reader.next_line().unwrap() {
+            LineEvent::Oversized => {}
+            _ => panic!("expected Oversized"),
+        }
+    }
+
+    #[test]
+    fn line_reader_cap_holds_when_the_newline_arrives_past_it() {
+        // The whole over-cap line, newline included, lands in one read.
+        let (a, b) = UnixStream::pair().unwrap();
+        let mut reader = LineReader::new(Stream::Unix(a), 1024);
+        let mut tx = b;
+        let mut line = vec![b'x'; 2000];
+        line.push(b'\n');
+        tx.write_all(&line).unwrap();
         drop(tx);
         match reader.next_line().unwrap() {
             LineEvent::Oversized => {}

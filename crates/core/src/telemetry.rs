@@ -239,10 +239,9 @@ pub const REQUIRED_KEYS: [&str; 4] = ["schema", "binary", "counters", "spans_ns"
 /// schema-valid. Keeping the registry in one place means a typo'd or
 /// renamed stage fails `drac report` (and the tier-1 smoke) instead of
 /// shipping a silently unreadable counter.
-pub const STAGES: [&str; 21] = [
+pub const STAGES: [&str; 20] = [
     "alloc",
     "batch",
-    "bench_serve",
     "cells",
     "checker",
     "corpus",

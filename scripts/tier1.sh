@@ -58,12 +58,13 @@ echo "corpus smoke OK"
 # the dra-serve-v1 line protocol — ping, two identical compiles (the
 # second must come from the cross-request result cache), a stats probe,
 # graceful shutdown (asserted by `wait` under `set -e`, and by the
-# socket file being cleaned up) — then the self-hosted load harness in
-# smoke mode, which itself asserts nonzero cache hits.
+# socket file being cleaned up) — then the telemetry frame the daemon
+# wrote on shutdown must be schema-valid.
 SOCK="$(mktemp -u /tmp/drac-serve-XXXXXX.sock)"
 SMOKE_DIR="$(mktemp -d /tmp/drac-serve-smoke-XXXXXX)"
 trap 'rm -rf "$SMOKE_DIR"; rm -f "$SOCK"' EXIT
-cargo run -q -p dra-core --release --bin drac -- serve --addr "unix:$SOCK" --workers 2 > /dev/null &
+cargo run -q -p dra-core --release --bin drac -- serve --addr "unix:$SOCK" --workers 2 \
+  --telemetry-root "$SMOKE_DIR" > /dev/null &
 SERVE_PID=$!
 for _ in $(seq 100); do [ -S "$SOCK" ] && break; sleep 0.1; done
 [ -S "$SOCK" ] || { echo "serve socket never appeared"; exit 1; }
@@ -88,11 +89,9 @@ assert rpc(schema="dra-serve-v1", id="q", kind="shutdown")["kind"] == "bye"
 EOF
 wait "$SERVE_PID"
 [ ! -S "$SOCK" ] || { echo "stale serve socket left behind"; exit 1; }
-cargo run -q -p dra-core --release --bin drac -- bench-serve --smoke \
-  --out "$SMOKE_DIR/serve_bench.json" --telemetry-root "$SMOKE_DIR" > /dev/null
-cargo run -q -p dra-core --release --bin drac -- report "$SMOKE_DIR/results/telemetry" > /dev/null
+cargo run -q -p dra-core --release --bin drac -- report "$SMOKE_DIR/results/telemetry/serve.json" > /dev/null
 # The committed telemetry directory must validate wholesale — `report`
-# discovers every frame, serve/bench_serve included.
+# discovers every frame, serve included.
 cargo run -q -p dra-core --release --bin drac -- report results/telemetry > /dev/null
 echo "serve smoke OK"
 

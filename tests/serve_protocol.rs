@@ -5,7 +5,6 @@
 //! determinism claim — concurrent service returns *byte-identical*
 //! result objects to sequential service.
 
-use dra_core::bench_serve::workload_sources;
 use dra_core::lowend::Approach;
 use dra_core::serve::{
     request_compile_bench, request_compile_source, serve, Response, ServeAddr, ServeClient,
@@ -206,7 +205,12 @@ fn worker_panic_is_contained_per_request() {
 /// `result` object.
 #[test]
 fn concurrent_results_are_byte_identical_to_sequential() {
-    let sources = workload_sources("crc32", 0xbeef, 3);
+    // Three textually distinct copies of one program (a trailing comment
+    // differs), so each is its own cache key but compiles identically.
+    let base = dra_workloads::benchmark("crc32").to_string();
+    let sources: Vec<String> = (0..3)
+        .map(|i| format!("{base}\n; uniq beef-{i}\n"))
+        .collect();
     let approaches = [Approach::Select, Approach::Coalesce];
     let mut jobs: Vec<(String, String, Approach)> = Vec::new();
     for (si, src) in sources.iter().enumerate() {
