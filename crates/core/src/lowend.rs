@@ -5,7 +5,8 @@ use crate::telemetry::Telemetry;
 use dra_adjgraph::DiffParams;
 use dra_encoding::{insert_set_last_reg, verify_function, EncodingConfig};
 use dra_ir::parse::ParseError;
-use dra_ir::{Function, Program};
+use dra_ir::liveness::MAX_PREGS;
+use dra_ir::{Function, Inst, Program, Reg};
 use dra_isa::code_size_bits;
 use dra_regalloc::{
     check_allocation, check_function_encoding, remap_function, AllocConfig, AllocationRecord,
@@ -609,7 +610,10 @@ fn compile_function(
 /// mismatched table always signals a stale cache entry or caller error
 /// even when the approach would not consult it. The pressure check is
 /// *not* subject to degradation: it indicts the caller, not the
-/// differential path.
+/// differential path. Neither is [`PipelineError::Validate`] for a
+/// function that names a physical register at or above the register count
+/// of its plan, or of the direct plan it degrades to: no allocator can
+/// honour such a pre-colouring.
 pub fn compile_program_telemetry(
     p: &mut Program,
     approach: Approach,
@@ -629,10 +633,15 @@ pub fn compile_program_telemetry(
     let mut remap_stats = Vec::new();
     let mut degraded = 0;
     for (fi, f) in p.funcs.iter_mut().enumerate() {
+        let top = highest_preg(f);
         let plan = Plan::of(approach, setup, || match pressures {
             Some(ps) => ps[fi],
+            // Liveness tracks only MAX_PREGS physical registers; such a
+            // function is rejected below under whichever plan it gets.
+            None if top.is_some_and(|r| r as usize >= MAX_PREGS) => 0,
             None => dra_ir::liveness::max_pressure_of(f),
         });
+        fits_register_file(top, fi, &plan)?;
         if !(degrade && plan.differential) {
             remap_stats.extend(compile_function(f, fi, &plan, setup, t)?);
             continue;
@@ -646,7 +655,9 @@ pub fn compile_program_telemetry(
             Err(e) => {
                 degraded += 1;
                 t.count(degrade_counter(&e), 1);
-                compile_function(f, fi, &Plan::direct(setup), setup, t)?;
+                let direct = Plan::direct(setup);
+                fits_register_file(top, fi, &direct)?;
+                compile_function(f, fi, &direct, setup, t)?;
                 remap_stats.push(RemapStats::degraded_marker());
             }
         }
@@ -656,6 +667,32 @@ pub fn compile_program_telemetry(
         t.count("degrade.functions", degraded);
     }
     Ok(remap_stats)
+}
+
+/// Reject function `fi` when `top`, the highest physical register it
+/// names, lies outside the register file `plan` allocates into.
+fn fits_register_file(top: Option<u8>, fi: usize, plan: &Plan) -> Result<(), PipelineError> {
+    match top {
+        Some(r) if u16::from(r) >= plan.cfg.k => Err(PipelineError::Validate {
+            func: fi,
+            message: format!(
+                "pre-coloured register r{r} is outside the {}-register file",
+                plan.cfg.k
+            ),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// The highest physical register number `f` names, if it names any.
+fn highest_preg(f: &Function) -> Option<u8> {
+    f.iter_insts()
+        .flat_map(Inst::accesses)
+        .filter_map(|r| match r {
+            Reg::Phys(p) => Some(p.number()),
+            Reg::Virt(_) => None,
+        })
+        .max()
 }
 
 /// The one body behind every `compile_and_run*` front end and

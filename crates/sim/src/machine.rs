@@ -15,10 +15,27 @@
 //! Each activation gets a fresh register file and a private spill-slot
 //! frame (see DESIGN.md §4 — calling-convention pressure is modeled through
 //! the allocator's `call_clobbers` instead of architectural clobbering).
+//!
+//! [`simulate`] lowers the program once into a flat array of decoded ops
+//! (operands resolved to register numbers, I-cache address and word count,
+//! the mask of registers read, branch targets as global block ids), one
+//! run per block followed by a "fell off the end" sentinel, and then runs
+//! that array in a single loop. An instruction naming a virtual register
+//! lowers to a fault op that fails only when executed, with the error of
+//! the tree-walking interpreter kept in [`mod@reference`], so a malformed
+//! instruction on a path never taken costs nothing. Where that interpreter
+//! panics, the executor returns [`SimError::ControlError`] at the same
+//! point: for a register numbered 64 or higher or a call to a missing
+//! function when the instruction executes; for a branch to a missing block
+//! when control arrives there (a placeholder block whose one op fails
+//! after the step-limit check, before fetch), so the valid side of a
+//! half-bad conditional branch runs normally.
+
+pub mod reference;
 
 use crate::cache::Cache;
 use crate::lowend::LowEndConfig;
-use dra_ir::{BinOp, BlockId, Function, Inst, Program, Reg};
+use dra_ir::{BinOp, BlockId, Cond, Inst, Program, Reg};
 use dra_isa::words_for_inst;
 use std::collections::HashMap;
 use std::error::Error;
@@ -113,16 +130,328 @@ const FRAME_BYTES: u64 = 1 << 12;
 /// Stack area base address (grows upward, frames never freed-and-reused
 /// within one simulation for address stability).
 const STACK_BASE: u64 = 0x4000_0000;
+/// Registers in one activation's register file.
+const REGS: usize = 64;
+/// "No register" in an op's optional register operand.
+const NO_REG: u8 = u8::MAX;
+/// "No branch" in the executor's next-block slot.
+const NO_BLOCK: u32 = u32::MAX;
 
-struct Activation {
+/// What a decoded op does.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    SetLastReg,
+    Bin(BinOp),
+    BinImm(BinOp),
+    Mov,
+    MovImm,
+    GetParam,
+    Load,
+    Store,
+    SpillLoad,
+    SpillStore,
+    Br,
+    CondBr(Cond),
+    Call,
+    Ret,
+    Nop,
+    /// Executing this op fails with `faults[imm]`.
+    Fault,
+    /// Control reached the end of block `t2` of function `t1` without a
+    /// terminator. Checked before fetch; occupies no code address.
+    FellOff,
+    /// Control reached block `t2` of function `t1`, which does not exist:
+    /// the one op of a placeholder block that a branch to a missing block
+    /// targets. Checked before fetch; occupies no code address.
+    NoBlock,
+}
+
+/// One pre-decoded instruction. Register operands are numbers below
+/// [`REGS`] (anything else lowered to [`Kind::Fault`]); the meaning of
+/// `dst`, `a`, `b`, `imm`, `t1` and `t2` depends on `kind`.
+#[derive(Clone, Copy, Debug)]
+struct Op {
+    kind: Kind,
+    /// Destination register (`Call`: the return-value register or
+    /// [`NO_REG`]).
+    dst: u8,
+    /// First source register (`Ret`: the returned register or [`NO_REG`]).
+    a: u8,
+    /// Second source register.
+    b: u8,
+    /// Instruction words fetched through the I-cache.
+    words: u32,
+    /// Fixed execute cycles beyond the base CPI.
+    extra: u64,
+    /// Bit `r` set when the op reads register `r` (load-use interlock).
+    uses: u64,
+    /// Byte address of the first instruction word.
+    addr: u64,
+    /// Immediate, memory offset, `slot * 8`, parameter index, the start of
+    /// a call's argument registers in `call_args`, or the fault index.
+    imm: i64,
+    /// Branch target / callee entry as a global block id (`FellOff`,
+    /// `NoBlock`: the function index).
+    t1: u32,
+    /// Fall-through target as a global block id (`Call`: the argument
+    /// count; `FellOff`, `NoBlock`: the block index).
+    t2: u32,
+}
+
+impl Op {
+    fn new(kind: Kind) -> Op {
+        Op {
+            kind,
+            dst: NO_REG,
+            a: NO_REG,
+            b: NO_REG,
+            words: 0,
+            extra: 0,
+            uses: 0,
+            addr: 0,
+            imm: 0,
+            t1: 0,
+            t2: 0,
+        }
+    }
+}
+
+/// A program lowered for execution.
+struct Lowered {
+    ops: Vec<Op>,
+    /// Per global block id: index of its first op.
+    block_start: Vec<u32>,
+    /// Per global block id: `(function, block)` in the source program.
+    block_name: Vec<(u32, u32)>,
+    /// Argument registers of every call, concatenated.
+    call_args: Vec<u8>,
+    /// The errors [`Kind::Fault`] ops raise.
+    faults: Vec<SimError>,
+    /// Global id of the entry function's entry block.
+    entry: u32,
+}
+
+/// Global block ids: blocks numbered in function, then block order, then
+/// one placeholder per branch to a missing block.
+struct BlockIds<'a> {
+    p: &'a Program,
+    first: Vec<u32>,
+    /// Number of blocks in `p`.
+    blocks: u32,
+    /// `(function, block)` of each placeholder, in id order.
+    missing: Vec<(u32, u32)>,
+}
+
+impl BlockIds<'_> {
+    /// Global id of block `block` of function `func`, if both exist.
+    fn of(&self, func: u32, block: BlockId) -> Option<u32> {
+        let f = self.p.funcs.get(func as usize)?;
+        (block.index() < f.blocks.len()).then(|| self.first[func as usize] + block.0)
+    }
+
+    /// Global id of branch target `block` in function `func`: the block's
+    /// own id, or a fresh placeholder that fails on arrival.
+    fn target(&mut self, func: u32, block: BlockId) -> u32 {
+        self.of(func, block).unwrap_or_else(|| {
+            self.missing.push((func, block.0));
+            self.blocks + self.missing.len() as u32 - 1
+        })
+    }
+
+    /// Global id of function `func`'s entry block, if it exists.
+    fn entry(&self, func: u32) -> Option<u32> {
+        self.of(func, self.p.funcs.get(func as usize)?.entry)
+    }
+}
+
+/// Lower `p` into a flat op array, laying code out in function, block and
+/// instruction order (the address map the I-cache sees).
+fn lower(p: &Program, cfg: &LowEndConfig) -> Result<Lowered, SimError> {
+    let mut ids = BlockIds {
+        p,
+        first: Vec::with_capacity(p.funcs.len()),
+        blocks: 0,
+        missing: Vec::new(),
+    };
+    for f in &p.funcs {
+        ids.first.push(ids.blocks);
+        ids.blocks += f.blocks.len() as u32;
+    }
+    let n_blocks = ids.blocks;
+    let mut l = Lowered {
+        ops: Vec::with_capacity(p.num_insts() + n_blocks as usize),
+        block_start: Vec::with_capacity(n_blocks as usize),
+        block_name: Vec::with_capacity(n_blocks as usize),
+        call_args: Vec::new(),
+        faults: Vec::new(),
+        entry: ids.entry(p.entry).ok_or_else(|| SimError::ControlError {
+            what: format!("missing entry function f{}", p.entry),
+        })?,
+    };
+    let word_bytes = (cfg.geometry.word_bits / 8) as u64;
+    let mut addr = 0u64;
+    for (fi, f) in p.funcs.iter().enumerate() {
+        let fi = fi as u32;
+        for (bi, b) in f.blocks.iter().enumerate() {
+            l.block_start.push(l.ops.len() as u32);
+            l.block_name.push((fi, bi as u32));
+            for inst in &b.insts {
+                let words = words_for_inst(inst, &cfg.geometry);
+                let mut op = decode(inst, fi, cfg, &mut ids, &mut l.call_args).unwrap_or_else(|e| {
+                    let mut op = Op::new(Kind::Fault);
+                    op.imm = l.faults.len() as i64;
+                    l.faults.push(e);
+                    op
+                });
+                op.words = words;
+                op.addr = addr;
+                addr += words as u64 * word_bytes;
+                l.ops.push(op);
+            }
+            let mut end = Op::new(Kind::FellOff);
+            (end.t1, end.t2) = (fi, bi as u32);
+            l.ops.push(end);
+        }
+    }
+    for &(fi, bi) in &ids.missing {
+        l.block_start.push(l.ops.len() as u32);
+        l.block_name.push((fi, bi));
+        let mut arrive = Op::new(Kind::NoBlock);
+        (arrive.t1, arrive.t2) = (fi, bi);
+        l.ops.push(arrive);
+    }
+    Ok(l)
+}
+
+/// Decode one instruction of function `func`, or the error executing it
+/// must raise.
+fn decode(
+    inst: &Inst,
     func: u32,
-    block: usize,
-    inst: usize,
-    regs: [i64; 64],
-    frame_base: u64,
-    args: Vec<i64>,
-    /// Register receiving the callee's return value.
-    ret_to: Option<u8>,
+    cfg: &LowEndConfig,
+    ids: &mut BlockIds<'_>,
+    call_args: &mut Vec<u8>,
+) -> Result<Op, SimError> {
+    let reg = |r: Reg| -> Result<u8, SimError> {
+        match r {
+            Reg::Phys(pr) if pr.index() < REGS => Ok(pr.number()),
+            Reg::Phys(pr) => Err(SimError::ControlError {
+                what: format!("register {pr} out of range in f{func}"),
+            }),
+            Reg::Virt(_) => Err(SimError::VirtualRegister { func }),
+        }
+    };
+    // The registers read, for the load-use interlock.
+    let mut uses = 0u64;
+    for r in inst.uses() {
+        uses |= 1 << reg(r)?;
+    }
+    let mut op = match *inst {
+        Inst::SetLastReg { .. } => Op::new(Kind::SetLastReg),
+        Inst::Bin { op, dst, lhs, rhs } => Op {
+            dst: reg(dst)?,
+            a: reg(lhs)?,
+            b: reg(rhs)?,
+            extra: op_latency(cfg, op),
+            ..Op::new(Kind::Bin(op))
+        },
+        Inst::BinImm { op, dst, src, imm } => Op {
+            dst: reg(dst)?,
+            a: reg(src)?,
+            imm: imm as i64,
+            extra: op_latency(cfg, op),
+            ..Op::new(Kind::BinImm(op))
+        },
+        Inst::Mov { dst, src } => Op {
+            dst: reg(dst)?,
+            a: reg(src)?,
+            ..Op::new(Kind::Mov)
+        },
+        Inst::MovImm { dst, imm } => Op {
+            dst: reg(dst)?,
+            imm: imm as i64,
+            ..Op::new(Kind::MovImm)
+        },
+        Inst::GetParam { dst, index } => Op {
+            dst: reg(dst)?,
+            imm: index as i64,
+            ..Op::new(Kind::GetParam)
+        },
+        Inst::Load { dst, base, offset } => Op {
+            dst: reg(dst)?,
+            a: reg(base)?,
+            imm: offset as i64,
+            extra: cfg.load_extra,
+            ..Op::new(Kind::Load)
+        },
+        Inst::Store { src, base, offset } => Op {
+            a: reg(src)?,
+            b: reg(base)?,
+            imm: offset as i64,
+            extra: cfg.store_extra,
+            ..Op::new(Kind::Store)
+        },
+        Inst::SpillLoad { dst, slot } => Op {
+            dst: reg(dst)?,
+            imm: slot.0 as i64 * 8,
+            extra: cfg.load_extra,
+            ..Op::new(Kind::SpillLoad)
+        },
+        Inst::SpillStore { src, slot } => Op {
+            a: reg(src)?,
+            imm: slot.0 as i64 * 8,
+            extra: cfg.store_extra,
+            ..Op::new(Kind::SpillStore)
+        },
+        Inst::Br { target: t } => Op {
+            t1: ids.target(func, t),
+            extra: cfg.taken_branch_penalty.saturating_sub(1),
+            ..Op::new(Kind::Br)
+        },
+        Inst::CondBr {
+            cond,
+            lhs,
+            rhs,
+            then_bb,
+            else_bb,
+        } => Op {
+            a: reg(lhs)?,
+            b: reg(rhs)?,
+            t1: ids.target(func, then_bb),
+            t2: ids.target(func, else_bb),
+            ..Op::new(Kind::CondBr(cond))
+        },
+        Inst::Call {
+            callee,
+            ref args,
+            ret,
+        } => {
+            let start = call_args.len();
+            for &r in args {
+                call_args.push(reg(r)?);
+            }
+            let dst = ret.map_or(Ok(NO_REG), reg)?;
+            let entry = ids.entry(callee).ok_or_else(|| SimError::ControlError {
+                what: format!("call to missing function f{callee} in f{func}"),
+            })?;
+            Op {
+                dst,
+                imm: start as i64,
+                t1: entry,
+                t2: args.len() as u32,
+                extra: cfg.call_penalty,
+                ..Op::new(Kind::Call)
+            }
+        }
+        Inst::Ret { value } => Op {
+            a: value.map_or(Ok(NO_REG), reg)?,
+            extra: cfg.call_penalty,
+            ..Op::new(Kind::Ret)
+        },
+        Inst::Nop => Op::new(Kind::Nop),
+    };
+    op.uses = uses;
+    Ok(op)
 }
 
 /// Execute `p` from its entry function with `args`.
@@ -131,88 +460,70 @@ struct Activation {
 ///
 /// See [`SimError`].
 pub fn simulate(p: &Program, cfg: &LowEndConfig, args: &[i64]) -> Result<SimResult, SimError> {
-    // Static layout: instruction addresses for I-cache simulation.
-    let layout = layout_code(p, cfg);
-
+    let l = lower(p, cfg)?;
+    let word_bytes = (cfg.geometry.word_bits / 8) as u64;
     let mut icache = Cache::new(cfg.icache);
     let mut dcache = Cache::new(cfg.dcache);
     let mut mem: HashMap<u64, i64> = HashMap::new();
     let mut res = SimResult::default();
+    let mut counts = vec![0u64; l.block_start.len()];
 
-    let mut next_frame = STACK_BASE;
-    let mut stack: Vec<Activation> = vec![Activation {
-        func: p.entry,
-        block: p.entry_func().entry.index(),
-        inst: 0,
-        regs: [0; 64],
-        frame_base: next_frame,
-        args: args.to_vec(),
-        ret_to: None,
-    }];
-    next_frame += FRAME_BYTES;
-    res.entry_trace.push(p.entry_func().entry);
-    *res
-        .block_counts
-        .entry((p.entry, p.entry_func().entry.0))
-        .or_insert(0) += 1;
+    // The current activation: its register file is `regs[base..base + REGS]`
+    // and its arguments `arg_stack[args_start..args_start + args_len]`.
+    let mut regs = vec![0i64; REGS];
+    let mut base = 0usize;
+    let mut arg_stack = args.to_vec();
+    let (mut args_start, mut args_len) = (0usize, args.len());
+    let mut frame_base = STACK_BASE;
+    let mut next_frame = STACK_BASE + FRAME_BYTES;
+    let mut callers: Vec<Caller> = Vec::new();
+    let mut pc = l.block_start[l.entry as usize] as usize;
+    counts[l.entry as usize] += 1;
+    res.entry_trace.push(BlockId(l.block_name[l.entry as usize].1));
 
-    // Load-use interlock state: destination of the previous instruction if
-    // it was a load.
-    let mut pending_load_dst: Option<u8> = None;
+    // Load-use interlock: bit `r` set when the previous op loaded `r`.
+    let mut pending_load: u64 = 0;
     // Fractional accounting for decode-removed set_last_reg slots.
     let mut slr_budget: u64 = 0;
 
-    while let Some(act) = stack.last_mut() {
+    loop {
         if res.insts_fetched >= cfg.max_steps {
             return Err(SimError::StepLimit {
                 max_steps: cfg.max_steps,
             });
         }
-        let f: &Function = &p.funcs[act.func as usize];
-        let blk = &f.blocks[act.block];
-        let Some(inst) = blk.insts.get(act.inst) else {
-            return Err(SimError::ControlError {
-                what: format!("fell off the end of {} {}", f.name, BlockId(act.block as u32)),
-            });
-        };
+        let op = l.ops[pc];
+        match op.kind {
+            Kind::FellOff => {
+                let f = &p.funcs[op.t1 as usize];
+                return Err(SimError::ControlError {
+                    what: format!("fell off the end of {} {}", f.name, BlockId(op.t2)),
+                });
+            }
+            Kind::NoBlock => {
+                return Err(SimError::ControlError {
+                    what: format!("branch to missing block {} in f{}", BlockId(op.t2), op.t1),
+                });
+            }
+            _ => {}
+        }
+        pc += 1;
 
         // Fetch: every word of the instruction goes through the I-cache.
-        let addr = layout[&(act.func, act.block, act.inst)];
-        let words = words_for_inst(inst, &cfg.geometry) as u64;
-        let word_bytes = (cfg.geometry.word_bits / 8) as u64;
-        let mut cycles = 1; // base CPI of the in-order scalar
-        for w in 0..words {
-            cycles += icache.access_cost(addr + w * word_bytes);
+        let mut cycles = 1 + op.extra; // base CPI of the in-order scalar
+        for w in 0..op.words as u64 {
+            cycles += icache.access_cost(op.addr + w * word_bytes);
         }
         res.insts_fetched += 1;
-
-        // Load-use interlock check.
-        if let Some(dst) = pending_load_dst.take() {
-            let uses_loaded = inst
-                .uses()
-                .iter()
-                .any(|r| matches!(r, Reg::Phys(pr) if pr.number() == dst));
-            if uses_loaded {
-                cycles += cfg.load_use_penalty;
-            }
+        if op.uses & pending_load != 0 {
+            cycles += cfg.load_use_penalty;
         }
+        pending_load = 0;
 
-        let read = |act: &Activation, r: Reg| -> Result<i64, SimError> {
-            match r {
-                Reg::Phys(pr) => Ok(act.regs[pr.index()]),
-                Reg::Virt(_) => Err(SimError::VirtualRegister { func: act.func }),
-            }
-        };
-        let reg_no = |r: Reg| -> Result<u8, SimError> {
-            match r {
-                Reg::Phys(pr) => Ok(pr.number()),
-                Reg::Virt(_) => Err(SimError::VirtualRegister { func: 0 }),
-            }
-        };
-
-        let mut next: Option<usize> = None; // branch target (block index)
-        match inst {
-            Inst::SetLastReg { .. } => {
+        let r = |n: u8| regs[base + n as usize];
+        let mut next = NO_BLOCK;
+        match op.kind {
+            Kind::SetLastReg => {
                 // Consumed at decode; no execute, no architectural effect.
                 // The front end absorbs `slr_per_cycle` of these per
                 // fetch-decode cycle, so only every n-th one stalls.
@@ -225,160 +536,132 @@ pub fn simulate(p: &Program, cfg: &LowEndConfig, args: &[i64]) -> Result<SimResu
                     0
                 };
                 res.cycles += cycles - 1 + occupancy;
-                act.inst += 1;
                 continue;
             }
-            Inst::Bin { op, dst, lhs, rhs } => {
-                let v = op.eval(read(act, *lhs)?, read(act, *rhs)?);
-                act.regs[reg_no(*dst)? as usize] = v;
-                cycles += op_latency(cfg, *op);
+            Kind::Bin(o) => regs[base + op.dst as usize] = o.eval(r(op.a), r(op.b)),
+            Kind::BinImm(o) => regs[base + op.dst as usize] = o.eval(r(op.a), op.imm),
+            Kind::Mov => regs[base + op.dst as usize] = r(op.a),
+            Kind::MovImm => regs[base + op.dst as usize] = op.imm,
+            Kind::GetParam => {
+                let i = op.imm as usize;
+                regs[base + op.dst as usize] = if i < args_len {
+                    arg_stack[args_start + i]
+                } else {
+                    0
+                };
             }
-            Inst::BinImm { op, dst, src, imm } => {
-                let v = op.eval(read(act, *src)?, *imm as i64);
-                act.regs[reg_no(*dst)? as usize] = v;
-                cycles += op_latency(cfg, *op);
+            Kind::Load | Kind::SpillLoad => {
+                let a = if let Kind::Load = op.kind {
+                    // Word-aligned memory.
+                    (r(op.a) as u64).wrapping_add(op.imm as u64) & !7
+                } else {
+                    res.spill_accesses += 1;
+                    frame_base + op.imm as u64
+                };
+                cycles += dcache.access_cost(a);
+                regs[base + op.dst as usize] = mem.get(&a).copied().unwrap_or(0);
+                pending_load = 1 << op.dst;
             }
-            Inst::Mov { dst, src } => {
-                act.regs[reg_no(*dst)? as usize] = read(act, *src)?;
+            Kind::Store => {
+                let a = (r(op.b) as u64).wrapping_add(op.imm as u64) & !7;
+                cycles += dcache.access_cost(a);
+                mem.insert(a, r(op.a));
             }
-            Inst::MovImm { dst, imm } => {
-                act.regs[reg_no(*dst)? as usize] = *imm as i64;
-            }
-            Inst::GetParam { dst, index } => {
-                let v = act.args.get(*index as usize).copied().unwrap_or(0);
-                act.regs[reg_no(*dst)? as usize] = v;
-            }
-            Inst::Load { dst, base, offset } => {
-                let a = (read(act, *base)? as u64).wrapping_add(*offset as i64 as u64);
-                let a = a & !7; // word-aligned memory
-                cycles += cfg.load_extra + dcache.access_cost(a);
-                let v = mem.get(&a).copied().unwrap_or(0);
-                let d = reg_no(*dst)?;
-                act.regs[d as usize] = v;
-                pending_load_dst = Some(d);
-            }
-            Inst::Store { src, base, offset } => {
-                let a = (read(act, *base)? as u64).wrapping_add(*offset as i64 as u64);
-                let a = a & !7;
-                cycles += cfg.store_extra + dcache.access_cost(a);
-                mem.insert(a, read(act, *src)?);
-            }
-            Inst::SpillLoad { dst, slot } => {
-                let a = act.frame_base + slot.0 as u64 * 8;
-                cycles += cfg.load_extra + dcache.access_cost(a);
-                let v = mem.get(&a).copied().unwrap_or(0);
-                let d = reg_no(*dst)?;
-                act.regs[d as usize] = v;
-                pending_load_dst = Some(d);
+            Kind::SpillStore => {
+                let a = frame_base + op.imm as u64;
+                cycles += dcache.access_cost(a);
+                mem.insert(a, r(op.a));
                 res.spill_accesses += 1;
             }
-            Inst::SpillStore { src, slot } => {
-                let a = act.frame_base + slot.0 as u64 * 8;
-                cycles += cfg.store_extra + dcache.access_cost(a);
-                mem.insert(a, read(act, *src)?);
-                res.spill_accesses += 1;
-            }
-            Inst::Br { target } => {
-                cycles += cfg.taken_branch_penalty.saturating_sub(1);
-                next = Some(target.index());
-            }
-            Inst::CondBr {
-                cond,
-                lhs,
-                rhs,
-                then_bb,
-                else_bb,
-            } => {
-                let taken = cond.eval(read(act, *lhs)?, read(act, *rhs)?);
-                let t = if taken { then_bb } else { else_bb };
-                if taken {
+            Kind::Br => next = op.t1,
+            Kind::CondBr(c) => {
+                next = if c.eval(r(op.a), r(op.b)) {
                     cycles += cfg.taken_branch_penalty;
-                }
-                next = Some(t.index());
+                    op.t1
+                } else {
+                    op.t2
+                };
             }
-            Inst::Call { callee, args, ret } => {
-                cycles += cfg.call_penalty;
-                let vals: Result<Vec<i64>, SimError> =
-                    args.iter().map(|&a| read(act, a)).collect();
-                let vals = vals?;
-                let ret_to = match ret {
-                    Some(r) => Some(reg_no(*r)?),
-                    None => None,
-                };
-                act.inst += 1; // resume after the call
-                let callee_fn = &p.funcs[*callee as usize];
-                let new_act = Activation {
-                    func: *callee,
-                    block: callee_fn.entry.index(),
-                    inst: 0,
-                    regs: [0; 64],
-                    frame_base: next_frame,
-                    args: vals,
-                    ret_to,
-                };
+            Kind::Call => {
+                let start = arg_stack.len();
+                let first = op.imm as usize;
+                for &a in &l.call_args[first..first + op.t2 as usize] {
+                    arg_stack.push(regs[base + a as usize]);
+                }
+                callers.push(Caller {
+                    pc,
+                    frame_base,
+                    args_start,
+                    args_len,
+                    ret_to: op.dst,
+                });
+                base += REGS;
+                if regs.len() < base + REGS {
+                    regs.resize(base + REGS, 0);
+                } else {
+                    regs[base..base + REGS].fill(0);
+                }
+                (args_start, args_len) = (start, op.t2 as usize);
+                frame_base = next_frame;
                 next_frame += FRAME_BYTES;
-                res.insts_executed += 1;
-                res.cycles += cycles;
-                *res
-                    .block_counts
-                    .entry((new_act.func, new_act.block as u32))
-                    .or_insert(0) += 1;
-                stack.push(new_act);
-                pending_load_dst = None;
-                continue;
+                pc = l.block_start[op.t1 as usize] as usize;
+                counts[op.t1 as usize] += 1;
             }
-            Inst::Ret { value } => {
-                cycles += cfg.call_penalty;
-                let v = match value {
-                    Some(r) => Some(read(act, *r)?),
-                    None => None,
+            Kind::Ret => {
+                let v = (op.a != NO_REG).then(|| r(op.a));
+                let Some(c) = callers.pop() else {
+                    res.insts_executed += 1;
+                    res.cycles += cycles;
+                    res.ret_value = v;
+                    res.icache_misses = icache.misses();
+                    res.dcache_misses = dcache.misses();
+                    res.block_counts = block_counts(&l, &counts);
+                    return Ok(res);
                 };
-                let ret_to = act.ret_to;
-                res.insts_executed += 1;
-                res.cycles += cycles;
-                stack.pop();
-                pending_load_dst = None;
-                match stack.last_mut() {
-                    Some(caller) => {
-                        if let (Some(dst), Some(v)) = (ret_to, v) {
-                            caller.regs[dst as usize] = v;
-                        }
-                    }
-                    None => {
-                        res.ret_value = v;
-                        res.icache_misses = icache.misses();
-                        res.dcache_misses = dcache.misses();
-                        return Ok(res);
-                    }
+                arg_stack.truncate(args_start);
+                base -= REGS;
+                (pc, frame_base, args_start, args_len) =
+                    (c.pc, c.frame_base, c.args_start, c.args_len);
+                if let (Some(v), true) = (v, c.ret_to != NO_REG) {
+                    regs[base + c.ret_to as usize] = v;
                 }
-                continue;
             }
-            Inst::Nop => {}
+            Kind::Nop => {}
+            Kind::Fault => return Err(l.faults[op.imm as usize].clone()),
+            Kind::FellOff | Kind::NoBlock => unreachable!("checked before fetch"),
         }
 
         res.insts_executed += 1;
         res.cycles += cycles;
-        match next {
-            Some(b) => {
-                act.block = b;
-                act.inst = 0;
-                *res
-                    .block_counts
-                    .entry((act.func, b as u32))
-                    .or_insert(0) += 1;
-                if act.func == p.entry
-                    && stack.len() == 1
-                    && res.entry_trace.len() < TRACE_CAP
-                {
-                    res.entry_trace.push(BlockId(b as u32));
-                }
+        if next != NO_BLOCK {
+            pc = l.block_start[next as usize] as usize;
+            counts[next as usize] += 1;
+            if callers.is_empty() && res.entry_trace.len() < TRACE_CAP {
+                res.entry_trace.push(BlockId(l.block_name[next as usize].1));
             }
-            None => act.inst += 1,
         }
     }
-    Err(SimError::ControlError {
-        what: "empty call stack".into(),
-    })
+}
+
+/// A suspended caller: where it resumes and what it had in flight.
+struct Caller {
+    pc: usize,
+    frame_base: u64,
+    args_start: usize,
+    args_len: usize,
+    /// Register receiving the callee's return value ([`NO_REG`]: none).
+    ret_to: u8,
+}
+
+/// The dense per-block counts as the `(function, block)` map of
+/// [`SimResult::block_counts`], holding every block entered at least once.
+fn block_counts(l: &Lowered, counts: &[u64]) -> HashMap<(u32, u32), u64> {
+    l.block_name
+        .iter()
+        .zip(counts)
+        .filter(|&(_, &n)| n > 0)
+        .map(|(&name, &n)| (name, n))
+        .collect()
 }
 
 fn op_latency(cfg: &LowEndConfig, op: BinOp) -> u64 {
@@ -387,26 +670,6 @@ fn op_latency(cfg: &LowEndConfig, op: BinOp) -> u64 {
         BinOp::Div | BinOp::Rem => cfg.div_latency,
         _ => 0,
     }
-}
-
-/// Assign a static byte address to every instruction (functions and blocks
-/// laid out in order).
-fn layout_code(
-    p: &Program,
-    cfg: &LowEndConfig,
-) -> HashMap<(u32, usize, usize), u64> {
-    let mut layout = HashMap::new();
-    let word_bytes = (cfg.geometry.word_bits / 8) as u64;
-    let mut addr = 0u64;
-    for (fi, f) in p.funcs.iter().enumerate() {
-        for (bi, b) in f.blocks.iter().enumerate() {
-            for (ii, inst) in b.insts.iter().enumerate() {
-                layout.insert((fi as u32, bi, ii), addr);
-                addr += words_for_inst(inst, &cfg.geometry) as u64 * word_bytes;
-            }
-        }
-    }
-    layout
 }
 
 #[cfg(test)]
@@ -633,6 +896,46 @@ mod tests {
         b.ret(Some(v.into()));
         let r = simulate(&Program::single(b.finish()), &LowEndConfig::default(), &[]);
         assert!(matches!(r, Err(SimError::VirtualRegister { .. })));
+    }
+
+    #[test]
+    fn virtual_register_destination_reports_its_function() {
+        // main calls f2, which writes a vreg; f1 never runs.
+        let mut m = FunctionBuilder::new("main");
+        m.push(Inst::Call {
+            callee: 2,
+            args: vec![],
+            ret: None,
+        });
+        m.ret(None);
+        let mut idle = FunctionBuilder::new("idle");
+        idle.ret(None);
+        let mut c = FunctionBuilder::new("callee");
+        let v = c.new_vreg();
+        c.mov_imm(v, 1);
+        c.ret(None);
+        let p = Program {
+            funcs: vec![m.finish(), idle.finish(), c.finish()],
+            entry: 0,
+        };
+        let cfg = LowEndConfig::default();
+        let want = Err(SimError::VirtualRegister { func: 2 });
+        assert_eq!(simulate(&p, &cfg, &[]), want);
+        assert_eq!(reference::simulate(&p, &cfg, &[]), want);
+    }
+
+    #[test]
+    fn out_of_range_physical_register_is_an_error() {
+        for n in [64u8, 100, 255] {
+            let mut b = FunctionBuilder::new("main");
+            b.push(Inst::MovImm { dst: phys(n), imm: 1 });
+            b.ret(Some(phys(0)));
+            let r = simulate(&Program::single(b.finish()), &LowEndConfig::default(), &[]);
+            assert!(
+                matches!(&r, Err(SimError::ControlError { what }) if what.contains(&format!("r{n}"))),
+                "r{n}: {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 # perfbench benchmark's own tests (it is a separate workspace built
 # against the crates by path, so nothing else here compiles it), and a
 # telemetry smoke: one figure binary must emit a schema-valid
-# results/telemetry/*.json that `drac report` accepts.
+# results/telemetry/*.json that `drac report` accepts, and the committed
+# artifacts check (scripts/check_artifacts.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -33,6 +34,11 @@ echo "telemetry smoke OK"
 cargo run -q -p dra-core --release --bin drac -- check > /dev/null
 cargo run -q -p dra-core --release --bin drac -- report results/telemetry/checker.json > /dev/null
 echo "checker smoke OK"
+
+# Committed artifacts check themselves: every figure and table binary,
+# run in a temporary directory, must print exactly its results/*.txt and
+# reproduce the committed telemetry counters.
+scripts/check_artifacts.sh
 
 # Fault containment: the injection suite end to end, then the decoder
 # totality properties by name (the load-bearing "hostile streams never

@@ -334,6 +334,62 @@ fn hostile_source_text_is_an_error_not_a_panic() {
 }
 
 #[test]
+fn precoloured_registers_outside_the_register_file_are_rejected() {
+    use dra_core::lowend::PipelineError;
+    let setup = quick_setup();
+    let mut approaches = Approach::ALL.to_vec();
+    approaches.push(Approach::Adaptive);
+    // r20 and r63 exceed every low-end register file (8 direct, 12
+    // differential); r64 and up exceed what liveness and the simulator's
+    // register file can index at all.
+    for r in [20, 63, 64, 255] {
+        let text = format!("fn main([]):\nbb0:\n    r{r} = mov #1\n    ret r{r}\n");
+        for &a in &approaches {
+            match compile_and_run_source(&text, a, &setup) {
+                Err(PipelineError::Validate { func: 0, message }) => {
+                    assert!(message.contains(&format!("r{r}")), "{message}");
+                }
+                other => panic!("r{r} under {}: {other:?}", a.label()),
+            }
+        }
+    }
+    // A pre-coloured register inside the file still compiles.
+    for &a in &approaches {
+        let run = compile_and_run_source(
+            "fn main([]):\nbb0:\n    r3 = mov #5\n    ret r3\n",
+            a,
+            &setup,
+        )
+        .unwrap_or_else(|e| panic!("r3 under {}: {e}", a.label()));
+        assert_eq!(run.ret_value, Some(5), "{}", a.label());
+    }
+}
+
+#[test]
+fn degrading_to_the_direct_file_rechecks_precoloured_registers() {
+    use dra_core::lowend::PipelineError;
+    // r9 fits the 12-register differential file but not the 8-register
+    // direct file that a failed differential compile (or simulation)
+    // degrades to.
+    let text = "fn main([]):\nbb0:\n    r9 = mov #1\n    ret r9\n";
+    let mut alloc_fails = quick_setup();
+    alloc_fails.faults.fail_alloc_funcs.insert(0);
+    let mut sim_fails = quick_setup();
+    sim_fails.faults.fail_sim = true;
+    for setup in [&alloc_fails, &sim_fails] {
+        match compile_and_run_source(text, Approach::Select, setup) {
+            Err(PipelineError::Validate { func: 0, message }) => {
+                assert!(message.contains("r9"), "{message}");
+            }
+            other => panic!("r9 degraded to the direct file: {other:?}"),
+        }
+    }
+    // Undegraded, r9 stays legal under the differential file.
+    let run = compile_and_run_source(text, Approach::Select, &quick_setup()).unwrap();
+    assert_eq!(run.ret_value, Some(1));
+}
+
+#[test]
 fn pipeline_fault_plans_are_seeded_and_deterministic() {
     let a = PipelineFaults::from_seed(3, 30, 4);
     let b = PipelineFaults::from_seed(3, 30, 4);
