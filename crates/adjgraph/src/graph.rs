@@ -63,25 +63,11 @@ impl AdjacencyGraph {
         self.edges.values().sum()
     }
 
-    /// Edges incident to `node` (either direction), as `(from, to, w)`,
-    /// without allocating: the hot-path variant of [`Self::incident_edges`].
+    /// Edges incident to `node` (either direction), as `(from, to, w)`, in
+    /// the graph's edge order. A scan of the whole edge set; repeated
+    /// queries should go through [`Self::index`].
     pub fn incident_edges_iter(&self, node: u32) -> impl Iterator<Item = (u32, u32, f64)> + '_ {
         self.iter_edges().filter(move |&(a, b, _)| a == node || b == node)
-    }
-
-    /// Collect the edges incident to `node` into a caller-owned scratch
-    /// buffer (cleared first), so repeated queries reuse one allocation.
-    pub fn incident_edges_into(&self, node: u32, buf: &mut Vec<(u32, u32, f64)>) {
-        buf.clear();
-        buf.extend(self.incident_edges_iter(node));
-    }
-
-    /// Edges incident to `node` (either direction), as `(from, to, w)`.
-    ///
-    /// Allocates a fresh `Vec` per call; inner loops should prefer
-    /// [`Self::incident_edges_iter`] or [`Self::incident_edges_into`].
-    pub fn incident_edges(&self, node: u32) -> Vec<(u32, u32, f64)> {
-        self.incident_edges_iter(node).collect()
     }
 
     /// The differential cost of a register-number assignment: the summed
@@ -140,73 +126,124 @@ impl AdjacencyGraph {
         }
     }
 
-    /// Out-degree plus in-degree of `node` in distinct edges.
-    pub fn degree(&self, node: u32) -> usize {
-        self.incident_edges_iter(node).count()
-    }
-
-    /// Build a per-node incidence index for fast repeated [`AdjacencyIndex::node_cost`]
-    /// queries (the inner loop of differential select and coalesce).
+    /// Build the incidence index ([`AdjacencyIndex`]) the hot loops read:
+    /// differential select and coalesce score candidates with
+    /// [`AdjacencyIndex::node_cost`], the remap searches with
+    /// [`AdjacencyIndex::swap_delta`] and its relatives.
     ///
-    /// The spine comes from a per-thread pool (see `dra_ir::scratch` for
+    /// The arrays come from a per-thread pool (see `dra_ir::scratch` for
     /// the pool rules); hand a finished index back with
     /// [`AdjacencyIndex::recycle`] so the next build on the same thread
-    /// reuses its row capacities.
+    /// reuses their capacity.
     pub fn index(&self) -> AdjacencyIndex {
-        let mut per_node = index_pool::take(self.n);
-        for (&(a, b), &w) in &self.edges {
-            per_node[a as usize].push((a, b, w));
-            per_node[b as usize].push((a, b, w));
+        let mut idx = index_pool::take();
+        let AdjacencyIndex { start, inc, edges } = &mut idx;
+        // Degrees, then running sums: `start[i]` becomes one past the end
+        // of node i's row (and `start[n]` the entry count).
+        start.resize(self.n + 1, 0);
+        for &(a, b) in self.edges.keys() {
+            start[a as usize] += 1;
+            start[b as usize] += 1;
         }
-        AdjacencyIndex { per_node }
+        let mut end = 0;
+        for s in start.iter_mut() {
+            end += *s;
+            *s = end;
+        }
+        // Fill from the last edge back, moving each row's cursor down, so
+        // every row keeps the map's edge order and `start[i]` finishes at
+        // the row's first entry.
+        inc.resize(end as usize, (0, false, 0.0));
+        for (&(a, b), &w) in self.edges.iter().rev() {
+            start[b as usize] -= 1;
+            inc[start[b as usize] as usize] = (a, false, w);
+            start[a as usize] -= 1;
+            inc[start[a as usize] as usize] = (b, true, w);
+        }
+        edges.extend(self.iter_edges());
+        idx
     }
 }
 
-/// Per-thread, capped pool of incidence-index spines
-/// (`Vec<Vec<(from, to, w)>>`); every row is cleared on take.
+/// Per-thread, capped pool of index arrays; every array is cleared on take.
 mod index_pool {
+    use super::AdjacencyIndex;
     use std::cell::RefCell;
 
-    type Spine = Vec<Vec<(u32, u32, f64)>>;
-
     thread_local! {
-        static POOL: RefCell<Vec<Spine>> = const { RefCell::new(Vec::new()) };
+        static POOL: RefCell<Vec<AdjacencyIndex>> = const { RefCell::new(Vec::new()) };
     }
 
     const CAP: usize = 8;
 
-    pub(super) fn take(n: usize) -> Spine {
-        POOL.with(|p| match p.borrow_mut().pop() {
-            Some(mut s) => {
-                s.truncate(n);
-                for row in s.iter_mut() {
-                    row.clear();
-                }
-                s.resize_with(n, Vec::new);
-                s
-            }
-            None => vec![Vec::new(); n],
-        })
+    pub(super) fn take() -> AdjacencyIndex {
+        let mut idx = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+        idx.start.clear();
+        idx.inc.clear();
+        idx.edges.clear();
+        idx
     }
 
-    pub(super) fn put(s: Spine) {
+    pub(super) fn put(idx: AdjacencyIndex) {
         POOL.with(|p| {
             let mut p = p.borrow_mut();
             if p.len() < CAP {
-                p.push(s);
+                p.push(idx);
             }
         });
     }
 }
 
-/// Incidence-indexed adjacency graph: `node_cost` in time proportional to
-/// the node's degree rather than the whole edge set.
+/// The adjacency graph as flat arrays: each node's incident edges in one
+/// contiguous row of a compressed sparse row (CSR) layout, plus the edge
+/// list. Rows and the list keep the graph's edge order, so every sum
+/// below adds the same terms in the same order as the [`AdjacencyGraph`]
+/// method it mirrors and returns the same bits.
+///
+/// A row entry `(other, out, w)` is the edge `node -> other` when `out`
+/// is set and `other -> node` otherwise. Self-loops are never stored, so
+/// `other != node`.
+///
+/// The remap kernels ([`Self::swap_delta`], [`Self::cycle_delta`],
+/// [`Self::attach_cost`], [`Self::perm_cost`]) test condition (3) without
+/// re-checking each register number against `RegN`: [`Self::perm_cost`]
+/// asserts that a whole register vector is in range, and every search
+/// calls it on its starting vector, at the end of every descent and on
+/// every champion, while between those points the vector only changes by
+/// swaps and rotations of its own entries. Indexing `rv` stays checked.
+/// [`Self::node_cost`] takes arbitrary assignments and keeps the checked
+/// [`DiffParams::in_range`].
 #[derive(Clone, Debug, Default)]
 pub struct AdjacencyIndex {
-    per_node: Vec<Vec<(u32, u32, f64)>>,
+    /// Row offsets: node `i`'s entries are `inc[start[i]..start[i + 1]]`.
+    start: Vec<u32>,
+    inc: Vec<(u32, bool, f64)>,
+    /// `(from, to, w)` in the graph's edge order.
+    edges: Vec<(u32, u32, f64)>,
+}
+
+/// One edge's contribution to a cost delta: `w` if it turns violating,
+/// `-w` if it stops violating. `mine` is the row node's number before
+/// and after the move, `other` the far endpoint's; `out` orients the
+/// edge as in an [`AdjacencyIndex`] row. The edge's difference is
+/// `other − mine` when it leaves the row node and `mine − other` when it
+/// enters it, so `out` only picks a sign (no branch on the orientation).
+#[inline]
+fn flip(params: DiffParams, out: bool, mine: (u8, u8), other: (u8, u8), w: f64) -> f64 {
+    let sign = if out { 1 } else { -1 };
+    let was = params.violates(sign * (other.0 as i32 - mine.0 as i32));
+    let is = params.violates(sign * (other.1 as i32 - mine.1 as i32));
+    (is as i8 - was as i8) as f64 * w
 }
 
 impl AdjacencyIndex {
+    /// Node `node`'s row: its incident edges as `(other, out, w)`.
+    #[inline]
+    fn row(&self, node: u32) -> &[(u32, bool, f64)] {
+        let n = node as usize;
+        &self.inc[self.start[n] as usize..self.start[n + 1] as usize]
+    }
+
     /// Cost of the edges incident to `node` under `assign` — identical to
     /// [`AdjacencyGraph::node_cost`], but O(degree).
     pub fn node_cost(
@@ -215,9 +252,13 @@ impl AdjacencyIndex {
         assign: impl Fn(u32) -> Option<u8>,
         params: DiffParams,
     ) -> f64 {
+        let Some(rn) = assign(node) else {
+            return 0.0;
+        };
         let mut cost = 0.0;
-        for &(a, b, w) in &self.per_node[node as usize] {
-            if let (Some(ra), Some(rb)) = (assign(a), assign(b)) {
+        for &(o, out, w) in self.row(node) {
+            if let Some(ro) = assign(o) {
+                let (ra, rb) = if out { (rn, ro) } else { (ro, rn) };
                 if !params.in_range(ra, rb) {
                     cost += w;
                 }
@@ -228,14 +269,43 @@ impl AdjacencyIndex {
 
     /// Number of nodes in the index.
     pub fn num_nodes(&self) -> usize {
-        self.per_node.len()
+        self.start.len().saturating_sub(1)
     }
 
     /// Return this index's storage to the per-thread pool so the next
     /// [`AdjacencyGraph::index`] on this thread reuses it. Dropping
     /// instead is always safe, just slower.
     pub fn recycle(self) {
-        index_pool::put(self.per_node);
+        index_pool::put(self);
+    }
+
+    /// The cost of register vector `rv` (node `i` holds number `rv[i]`):
+    /// the summed weight of the edges violating condition (3). Bit-identical
+    /// to [`AdjacencyGraph::assignment_cost`] with `|i| Some(rv[i])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any number in `rv` is `>= RegN` (the range check the
+    /// other remap kernels rely on; see the type's docs), or if `rv` is
+    /// shorter than the node count.
+    pub fn perm_cost(&self, rv: &[u8], params: DiffParams) -> f64 {
+        assert!(
+            rv.iter().all(|&r| u16::from(r) < params.reg_n()),
+            "register vector {rv:?} holds a number out of RegN ({})",
+            params.reg_n()
+        );
+        let mut cost = 0.0;
+        for &(a, b, w) in &self.edges {
+            if params.violates(rv[b as usize] as i32 - rv[a as usize] as i32) {
+                cost += w;
+            }
+        }
+        cost
+    }
+
+    /// Mean edge weight (0 for an edgeless graph), summed in edge order.
+    pub fn mean_weight(&self) -> f64 {
+        self.edges.iter().map(|&(_, _, w)| w).sum::<f64>() / self.edges.len().max(1) as f64
     }
 
     /// Exact cost change of swapping the register numbers assigned to
@@ -244,55 +314,66 @@ impl AdjacencyIndex {
     ///
     /// Only edges incident to `x` or `y` can change violation status under
     /// the swap; edges incident to **both** (the `x↔y` edges) appear in
-    /// both incidence lists and are counted once, by skipping them during
-    /// the `y` pass. Returns `cost(after) - cost(before)`, so a profitable
-    /// swap has a negative delta.
+    /// both rows and are counted once, by skipping them during the `y`
+    /// pass. Returns `cost(after) - cost(before)`, so a profitable swap
+    /// has a negative delta. The numbers in `rv` must be below `RegN`
+    /// (checked by [`Self::perm_cost`], not here).
     ///
     /// # Panics
     ///
     /// Panics if `rv` is shorter than the node count or `x`/`y` are out of
     /// range.
+    #[inline]
     pub fn swap_delta(&self, rv: &[u8], x: u32, y: u32, params: DiffParams) -> f64 {
         if x == y {
             return 0.0;
         }
-        let before = |n: u32| rv[n as usize];
-        let after = |n: u32| {
-            if n == x {
-                rv[y as usize]
-            } else if n == y {
-                rv[x as usize]
-            } else {
-                rv[n as usize]
-            }
-        };
+        let (rx, ry) = (rv[x as usize], rv[y as usize]);
         let mut delta = 0.0;
-        for &(a, b, w) in &self.per_node[x as usize] {
-            let was = !params.in_range(before(a), before(b));
-            let is = !params.in_range(after(a), after(b));
-            delta += (is as i8 - was as i8) as f64 * w;
+        for &(o, out, w) in self.row(x) {
+            let ro = rv[o as usize];
+            let ro_after = if o == y { rx } else { ro };
+            delta += flip(params, out, (rx, ry), (ro, ro_after), w);
         }
-        for &(a, b, w) in &self.per_node[y as usize] {
-            if a == x || b == x {
+        for &(o, out, w) in self.row(y) {
+            if o == x {
                 continue; // already counted in the x pass
             }
-            let was = !params.in_range(before(a), before(b));
-            let is = !params.in_range(after(a), after(b));
-            delta += (is as i8 - was as i8) as f64 * w;
+            let ro = rv[o as usize];
+            delta += flip(params, out, (ry, rx), (ro, ro), w);
         }
         delta
     }
 
     /// Total weight of edges incident to `node`.
     pub fn incident_weight(&self, node: u32) -> f64 {
-        self.per_node[node as usize].iter().map(|&(_, _, w)| w).sum()
+        self.row(node).iter().map(|&(_, _, w)| w).sum()
     }
 
-    /// The edges incident to `node` as an owned-by-the-index slice — the
-    /// allocation-free counterpart of [`AdjacencyGraph::incident_edges`].
-    /// Edges between two nodes appear in both endpoints' slices.
-    pub fn incident(&self, node: u32) -> &[(u32, u32, f64)] {
-        &self.per_node[node as usize]
+    /// Cost of the edges between `node`, given number `v`, and the nodes
+    /// marked in `assigned` (which hold their `rv` numbers): the attach
+    /// cost of branch-and-bound's partial assignments, O(deg(node)).
+    /// `v` and the assigned numbers must be below `RegN`, as for
+    /// [`Self::swap_delta`].
+    pub fn attach_cost(
+        &self,
+        rv: &[u8],
+        assigned: &[bool],
+        node: u32,
+        v: u8,
+        params: DiffParams,
+    ) -> f64 {
+        let mut c = 0.0;
+        for &(o, out, w) in self.row(node) {
+            if !assigned[o as usize] {
+                continue;
+            }
+            let d = rv[o as usize] as i32 - v as i32;
+            if params.violates(if out { d } else { -d }) {
+                c += w;
+            }
+        }
+        c
     }
 
     /// Exact cost change of rotating register numbers along `cycle`: node
@@ -301,11 +382,12 @@ impl AdjacencyIndex {
     /// [`Self::swap_delta`]. Runs in `O(sum of deg(cycle[i]) * k)` with no
     /// allocation; `k` is expected to be small (3..=8).
     ///
-    /// Each edge with multiple in-cycle endpoints appears in several
-    /// incidence lists; it is charged only at the smallest in-cycle
-    /// position among its endpoints, so every edge counts exactly once.
-    /// Returns `cost(after) - cost(before)`; profitable rotations are
-    /// negative.
+    /// Each edge with multiple in-cycle endpoints appears in several rows;
+    /// it is charged only at the smallest in-cycle position among its
+    /// endpoints, so every edge counts exactly once. Returns
+    /// `cost(after) - cost(before)`; profitable rotations are negative.
+    /// The numbers in `rv` must be below `RegN`, as for
+    /// [`Self::swap_delta`].
     ///
     /// # Panics
     ///
@@ -320,7 +402,78 @@ impl AdjacencyIndex {
             (0..k).all(|i| (i + 1..k).all(|j| cycle[i] != cycle[j])),
             "cycle must not repeat nodes: {cycle:?}"
         );
-        // Position of `n` in the cycle, if any; linear scan — k is small.
+        // The number the node at cycle position `p` takes.
+        let next = |p: usize| rv[cycle[(p + 1) % k] as usize];
+        let mut delta = 0.0;
+        for (i, &node) in cycle.iter().enumerate() {
+            let mine = (rv[node as usize], next(i));
+            for &(o, out, w) in self.row(node) {
+                let ro = rv[o as usize];
+                // Position of `o` in the cycle, if any; linear scan — k is
+                // small. The edge is charged at its smallest in-cycle
+                // endpoint position.
+                let ro_after = match cycle.iter().position(|&c| c == o) {
+                    Some(p) if p < i => continue,
+                    Some(p) => next(p),
+                    None => ro,
+                };
+                delta += flip(params, out, mine, (ro, ro_after), w);
+            }
+        }
+        delta
+    }
+}
+
+/// The closure-based incremental scorers the [`AdjacencyIndex`] kernels
+/// replaced, kept as their testing oracle (like
+/// `dra_regalloc::irc::reference`). They walk each node's incident edges
+/// in the graph's edge order — the order the index's rows keep — map
+/// every endpoint through a before/after closure and test condition (3)
+/// with the checked [`DiffParams::in_range`]. The property tests in
+/// `crates/adjgraph/tests/proptest_swap_delta.rs` pin the index's kernels
+/// to them bit for bit. Nothing outside tests calls them.
+pub mod reference {
+    use super::AdjacencyGraph;
+    use crate::params::DiffParams;
+
+    /// [`super::AdjacencyIndex::swap_delta`], one closure call per endpoint.
+    pub fn swap_delta(g: &AdjacencyGraph, rv: &[u8], x: u32, y: u32, params: DiffParams) -> f64 {
+        if x == y {
+            return 0.0;
+        }
+        let before = |n: u32| rv[n as usize];
+        let after = |n: u32| {
+            if n == x {
+                rv[y as usize]
+            } else if n == y {
+                rv[x as usize]
+            } else {
+                rv[n as usize]
+            }
+        };
+        let mut delta = 0.0;
+        for (a, b, w) in g.incident_edges_iter(x) {
+            let was = !params.in_range(before(a), before(b));
+            let is = !params.in_range(after(a), after(b));
+            delta += (is as i8 - was as i8) as f64 * w;
+        }
+        for (a, b, w) in g.incident_edges_iter(y) {
+            if a == x || b == x {
+                continue; // already counted in the x pass
+            }
+            let was = !params.in_range(before(a), before(b));
+            let is = !params.in_range(after(a), after(b));
+            delta += (is as i8 - was as i8) as f64 * w;
+        }
+        delta
+    }
+
+    /// [`super::AdjacencyIndex::cycle_delta`], one closure call per endpoint.
+    pub fn cycle_delta(g: &AdjacencyGraph, rv: &[u8], cycle: &[u32], params: DiffParams) -> f64 {
+        let k = cycle.len();
+        if k < 2 {
+            return 0.0;
+        }
         let pos = |n: u32| cycle.iter().position(|&c| c == n);
         let after = |n: u32| match pos(n) {
             Some(p) => rv[cycle[(p + 1) % k] as usize],
@@ -328,10 +481,8 @@ impl AdjacencyIndex {
         };
         let mut delta = 0.0;
         for (i, &node) in cycle.iter().enumerate() {
-            for &(a, b, w) in &self.per_node[node as usize] {
+            for (a, b, w) in g.incident_edges_iter(node) {
                 let other = if a == node { b } else { a };
-                // Charge the edge at its smallest in-cycle endpoint
-                // position; `other`'s position only matters when smaller.
                 if matches!(pos(other), Some(p) if p < i) {
                     continue;
                 }
@@ -434,16 +585,6 @@ mod tests {
     }
 
     #[test]
-    fn degree_counts_both_directions() {
-        let mut g = AdjacencyGraph::new(3);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(2, 0, 1.0);
-        assert_eq!(g.degree(0), 2);
-        assert_eq!(g.degree(1), 1);
-        assert_eq!(g.incident_edges(0).len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn add_edge_checks_bounds() {
         AdjacencyGraph::new(2).add_edge(0, 2, 1.0);
@@ -467,6 +608,51 @@ mod tests {
             );
         }
         assert_eq!(idx.num_nodes(), 5);
+    }
+
+    #[test]
+    fn recycled_index_matches_a_fresh_one() {
+        // A large index goes back to the pool; the next, smaller build on
+        // this thread reuses its arrays and must not see stale entries.
+        let big = dense_test_graph();
+        big.index().recycle();
+        let mut g = AdjacencyGraph::new(3);
+        g.add_edge(2, 0, 1.5);
+        g.add_edge(0, 1, 2.0);
+        let idx = g.index();
+        assert_eq!(idx.num_nodes(), 3);
+        assert_eq!(idx.row(0), &[(1, true, 2.0), (2, false, 1.5)]);
+        assert_eq!(idx.row(1), &[(0, false, 2.0)]);
+        assert_eq!(idx.row(2), &[(0, true, 1.5)]);
+        assert_eq!(idx.edges, vec![(0, 1, 2.0), (2, 0, 1.5)]);
+    }
+
+    #[test]
+    fn perm_cost_and_attach_cost_match_the_graph() {
+        let g = dense_test_graph();
+        let idx = g.index();
+        let params = DiffParams::new(8, 3);
+        let rv: Vec<u8> = vec![5, 0, 7, 2, 4, 1];
+        let full = g.assignment_cost(|n| Some(rv[n as usize]), params);
+        assert_eq!(idx.perm_cost(&rv, params).to_bits(), full.to_bits());
+        assert_eq!(idx.mean_weight(), g.total_weight() / g.num_edges() as f64);
+        // Nodes 0..3 assigned: node 4's attach cost at number 6 is the
+        // node cost of 4 against them alone.
+        let assigned = [true, true, true, true, false, false];
+        let assign = |n: u32| match n {
+            4 => Some(6),
+            _ => assigned[n as usize].then(|| rv[n as usize]),
+        };
+        let want = g.node_cost(4, assign, params);
+        assert_eq!(idx.attach_cost(&rv, &assigned, 4, 6, params), want);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of RegN")]
+    fn perm_cost_checks_the_register_vector() {
+        let g = dense_test_graph();
+        g.index()
+            .perm_cost(&[0, 1, 2, 3, 4, 8], DiffParams::new(8, 3));
     }
 
     #[test]
@@ -547,19 +733,6 @@ mod tests {
         let before = g.assignment_cost(|n| Some(rv[n as usize]), params);
         let after = g.assignment_cost(|n| Some(rv[1 - n as usize]), params);
         assert_eq!(idx.swap_delta(&rv, 0, 1, params), after - before);
-    }
-
-    #[test]
-    fn incident_edges_into_reuses_buffer() {
-        let mut g = AdjacencyGraph::new(4);
-        g.add_edge(0, 1, 1.0);
-        g.add_edge(2, 0, 3.0);
-        g.add_edge(2, 3, 5.0);
-        let mut buf = Vec::new();
-        g.incident_edges_into(0, &mut buf);
-        assert_eq!(buf, g.incident_edges(0));
-        g.incident_edges_into(3, &mut buf);
-        assert_eq!(buf, vec![(2, 3, 5.0)], "buffer cleared between queries");
     }
 
     fn dense_test_graph() -> AdjacencyGraph {

@@ -18,11 +18,16 @@ impl DiffParams {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < diff_n <= reg_n` — encoding more differences
-    /// than registers is meaningless and `diff_n == 0` cannot encode
-    /// anything at all.
+    /// Panics unless `0 < diff_n <= reg_n <= 256` — encoding more
+    /// differences than registers is meaningless, `diff_n == 0` cannot
+    /// encode anything at all, and register numbers are `u8`
+    /// ([`dra_ir::PReg`]), so no register at or above 256 can exist.
     pub fn new(reg_n: u16, diff_n: u16) -> Self {
         assert!(diff_n > 0, "DiffN must be positive");
+        assert!(
+            reg_n <= 256,
+            "RegN ({reg_n}) must not exceed 256: register numbers are u8"
+        );
         assert!(
             diff_n <= reg_n,
             "DiffN ({diff_n}) must not exceed RegN ({reg_n})"
@@ -77,8 +82,31 @@ impl DiffParams {
     pub fn encode(self, prev: u8, cur: u8) -> u16 {
         assert!((prev as u16) < self.reg_n, "register {prev} out of RegN");
         assert!((cur as u16) < self.reg_n, "register {cur} out of RegN");
-        let d = cur as i32 - prev as i32;
-        d.rem_euclid(self.reg_n as i32) as u16
+        self.wrap(cur as i32 - prev as i32) as u16
+    }
+
+    /// `d mod RegN` for a raw difference `d = cur − prev` of two register
+    /// numbers below `RegN`: `d` lies in `(−RegN, RegN)`, so one
+    /// conditional add of `RegN` is the Euclidean remainder, with no
+    /// division. Does not check the numbers against `RegN`; callers other
+    /// than [`Self::encode`] must have done so (the remap kernels check
+    /// each register vector once, in `AdjacencyIndex::perm_cost`).
+    #[inline]
+    pub(crate) fn wrap(self, d: i32) -> i32 {
+        let reg_n = self.reg_n as i32;
+        debug_assert!(-reg_n < d && d < reg_n, "difference {d} out of RegN");
+        if d < 0 {
+            d + reg_n
+        } else {
+            d
+        }
+    }
+
+    /// Negated condition (3) on a raw difference `cur − prev` (see
+    /// [`Self::wrap`]): does the transition need a `set_last_reg` repair?
+    #[inline]
+    pub(crate) fn violates(self, d: i32) -> bool {
+        self.wrap(d) >= self.diff_n as i32
     }
 
     /// Equation (2): decode a difference given the previous register.
@@ -197,6 +225,29 @@ mod tests {
     #[should_panic(expected = "must not exceed RegN")]
     fn diff_n_larger_than_reg_n_rejected() {
         let _ = DiffParams::new(8, 9);
+    }
+
+    #[test]
+    fn encode_equals_rem_euclid_exhaustive() {
+        for reg_n in 1..=256u16 {
+            let p = DiffParams::direct(reg_n);
+            for prev in 0..reg_n {
+                for cur in 0..reg_n {
+                    let want = (cur as i32 - prev as i32).rem_euclid(reg_n as i32) as u16;
+                    assert_eq!(
+                        p.encode(prev as u8, cur as u8),
+                        want,
+                        "RegN={reg_n} {prev}->{cur}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not exceed 256")]
+    fn reg_n_above_256_rejected() {
+        let _ = DiffParams::new(257, 8);
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Property tests for the incremental scorers `AdjacencyIndex::swap_delta`
 //! and `AdjacencyIndex::cycle_delta`: on random graphs and register
 //! vectors, the incremental delta must agree exactly with the difference
-//! of two full `assignment_cost` evaluations.
+//! of two full `assignment_cost` evaluations, and every index kernel must
+//! return the same bits as its graph-walking oracle
+//! (`dra_adjgraph::graph::reference` and the `AdjacencyGraph` methods).
 
+use dra_adjgraph::graph::reference;
 use dra_adjgraph::{AdjacencyGraph, DiffParams};
 use proptest::prelude::*;
 
@@ -112,5 +115,64 @@ proptest! {
             (delta - (after - before)).abs() < 1e-9,
             "cycle {cycle:?}: delta {delta}, full {}", after - before
         );
+    }
+
+    /// The CSR kernels against their oracles, bit for bit, over RegN
+    /// 2..=64 and DiffN 1..=RegN (direct encoding included). Weights are
+    /// inexact binary fractions, so a reordered sum would show up here.
+    #[test]
+    fn index_kernels_match_their_oracles_bit_for_bit(
+        reg_n in 2u16..=64,
+        direct in any::<bool>(),
+        diff_sel in any::<u16>(),
+        edges in proptest::collection::vec(
+            (any::<u32>(), any::<u32>(), 1u32..1000), 0..96
+        ),
+        raw_rv in proptest::collection::vec(any::<u8>(), 64),
+        unassigned in any::<u64>(),
+        keys in proptest::collection::vec(any::<u32>(), 64),
+        k in 2usize..=8,
+    ) {
+        let n = reg_n as u32;
+        let diff_n = if direct { reg_n } else { 1 + diff_sel % reg_n };
+        let params = DiffParams::new(reg_n, diff_n);
+        let mut g = AdjacencyGraph::new(n as usize);
+        for &(a, b, w) in &edges {
+            g.add_edge(a % n, b % n, w as f64 / 3.0);
+        }
+        let idx = g.index();
+        let rv: Vec<u8> = raw_rv[..n as usize].iter().map(|&r| r % reg_n as u8).collect();
+
+        let full = g.assignment_cost(|i| Some(rv[i as usize]), params);
+        prop_assert_eq!(idx.perm_cost(&rv, params).to_bits(), full.to_bits());
+
+        let assign = |i: u32| (unassigned >> i & 1 == 0).then(|| rv[i as usize]);
+        for node in 0..n {
+            prop_assert_eq!(
+                idx.node_cost(node, assign, params).to_bits(),
+                g.node_cost(node, assign, params).to_bits(),
+                "node_cost of {}", node
+            );
+        }
+
+        for x in 0..n {
+            for y in 0..n {
+                prop_assert_eq!(
+                    idx.swap_delta(&rv, x, y, params).to_bits(),
+                    reference::swap_delta(&g, &rv, x, y, params).to_bits(),
+                    "swap ({}, {})", x, y
+                );
+            }
+        }
+
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_by_key(|&i| (keys[i as usize], i));
+        let cycle = &order[..k.min(n as usize)];
+        prop_assert_eq!(
+            idx.cycle_delta(&rv, cycle, params).to_bits(),
+            reference::cycle_delta(&g, &rv, cycle, params).to_bits(),
+            "cycle {:?}", cycle
+        );
+        idx.recycle();
     }
 }

@@ -33,7 +33,7 @@ fn full_rescore_greedy(g: &AdjacencyGraph, params: DiffParams, starts: u32, seed
     let perm_cost =
         |rv: &[u8]| g.assignment_cost(|n| Some(rv[n as usize]), params);
     let mut rng = SmallRng::seed_from_u64(seed);
-    let identity: Vec<u8> = (0..reg_n as u8).collect();
+    let identity: Vec<u8> = (0..reg_n).map(|r| r as u8).collect();
     let mut best_cost = perm_cost(&identity);
     for start in 0..starts {
         let mut rv = identity.clone();

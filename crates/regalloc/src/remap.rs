@@ -29,9 +29,11 @@
 //! `y`, so a candidate is scored with [`AdjacencyIndex::swap_delta`] in
 //! `O(deg(x) + deg(y))` (rotations with [`AdjacencyIndex::cycle_delta`])
 //! instead of re-walking the whole edge set (`O(E)`). Accumulated
-//! floating-point drift is shed by recomputing the exact cost whenever a
-//! new champion is recorded and once per descent before results are
-//! compared.
+//! floating-point drift is shed by recomputing the exact cost
+//! ([`AdjacencyIndex::perm_cost`]) whenever a new champion is recorded and
+//! once per descent before results are compared. That recomputation is
+//! also where every register vector is checked against `RegN`; the
+//! scorers in between trust it (see [`AdjacencyIndex`]).
 //!
 //! # Deterministic parallel racing under one budget
 //!
@@ -337,12 +339,13 @@ pub fn remap_function(f: &mut Function, cfg: &RemapConfig) -> RemapStats {
     let t0 = Instant::now();
     let reg_n = cfg.params.reg_n();
     let g = build_preg_adjacency(f, cfg.class, reg_n);
-    let identity: Vec<u8> = (0..reg_n as u8).collect();
-    let cost_before = perm_cost(&g, &identity, cfg.params);
+    let idx = g.index();
+    let cost_before = idx.perm_cost(&identity(reg_n as usize), cfg.params);
 
     // Already perfect — including the no-edges case, e.g. remapping the
     // float class of integer-only code. Nothing to search or rewrite.
     if cost_before == 0.0 {
+        idx.recycle();
         return RemapStats {
             cost_before: 0.0,
             cost_after: 0.0,
@@ -358,15 +361,14 @@ pub fn remap_function(f: &mut Function, cfg: &RemapConfig) -> RemapStats {
         };
     }
 
-    let idx = g.index();
     let use_exhaustive =
         cfg.strategy != RemapStrategy::BranchBound && reg_n <= cfg.exhaustive_limit;
     let outcome = if cfg.strategy == RemapStrategy::BranchBound {
         branch_and_bound(&g, &idx, cfg)
     } else if use_exhaustive {
-        exhaustive_search(&g, &idx, cfg)
+        exhaustive_search(&idx, cfg)
     } else {
-        portfolio_multistart(&g, &idx, cfg, cfg.strategy.racers())
+        portfolio_multistart(&idx, cfg, cfg.strategy.racers())
     };
 
     idx.recycle();
@@ -402,9 +404,10 @@ pub fn remap_program(p: &mut Program, cfg: &RemapConfig) -> Vec<RemapStats> {
         .collect()
 }
 
-/// Cost of permutation `rv` on graph `g`: node `i` gets number `rv[i]`.
-fn perm_cost(g: &AdjacencyGraph, rv: &[u8], params: DiffParams) -> f64 {
-    g.assignment_cost(|n| Some(rv[n as usize]), params)
+/// The identity register vector over `0..reg_n` (`reg_n <= 256`, which
+/// `DiffParams::new` enforces).
+fn identity(reg_n: usize) -> Vec<u8> {
+    (0..reg_n).map(|r| r as u8).collect()
 }
 
 fn apply_permutation(f: &mut Function, rv: &[u8], class: RegClass) {
@@ -437,18 +440,14 @@ fn free_slots(reg_n: usize, pinned_regs: &[PReg]) -> Vec<usize> {
 /// each visit costs one [`AdjacencyIndex::swap_delta`] instead of a full
 /// cost evaluation. Exits early as soon as a zero-cost vector is found —
 /// no permutation can beat zero.
-fn exhaustive_search(
-    g: &AdjacencyGraph,
-    idx: &AdjacencyIndex,
-    cfg: &RemapConfig,
-) -> SearchOutcome {
+fn exhaustive_search(idx: &AdjacencyIndex, cfg: &RemapConfig) -> SearchOutcome {
     let reg_n = cfg.params.reg_n() as usize;
     let params = cfg.params;
     let free = free_slots(reg_n, &cfg.pinned);
     let mut counters = SearchCounters::default();
 
-    let mut rv: Vec<u8> = (0..reg_n as u8).collect();
-    let mut cost = perm_cost(g, &rv, params);
+    let mut rv = identity(reg_n);
+    let mut cost = idx.perm_cost(&rv, params);
     let mut best = rv.clone();
     let mut best_cost = cost;
 
@@ -466,7 +465,7 @@ fn exhaustive_search(
             if cost < best_cost - EPS {
                 // The incremental cost carries rounding drift; settle the
                 // new champion's cost exactly before recording it.
-                let exact = perm_cost(g, &rv, params);
+                let exact = idx.perm_cost(&rv, params);
                 if exact < best_cost {
                     best_cost = exact;
                     best.copy_from_slice(&rv);
@@ -527,7 +526,7 @@ fn task_seed(seed: u64, strat_ix: usize, start: u32) -> u64 {
 /// 0 (the paper's initial RV), a seeded shuffle of the free values
 /// otherwise.
 fn start_vector(reg_n: usize, free: &[usize], seed: u64, start: u32) -> Vec<u8> {
-    let mut rv: Vec<u8> = (0..reg_n as u8).collect();
+    let mut rv = identity(reg_n);
     if start > 0 {
         let mut rng = SmallRng::seed_from_u64(start_seed(seed, start));
         let mut vals: Vec<u8> = free.iter().map(|&i| i as u8).collect();
@@ -558,14 +557,13 @@ fn slice_budget(total: u64, tasks: u64, i: u64) -> u64 {
 /// stops at its current (still valid) permutation instead of looping
 /// unboundedly.
 fn descend(
-    g: &AdjacencyGraph,
     idx: &AdjacencyIndex,
     free: &[usize],
     params: DiffParams,
     budget: u64,
     mut rv: Vec<u8>,
 ) -> StartOutcome {
-    let mut cost = perm_cost(g, &rv, params);
+    let mut cost = idx.perm_cost(&rv, params);
     let mut evals = 0u64;
     while cost > EPS && evals < budget {
         let mut best_swap: Option<(usize, usize, f64)> = None;
@@ -589,7 +587,7 @@ fn descend(
             None => break, // local minimum (or slice exhausted mid-sweep)
         }
     }
-    let cost = perm_cost(g, &rv, params);
+    let cost = idx.perm_cost(&rv, params);
     StartOutcome {
         rv,
         cost,
@@ -605,7 +603,6 @@ fn descend(
 /// proposal is one random free-pair swap scored with `swap_delta`;
 /// champions are re-scored exactly before being recorded.
 fn anneal(
-    g: &AdjacencyGraph,
     idx: &AdjacencyIndex,
     free: &[usize],
     params: DiffParams,
@@ -613,7 +610,7 @@ fn anneal(
     seed: u64,
     mut rv: Vec<u8>,
 ) -> StartOutcome {
-    let mut cost = perm_cost(g, &rv, params);
+    let mut cost = idx.perm_cost(&rv, params);
     let mut best = rv.clone();
     let mut best_cost = cost;
     let mut evals = 0u64;
@@ -626,7 +623,7 @@ fn anneal(
         };
     }
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mean_w = g.total_weight() / g.num_edges().max(1) as f64;
+    let mean_w = idx.mean_weight();
     let t0 = (2.0 * mean_w).max(EPS);
     let t_end = (1e-3 * mean_w).max(EPS / 2.0);
     let alpha = (t_end / t0).powf(1.0 / budget as f64);
@@ -646,7 +643,7 @@ fn anneal(
             cost += d;
             if cost < best_cost - EPS {
                 // Shed incremental drift before recording a champion.
-                let exact = perm_cost(g, &rv, params);
+                let exact = idx.perm_cost(&rv, params);
                 if exact < best_cost {
                     best_cost = exact;
                     best.copy_from_slice(&rv);
@@ -693,7 +690,6 @@ fn apply_cycle(rv: &mut [u8], cycle: &[u32]) {
 /// A k-cycle evaluation charges `k - 1` budget units (it is k-1
 /// transpositions' worth of scoring work).
 fn lns_descend(
-    g: &AdjacencyGraph,
     idx: &AdjacencyIndex,
     free: &[usize],
     params: DiffParams,
@@ -708,7 +704,7 @@ fn lns_descend(
     let mut cycle: Vec<u32> = Vec::with_capacity(8);
     let mut cur = rv;
     loop {
-        let out = descend(g, idx, free, params, budget - evals, cur);
+        let out = descend(idx, free, params, budget - evals, cur);
         evals += out.evals;
         cur = out.rv;
         let cost = out.cost;
@@ -744,7 +740,7 @@ fn lns_descend(
                 cycle_moves += 1;
             }
             None => {
-                let cost = perm_cost(g, &cur, params);
+                let cost = idx.perm_cost(&cur, params);
                 return StartOutcome {
                     rv: cur,
                     cost,
@@ -788,7 +784,6 @@ impl Candidate {
 /// counters** are bit-identical for any thread count — no task exits early
 /// based on another task's result.
 fn portfolio_multistart(
-    g: &AdjacencyGraph,
     idx: &AdjacencyIndex,
     cfg: &RemapConfig,
     racers: &[RemapStrategy],
@@ -835,9 +830,9 @@ fn portfolio_multistart(
             let rv0 = start_vector(reg_n, &free, cfg.seed, start);
             let moves_seed = task_seed(cfg.seed, strat_ix, start);
             let out = match racers[strat_ix] {
-                RemapStrategy::Greedy => descend(g, idx, &free, params, slice, rv0),
-                RemapStrategy::Anneal => anneal(g, idx, &free, params, slice, moves_seed, rv0),
-                RemapStrategy::Lns => lns_descend(g, idx, &free, params, slice, moves_seed, rv0),
+                RemapStrategy::Greedy => descend(idx, &free, params, slice, rv0),
+                RemapStrategy::Anneal => anneal(idx, &free, params, slice, moves_seed, rv0),
+                RemapStrategy::Lns => lns_descend(idx, &free, params, slice, moves_seed, rv0),
                 RemapStrategy::BranchBound | RemapStrategy::Portfolio => {
                     unreachable!("not restart strategies")
                 }
@@ -891,8 +886,8 @@ fn portfolio_multistart(
 
     // Identity baseline: the search result can never be worse than the
     // allocator's own numbering, and equal costs keep the identity.
-    let identity: Vec<u8> = (0..reg_n as u8).collect();
-    let identity_cost = perm_cost(g, &identity, params);
+    let identity = identity(reg_n);
+    let identity_cost = idx.perm_cost(&identity, params);
     let (rv, cost, win) = match winner {
         Some(c) if c.cost < identity_cost => {
             let strat = racers[c.strat_ix];
@@ -930,7 +925,6 @@ fn portfolio_multistart(
 /// one evaluation. Budget exhaustion aborts with the incumbent and
 /// `certified = false`.
 struct BranchBound<'a> {
-    g: &'a AdjacencyGraph,
     idx: &'a AdjacencyIndex,
     params: DiffParams,
     /// Free slots in branch order (decreasing incident weight).
@@ -952,19 +946,8 @@ impl BranchBound<'_> {
     /// Cost of the edges between slot `s` (holding number `v`) and the
     /// already-assigned slots. O(deg(s)), allocation-free.
     fn attach_cost(&self, s: usize, v: u8) -> f64 {
-        let mut c = 0.0;
-        for &(a, b, w) in self.idx.incident(s as u32) {
-            let other = (if a as usize == s { b } else { a }) as usize;
-            if !self.assigned[other] {
-                continue;
-            }
-            let ra = if a as usize == s { v } else { self.rv[a as usize] };
-            let rb = if b as usize == s { v } else { self.rv[b as usize] };
-            if !self.params.in_range(ra, rb) {
-                c += w;
-            }
-        }
-        c
+        self.idx
+            .attach_cost(&self.rv, &self.assigned, s as u32, v, self.params)
     }
 
     /// Admissible lower bound on completing the assignment from `depth`:
@@ -1004,7 +987,7 @@ impl BranchBound<'_> {
         if depth == self.order.len() {
             // Complete assignment: settle the cost exactly (the partial
             // sum carries incremental drift) before recording.
-            let exact = perm_cost(self.g, &self.rv, self.params);
+            let exact = self.idx.perm_cost(&self.rv, self.params);
             if exact < self.best_cost {
                 self.best_cost = exact;
                 self.best.copy_from_slice(&self.rv);
@@ -1053,8 +1036,8 @@ fn branch_and_bound(g: &AdjacencyGraph, idx: &AdjacencyIndex, cfg: &RemapConfig)
     let mut counters = SearchCounters::default();
 
     // Incumbent: one greedy descent from the identity.
-    let identity: Vec<u8> = (0..reg_n as u8).collect();
-    let inc = descend(g, idx, &free, params, cfg.eval_budget / 4, identity.clone());
+    let identity = identity(reg_n);
+    let inc = descend(idx, &free, params, cfg.eval_budget / 4, identity.clone());
     counters.evaluations += inc.evals;
     counters.starts_run += 1;
     if inc.cost <= EPS {
@@ -1089,7 +1072,6 @@ fn branch_and_bound(g: &AdjacencyGraph, idx: &AdjacencyIndex, cfg: &RemapConfig)
         params,
     );
     let mut bb = BranchBound {
-        g,
         idx,
         params,
         values: free.iter().map(|&s| s as u8).collect(),
@@ -1263,6 +1245,37 @@ mod tests {
         assert_ne!(regs[0], regs[1]);
         assert_ne!(regs[0], regs[2]);
         assert_ne!(regs[1], regs[2]);
+    }
+
+    #[test]
+    fn remap_handles_a_full_256_register_file() {
+        // `(0..256 as u8)` is empty, so the identity vector must be built
+        // from a wider range.
+        let hops = [(0u8, 5u8), (5, 200), (200, 255), (255, 0), (0, 200)];
+        let mut b = FunctionBuilder::new("wide");
+        for (src, dst) in hops {
+            b.push(Inst::Mov {
+                dst: PReg(dst).into(),
+                src: PReg(src).into(),
+            });
+        }
+        b.ret(None);
+        let mut f = b.finish();
+        let mut cfg = RemapConfig::new(DiffParams::new(256, 8)).with_threads(1);
+        cfg.starts = 8;
+        let stats = remap_function(&mut f, &cfg);
+        assert!(stats.cost_before > 0.0);
+        assert!(stats.cost_after <= stats.cost_before);
+        // A permutation: the four registers stay four distinct registers.
+        let mut regs: Vec<u8> = f.blocks[0]
+            .insts
+            .iter()
+            .flat_map(|i| i.accesses())
+            .map(|r| r.expect_phys().number())
+            .collect();
+        regs.sort_unstable();
+        regs.dedup();
+        assert_eq!(regs.len(), 4, "{regs:?}");
     }
 
     #[test]
