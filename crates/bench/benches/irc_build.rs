@@ -12,21 +12,13 @@
 //!   entity count.
 //! * `build+color/S` — the full allocation (`irc_allocate`) on the new
 //!   representation: graph build, worklist coloring, coalescing.
-//!
-//! After the criterion sweep (skipped under `--test`), a headline summary
-//! times both builds on the largest workload, prints the speedup (the
-//! acceptance bar is 3x), and writes `results/irc_build.json` with the
-//! per-size timings so tooling can track them alongside
-//! `results/fig13.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dra_ir::{Function, Liveness, PReg, RegClass};
 use dra_regalloc::interference::{reference, InterferenceGraph};
 use dra_regalloc::{irc_allocate, AllocConfig};
 use dra_workloads::mibench::{generate, BenchSpec};
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 /// Call-clobbered registers, matching `LowEndSetup::default`.
 const CLOBBERS: [PReg; 2] = [PReg(0), PReg(1)];
@@ -91,97 +83,6 @@ fn bench_irc_build(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // Headline comparison + results/irc_build.json; skipped under
-    // `--test` (CI smoke).
-    if std::env::args().any(|a| a == "--test") {
-        return;
-    }
-
-    /// Minimum wall-clock of `f` over ~0.4 s of iterations. The minimum
-    /// is the noise-robust statistic here: scheduler preemption and
-    /// frequency scaling only ever add time, so the fastest observed run
-    /// is the closest to the code's actual cost.
-    fn time(mut f: impl FnMut()) -> Duration {
-        // Warm up caches and the allocator.
-        f();
-        let mut best = Duration::MAX;
-        let mut iters = 0u32;
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_millis(400) || iters < 10 {
-            let t = Instant::now();
-            f();
-            best = best.min(t.elapsed());
-            iters += 1;
-        }
-        best
-    }
-
-    let mut json_sizes = Vec::new();
-    let mut headline: Option<(f64, f64)> = None;
-    eprintln!("\nirc_build headline (min per build):");
-    for s in sizes() {
-        let (f, l) = workload(&s);
-        let hashset = time(|| {
-            black_box(reference::build(&f, &l, RegClass::Int, &CLOBBERS));
-        });
-        let bitmatrix = time(|| {
-            black_box(InterferenceGraph::build(&f, &l, RegClass::Int, &CLOBBERS));
-        });
-        let color = time(|| {
-            let mut f2 = f.clone();
-            let mut cfg = AllocConfig::baseline(12);
-            cfg.call_clobbers = CLOBBERS.to_vec();
-            irc_allocate(&mut f2, &cfg).expect("allocates");
-        });
-        let g = InterferenceGraph::build(&f, &l, RegClass::Int, &CLOBBERS);
-        let speedup = hashset.as_secs_f64() / bitmatrix.as_secs_f64();
-        eprintln!(
-            "  {:<7} {:>5} nodes  hashset {:>10.2?}  bitmatrix {:>10.2?}  speedup {:.1}x  build+color {:.2?}",
-            s.name,
-            g.num_nodes(),
-            hashset,
-            bitmatrix,
-            speedup,
-            color,
-        );
-        json_sizes.push(format!(
-            concat!(
-                "    {{\"size\": \"{}\", \"nodes\": {}, \"vregs\": {}, ",
-                "\"hashset_build_nanos\": {}, \"bitmatrix_build_nanos\": {}, ",
-                "\"build_color_nanos\": {}, \"speedup\": {:.3}}}"
-            ),
-            s.name,
-            g.num_nodes(),
-            f.vreg_count,
-            hashset.as_nanos(),
-            bitmatrix.as_nanos(),
-            color.as_nanos(),
-            speedup
-        ));
-        headline = Some((hashset.as_secs_f64(), bitmatrix.as_secs_f64()));
-    }
-    let (h, b) = headline.expect("at least one size");
-    eprintln!(
-        "  largest-workload speedup: {:.1}x (acceptance bar: 3x)",
-        h / b
-    );
-
-    let mut json = String::new();
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"bench\": \"irc_build\",").unwrap();
-    writeln!(json, "  \"largest_speedup\": {:.3},", h / b).unwrap();
-    writeln!(json, "  \"sizes\": [").unwrap();
-    writeln!(json, "{}", json_sizes.join(",\n")).unwrap();
-    writeln!(json, "  ]").unwrap();
-    writeln!(json, "}}").unwrap();
-    // Benches run with the package directory as cwd; anchor the output
-    // at the workspace root next to the other results files.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/irc_build.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("wrote results/irc_build.json"),
-        Err(e) => eprintln!("could not write results/irc_build.json: {e}"),
-    }
 }
 
 criterion_group!(benches, bench_irc_build);

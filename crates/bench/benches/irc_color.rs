@@ -14,26 +14,19 @@
 //!
 //! * `reference-color/S` — full `irc::reference::irc_allocate`.
 //! * `dense-color/S` — full `irc_allocate` on the dense engine.
-//!
-//! After the criterion sweep (skipped under `--test`), a headline summary
-//! compares the *color-stage* time (`color_nanos`, minimum over ~0.4 s of
-//! runs) on every size, prints the largest-workload speedup (acceptance
-//! bar: 2x), and writes `results/irc_color.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dra_ir::{Function, PReg};
 use dra_regalloc::irc::reference;
 use dra_regalloc::{irc_allocate, AllocConfig, SelectStrategy};
 use dra_workloads::mibench::{generate, BenchSpec};
-use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::{Duration, Instant};
 
 /// Call-clobbered registers, matching `LowEndSetup::default`.
 const CLOBBERS: [PReg; 2] = [PReg(0), PReg(1)];
 
 /// A synthetic workload of roughly increasing interference-graph size
-/// (same shapes as `irc_build.rs` so the results files line up).
+/// (same shapes as `irc_build.rs`).
 fn spec(name: &'static str, pressure: usize, block_len: usize, loops: usize) -> BenchSpec {
     BenchSpec {
         name,
@@ -70,7 +63,7 @@ fn workload(s: &BenchSpec) -> Function {
 }
 
 /// The allocator configuration under test (baseline select; the
-/// differential path is timed separately in the headline).
+/// equivalence gate also checks the differential path).
 fn cfg() -> AllocConfig {
     let mut cfg = AllocConfig::baseline(12);
     cfg.call_clobbers = CLOBBERS.to_vec();
@@ -123,104 +116,6 @@ fn bench_irc_color(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // Headline comparison + results/irc_color.json; skipped under
-    // `--test` (CI smoke).
-    if std::env::args().any(|a| a == "--test") {
-        return;
-    }
-
-    /// Minimum `color_nanos` over ~0.4 s of full allocations. The minimum
-    /// is the noise-robust statistic: preemption and frequency scaling
-    /// only ever add time.
-    fn min_color_nanos(f: &Function, acfg: &AllocConfig, run_ref: bool) -> (u64, u64) {
-        let run = |f2: &mut Function| {
-            if run_ref {
-                reference::irc_allocate(f2, acfg).expect("allocates")
-            } else {
-                irc_allocate(f2, acfg).expect("allocates")
-            }
-        };
-        let mut best_color = u64::MAX;
-        let mut best_total = u64::MAX;
-        let mut iters = 0u32;
-        let t0 = Instant::now();
-        while t0.elapsed() < Duration::from_millis(400) || iters < 10 {
-            let mut f2 = f.clone();
-            let t = Instant::now();
-            let stats = run(&mut f2);
-            let total = t.elapsed().as_nanos() as u64;
-            best_color = best_color.min(stats.color_nanos);
-            best_total = best_total.min(total);
-            iters += 1;
-        }
-        (best_color, best_total)
-    }
-
-    let mut json_sizes = Vec::new();
-    let mut headline: Option<f64> = None;
-    eprintln!("\nirc_color headline (min color-stage nanos per allocation):");
-    for s in sizes() {
-        let f = workload(&s);
-        let (ref_color, ref_total) = min_color_nanos(&f, &cfg(), true);
-        let (dense_color, dense_total) = min_color_nanos(&f, &cfg(), false);
-        let speedup = ref_color as f64 / dense_color.max(1) as f64;
-        eprintln!(
-            "  {:<7} {:>5} vregs  reference {:>11} ns  dense {:>11} ns  color speedup {:.1}x  (total {:.1}x)",
-            s.name,
-            f.vreg_count,
-            ref_color,
-            dense_color,
-            speedup,
-            ref_total as f64 / dense_total.max(1) as f64,
-        );
-        json_sizes.push(format!(
-            concat!(
-                "    {{\"size\": \"{}\", \"vregs\": {}, ",
-                "\"reference_color_nanos\": {}, \"dense_color_nanos\": {}, ",
-                "\"reference_total_nanos\": {}, \"dense_total_nanos\": {}, ",
-                "\"color_speedup\": {:.3}}}"
-            ),
-            s.name,
-            f.vreg_count,
-            ref_color,
-            dense_color,
-            ref_total,
-            dense_total,
-            speedup
-        ));
-        headline = Some(speedup);
-    }
-    let largest = headline.expect("at least one size");
-    eprintln!("  largest-workload color-stage speedup: {largest:.1}x (acceptance bar: 2x)");
-
-    // The differential-select path additionally exercises the indexed
-    // refine_colors pass; report it on the largest workload.
-    let f = workload(sizes().last().expect("nonempty"));
-    let mut dcfg = cfg();
-    dcfg.strategy = SelectStrategy::Differential;
-    dcfg.params = dra_adjgraph::DiffParams::new(12, 8);
-    let (dref, _) = min_color_nanos(&f, &dcfg, true);
-    let (ddense, _) = min_color_nanos(&f, &dcfg, false);
-    let diff_speedup = dref as f64 / ddense.max(1) as f64;
-    eprintln!("  differential-select color speedup on huge: {diff_speedup:.1}x");
-
-    let mut json = String::new();
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"bench\": \"irc_color\",").unwrap();
-    writeln!(json, "  \"largest_color_speedup\": {largest:.3},").unwrap();
-    writeln!(json, "  \"differential_color_speedup\": {diff_speedup:.3},").unwrap();
-    writeln!(json, "  \"sizes\": [").unwrap();
-    writeln!(json, "{}", json_sizes.join(",\n")).unwrap();
-    writeln!(json, "  ]").unwrap();
-    writeln!(json, "}}").unwrap();
-    // Benches run with the package directory as cwd; anchor the output
-    // at the workspace root next to the other results files.
-    let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/irc_color.json");
-    match std::fs::write(out, &json) {
-        Ok(()) => eprintln!("wrote results/irc_color.json"),
-        Err(e) => eprintln!("could not write results/irc_color.json: {e}"),
-    }
 }
 
 criterion_group!(benches, bench_irc_color);

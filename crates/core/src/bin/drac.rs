@@ -13,13 +13,10 @@
 //! assembled LEAF16 words, run the cycle-level simulation, or validate
 //! and pretty-print a run's emitted telemetry.
 
-use dra_core::batch::run_lowend_matrix_with_telemetry;
 use dra_core::corpus::{corpus_setup, resolve_profile, run_corpus_compile, write_profile};
-use dra_core::faults::{run_fault_campaign, PipelineFaults};
 use dra_core::lowend::{compile_and_run, compile_program_telemetry, Approach, LowEndSetup};
 use dra_core::profile::compile_and_run_profiled;
 use dra_core::serve::{serve, ServeAddr, ServeConfig};
-use dra_core::serve_chaos::{run_chaos_serve, ChaosServeConfig};
 use dra_core::telemetry::{validate_telemetry, Telemetry};
 use dra_encoding::EncodingConfig;
 use dra_regalloc::RemapStrategy;
@@ -29,7 +26,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  drac list\n  drac compile --bench <name> --approach <a> [--emit ir|stats|bits|json] [--profile] [--check] [--remap-strategy <s>]\n  drac run --bench <name> --approach <a> [--profile] [--check] [--remap-strategy <s>]\n  drac sweep --bench <name> [--check] [--remap-strategy <s>]\n  drac check [--bench <name>] [--approach <a>]\n  drac chaos [--seed <n>] [--faults <n>] [--serve]\n  drac serve --addr <unix:PATH|tcp:HOST:PORT> [--workers <n>] [--retries <n>] [--queue-cap <n>] [--telemetry-root <dir>]\n  drac profile [--bench <name>] [--name <out-name>] [--builtin <name|all>]   (default: all benchmarks)\n  drac corpus --profile <name|path> --count <n> [--seed <n>] [--threads <n>]\n  drac report [<telemetry.json>|<dir>]…   (default: results/telemetry)\n\napproaches: baseline remapping select o-spill coalesce adaptive\nremap strategies: greedy anneal lns bb portfolio\nbuiltin profiles: embedded-dsp pointer-chasing deep-cfg call-heavy"
+        "usage:\n  drac list\n  drac compile --bench <name> --approach <a> [--emit ir|stats|bits|json] [--profile] [--check] [--remap-strategy <s>]\n  drac run --bench <name> --approach <a> [--profile] [--check] [--remap-strategy <s>]\n  drac sweep --bench <name> [--check] [--remap-strategy <s>]\n  drac check [--bench <name>] [--approach <a>]\n  drac serve --addr <unix:PATH|tcp:HOST:PORT> [--workers <n>] [--retries <n>] [--queue-cap <n>] [--telemetry-root <dir>]\n  drac profile [--bench <name>] [--name <out-name>] [--builtin <name|all>]   (default: all benchmarks)\n  drac corpus --profile <name|path> --count <n> [--seed <n>] [--threads <n>]\n  drac report [<telemetry.json>|<dir>]…   (default: results/telemetry)\n\napproaches: baseline remapping select o-spill coalesce adaptive\nremap strategies: greedy anneal lns bb portfolio\nbuiltin profiles: embedded-dsp pointer-chasing deep-cfg call-heavy"
     );
     ExitCode::FAILURE
 }
@@ -198,34 +195,6 @@ fn main() -> ExitCode {
                 }
             }
             ExitCode::SUCCESS
-        }
-        "chaos" => {
-            let mut seed: Option<u64> = None;
-            let mut n_faults = 96usize;
-            let mut serve_mode = false;
-            let mut it = argv[1..].iter();
-            while let Some(a) = it.next() {
-                match a.as_str() {
-                    "--serve" => serve_mode = true,
-                    "--seed" | "--faults" => {
-                        let value = match it.next().map(|v| v.parse::<u64>()) {
-                            Some(Ok(v)) => v,
-                            _ => return usage(),
-                        };
-                        if a == "--seed" {
-                            seed = Some(value);
-                        } else {
-                            n_faults = value as usize;
-                        }
-                    }
-                    _ => return usage(),
-                }
-            }
-            if serve_mode {
-                run_chaos_serve_cmd(seed.unwrap_or(3))
-            } else {
-                run_chaos(seed.unwrap_or(1), n_faults)
-            }
         }
         "check" => {
             let Some(args) = parse_args(&argv[1..]) else {
@@ -617,143 +586,5 @@ fn run_corpus_cmd(args: &[String]) -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-/// `drac chaos`: the full benchmark × approach matrix under seeded
-/// pipeline faults (worker panics, per-function alloc/verify failures),
-/// plus an `n_faults`-deep stream-corruption campaign per benchmark.
-/// Writes the verdict to `results/telemetry/chaos.json`; exits nonzero if
-/// containment fails — an un-injected cell errors, a fault escapes
-/// adjudication, or a corrupted stream decodes to different registers
-/// without being detected.
-fn run_chaos(seed: u64, n_faults: usize) -> ExitCode {
-    let names = benchmark_names();
-    let mut approaches = Approach::ALL.to_vec();
-    approaches.push(Approach::Adaptive);
-    let cells = names.len() * approaches.len();
-
-    let mut setup = LowEndSetup::default();
-    setup.faults = PipelineFaults::from_seed(seed, cells, 4);
-    println!(
-        "chaos: seed {seed}, {cells} cells, {} injected panics, {} alloc faults, {} verify faults",
-        setup.faults.panic_cells.len(),
-        setup.faults.fail_alloc_funcs.len(),
-        setup.faults.fail_verify_funcs.len(),
-    );
-
-    // Injected cell panics are caught by the isolated driver; keep the
-    // default hook from dumping a backtrace per (expected) unwind.
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let (matrix, mut telemetry) = run_lowend_matrix_with_telemetry(&names, &approaches, &setup);
-    std::panic::set_hook(prev_hook);
-    let mut contained = true;
-    for (bi, row) in matrix.iter().enumerate() {
-        for (ai, cell) in row.iter().enumerate() {
-            let ci = bi * approaches.len() + ai;
-            let injected = setup.faults.panic_cells.contains(&ci);
-            match cell {
-                Ok(_) => {
-                    if injected {
-                        eprintln!("cell {ci}: injected panic did not surface");
-                        contained = false;
-                    }
-                }
-                Err(e) if injected => {
-                    println!("cell {ci} ({}, {}): {e}", names[bi], approaches[ai].label());
-                }
-                Err(e) => {
-                    eprintln!(
-                        "cell {ci} ({}, {}): UNCONTAINED: {e}",
-                        names[bi],
-                        approaches[ai].label()
-                    );
-                    contained = false;
-                }
-            }
-        }
-    }
-
-    // Stream-corruption campaigns: compile each benchmark clean, then
-    // corrupt its encoded diff stream n_faults ways.
-    let clean = LowEndSetup::default();
-    let cfg = EncodingConfig::new(clean.diff);
-    for (i, name) in names.iter().enumerate() {
-        let run = match compile_and_run(name, Approach::Select, &clean) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{name}: clean compile failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let f = &run.program.funcs[run.program.entry as usize];
-        let campaign_seed = seed.wrapping_add(i as u64).wrapping_mul(0x9E3779B97F4A7C15);
-        match run_fault_campaign(f, &cfg, &run.entry_trace, campaign_seed, n_faults) {
-            Ok(report) => {
-                report.record(&mut telemetry);
-                println!(
-                    "{name}: {} faults — {} detected ({} checker-only), {} benign, {} diverged",
-                    report.injected,
-                    report.detected,
-                    report.detected_static,
-                    report.benign,
-                    report.diverged
-                );
-                if !report.fully_adjudicated() {
-                    eprintln!("{name}: campaign left faults unadjudicated");
-                    contained = false;
-                }
-            }
-            Err(e) => {
-                eprintln!("{name}: clean stream failed to decode: {e}");
-                contained = false;
-            }
-        }
-    }
-
-    match telemetry.write_results(std::path::Path::new("."), "chaos") {
-        Ok(path) => println!("telemetry: {}", path.display()),
-        Err(e) => {
-            eprintln!("telemetry write failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if contained {
-        println!("chaos: all faults contained");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("chaos: CONTAINMENT FAILURE");
-        ExitCode::FAILURE
-    }
-}
-
-/// `drac chaos --serve`: the serve-level fault campaign — overload,
-/// deadline storms, worker kills, vanishing clients — run twice under a
-/// watchdog, with the determinism verdict in `results/chaos_serve.json`.
-fn run_chaos_serve_cmd(seed: u64) -> ExitCode {
-    let config = ChaosServeConfig {
-        seed,
-        out_path: Some(PathBuf::from("results/chaos_serve.json")),
-        telemetry_root: Some(PathBuf::from(".")),
-        ..ChaosServeConfig::default()
-    };
-    let report = match run_chaos_serve(&config) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chaos --serve: INVARIANT VIOLATION: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    print!("{}", report.render());
-    if let Some(path) = &config.out_path {
-        println!("report: {}", path.display());
-    }
-    if report.passed() {
-        println!("chaos --serve: all invariants held");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("chaos --serve: NONDETERMINISM DETECTED");
-        ExitCode::FAILURE
     }
 }

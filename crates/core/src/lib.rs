@@ -34,7 +34,6 @@ pub mod knob;
 pub mod lowend;
 pub mod profile;
 pub mod serve;
-pub mod serve_chaos;
 pub mod session;
 pub mod telemetry;
 
@@ -61,5 +60,4 @@ pub use lowend::{
     compile_and_run, compile_and_run_source, Approach, LowEndRun, LowEndSetup, PipelineError,
 };
 pub use profile::{apply_profile, compile_and_run_profiled};
-pub use serve_chaos::{run_chaos_serve, ChaosServeConfig, ChaosServeReport};
 pub use telemetry::{validate_telemetry, Telemetry, TelemetryReport};

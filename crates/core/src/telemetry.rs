@@ -412,8 +412,8 @@ fn write_map_compact(out: &mut String, map: &BTreeMap<String, u64>) {
 
 /// JSON string-escape `s` (quotes, backslashes, control characters).
 /// Public because every hand-emitted JSON writer in the workspace — the
-/// telemetry files, the `dra-serve-v1` responses, the serve-bench
-/// artifact — must escape identically.
+/// telemetry files, the `dra-serve-v1` responses, the `dra-profile-v1`
+/// workload profiles — must escape identically.
 pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

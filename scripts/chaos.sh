@@ -1,29 +1,20 @@
 #!/usr/bin/env bash
-# Chaos smoke: run the full benchmark × approach matrix with a nonzero
-# fault seed — injected worker panics, per-function alloc/verify
-# failures, and a stream-corruption campaign per benchmark — and insist
-# that every fault is contained (isolated cell failure, degradation to
-# direct encoding, or a detected/benign decode). The emitted
-# results/telemetry/chaos.json must validate under `drac report`.
+# Chaos smoke: the two seeded fault campaigns, run by name in release.
 #
-# usage: scripts/chaos.sh [seed] [faults-per-benchmark]
+# * seeded_chaos_matrix_is_contained (tests/fault_injection.rs): the full
+#   benchmark x approach matrix under the seed-3 pipeline fault plan
+#   (injected worker panics, per-function alloc/verify failures) plus a
+#   96-fault stream-corruption campaign per benchmark. Every fault must
+#   be contained and the seed-3 totals match their pinned values.
+# * seeded_fault_campaign_is_contained_and_deterministic
+#   (tests/serve_overload.rs): deadline storms, queue floods, worker
+#   kills and vanishing clients against live daemons, run twice under
+#   seed 3. Every request is answered exactly once and both runs agree.
+#
+# usage: scripts/chaos.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SEED="${1:-3}"
-FAULTS="${2:-96}"
-
-cargo run -q -p dra-core --release --bin drac -- chaos --seed "$SEED" --faults "$FAULTS"
-cargo run -q -p dra-core --release --bin drac -- report results/telemetry/chaos.json > /dev/null
-echo "chaos OK (seed $SEED)"
-
-# Serve-level chaos: the seeded overload/failure campaign against live
-# daemons — deadline storms, queue floods, worker kills, client
-# disconnects — run twice under the same seed. The command exits
-# nonzero unless every admitted request got exactly one response, every
-# killed worker's restart was counted, and counter totals matched
-# across the two runs. The emitted report must validate under
-# `drac report`.
-cargo run -q -p dra-core --release --bin drac -- chaos --serve --seed 3
-cargo run -q -p dra-core --release --bin drac -- report results/telemetry/chaos_serve.json > /dev/null
-echo "serve chaos OK (seed 3)"
+cargo test -q --release --test fault_injection seeded_chaos_matrix_is_contained
+cargo test -q --release --test serve_overload seeded_fault_campaign_is_contained_and_deterministic
+echo "chaos OK"

@@ -16,9 +16,15 @@
 //!   program answer, `degrade.*` telemetry, `RemapStats::degraded`
 //!   markers) instead of failing the run, and `degrade = false` restores
 //!   the hard error.
+//! * **Seeded chaos matrix** — every benchmark under every approach with
+//!   a seeded fault plan, plus a stream campaign per benchmark: injected
+//!   panics fail only their own cells, and the totals are pinned.
 
+use dra_core::batch::run_lowend_matrix_with_telemetry;
 use dra_core::faults::{run_fault_campaign, FaultOutcome, PipelineFaults, SplitMix64};
-use dra_core::lowend::{compile_and_run, compile_and_run_source, Approach, LowEndSetup};
+use dra_core::lowend::{
+    compile_and_run, compile_and_run_source, Approach, LowEndSetup, PipelineError,
+};
 use dra_encoding::{decode_trace_fields, encode_fields, EncodingConfig, LastReg};
 use dra_ir::{BlockId, FunctionBuilder, Inst, PReg};
 use proptest::prelude::*;
@@ -258,7 +264,6 @@ fn injected_sim_failure_degrades_whole_program() {
 
 #[test]
 fn degradation_off_restores_the_hard_error() {
-    use dra_core::lowend::PipelineError;
     let mut faulty = quick_setup();
     faulty.degrade = false;
     faulty.faults.fail_alloc_funcs.insert(0);
@@ -308,7 +313,6 @@ fn clean_runs_are_untouched_by_the_lattice() {
 
 #[test]
 fn hostile_source_text_is_an_error_not_a_panic() {
-    use dra_core::lowend::PipelineError;
     let setup = quick_setup();
     for text in [
         "",
@@ -335,7 +339,6 @@ fn hostile_source_text_is_an_error_not_a_panic() {
 
 #[test]
 fn precoloured_registers_outside_the_register_file_are_rejected() {
-    use dra_core::lowend::PipelineError;
     let setup = quick_setup();
     let mut approaches = Approach::ALL.to_vec();
     approaches.push(Approach::Adaptive);
@@ -367,7 +370,6 @@ fn precoloured_registers_outside_the_register_file_are_rejected() {
 
 #[test]
 fn degrading_to_the_direct_file_rechecks_precoloured_registers() {
-    use dra_core::lowend::PipelineError;
     // r9 fits the 12-register differential file but not the 8-register
     // direct file that a failed differential compile (or simulation)
     // degrades to.
@@ -396,4 +398,63 @@ fn pipeline_fault_plans_are_seeded_and_deterministic() {
     assert_eq!(a, b);
     assert!(!a.is_clean());
     assert!(PipelineFaults::from_seed(0, 30, 4).is_clean());
+    // Seed 27 draws cell 34 twice over 60 cells; the plan still holds
+    // two distinct panic cells.
+    assert_eq!(PipelineFaults::from_seed(27, 60, 4).panic_cells.len(), 2);
+}
+
+/// The full benchmark x approach matrix at the paper setup under the
+/// seed-3 fault plan (two panicking cells, one alloc-failing and one
+/// verify-failing function), then a 96-fault stream campaign on each
+/// benchmark. Every injected panic fails exactly its own cell, every
+/// other cell compiles, no corrupted stream diverges, and the seed-3
+/// totals are pinned.
+#[test]
+fn seeded_chaos_matrix_is_contained() {
+    let seed = 3u64;
+    let names = dra_workloads::benchmark_names();
+    let mut approaches = Approach::ALL.to_vec();
+    approaches.push(Approach::Adaptive);
+    let cells = names.len() * approaches.len();
+    let setup = LowEndSetup {
+        faults: PipelineFaults::from_seed(seed, cells, 4),
+        ..LowEndSetup::default()
+    };
+    assert_eq!(setup.faults.panic_cells.len(), 2);
+
+    let (matrix, telemetry) = run_lowend_matrix_with_telemetry(&names, &approaches, &setup);
+    for (bi, row) in matrix.iter().enumerate() {
+        for (ai, cell) in row.iter().enumerate() {
+            let ci = bi * approaches.len() + ai;
+            let at = format!("cell {ci} ({}, {})", names[bi], approaches[ai].label());
+            match cell {
+                Err(PipelineError::Panic { message, .. }) if setup.faults.panic_cells.contains(&ci) => {
+                    assert!(message.contains("injected cell fault"), "{at}: {message}");
+                }
+                Ok(_) => assert!(!setup.faults.panic_cells.contains(&ci), "{at}: no panic"),
+                Err(e) => panic!("{at}: uncontained: {e}"),
+            }
+        }
+    }
+    assert_eq!(telemetry.counter("cells.failed"), 2);
+    assert_eq!(telemetry.counter("cells.ok"), 58);
+    assert_eq!(telemetry.counter("degrade.functions"), 51);
+
+    let clean = LowEndSetup::default();
+    let cfg = EncodingConfig::new(clean.diff);
+    let (mut injected, mut detected, mut detected_static, mut benign) = (0, 0, 0, 0);
+    for (i, name) in names.iter().enumerate() {
+        let run = compile_and_run(name, Approach::Select, &clean).unwrap();
+        let f = &run.program.funcs[run.program.entry as usize];
+        let campaign_seed = seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let report = run_fault_campaign(f, &cfg, &run.entry_trace, campaign_seed, 96)
+            .unwrap_or_else(|e| panic!("{name}: clean stream failed to decode: {e}"));
+        assert!(report.fully_adjudicated(), "{name}: unadjudicated faults");
+        assert_eq!(report.diverged, 0, "{name}");
+        injected += report.injected;
+        detected += report.detected;
+        detected_static += report.detected_static;
+        benign += report.benign;
+    }
+    assert_eq!((injected, detected, detected_static, benign), (960, 624, 27, 336));
 }
