@@ -125,13 +125,14 @@ pub fn run_highend_sweep(
 /// The flat (point × loop) grid behind [`run_highend_sweep`], with the
 /// batch driver's panic containment: a poisoned loop cell becomes a hole
 /// (dropping that loop from every point's common set), not an abort of
-/// the whole sweep. Returns the per-point aggregates and the number of
-/// contained cell panics.
+/// the whole sweep. Returns the per-point aggregates, the number of
+/// contained cell panics and the remap evaluations summed over every
+/// pipelined cell.
 fn sweep_grid(
     suite: &[SuiteLoop],
     reg_ns: &[u16],
     threads: usize,
-) -> (Vec<HighEndAggregate>, u64) {
+) -> (Vec<HighEndAggregate>, u64, u64) {
     // One flat batch over every (point, loop) cell keeps all workers busy
     // even when one sweep point dominates the cost.
     let cells: Vec<(u16, usize)> = reg_ns
@@ -159,22 +160,32 @@ fn sweep_grid(
         .zip(&per_point)
         .map(|(&reg_n, results)| aggregate(reg_n, results, &common))
         .collect();
-    (aggregates, stats.failed)
+    let remap_evaluations = per_point
+        .iter()
+        .flatten()
+        .flatten()
+        .map(|r| r.remap_evaluations)
+        .sum();
+    (aggregates, stats.failed, remap_evaluations)
 }
 
 /// [`run_highend_sweep`], additionally recording telemetry: the
 /// per-point aggregates as `swp.*` counters (summed over the sweep, so
-/// schedule-invariant — the pipeliner is deterministic per loop) and a
-/// wall-clock `sweep` span around the whole grid.
+/// schedule-invariant — the pipeliner is deterministic per loop), the
+/// kernel remapping work as `remap.evaluations` (summed over every
+/// pipelined cell, common set or not) and a wall-clock `sweep` span
+/// around the whole grid.
 pub fn run_highend_sweep_with_telemetry(
     suite: &[SuiteLoop],
     reg_ns: &[u16],
     threads: usize,
 ) -> (Vec<HighEndAggregate>, Telemetry) {
     let mut t = Telemetry::new();
-    let (sweep, cell_panics) = t.time("sweep", || sweep_grid(suite, reg_ns, threads));
+    let (sweep, cell_panics, remap_evaluations) =
+        t.time("sweep", || sweep_grid(suite, reg_ns, threads));
     t.count("swp.sweep_points", sweep.len() as u64);
     t.count("swp.cell_panics", cell_panics);
+    t.count("remap.evaluations", remap_evaluations);
     for agg in &sweep {
         t.count("swp.loops_total", agg.total_loops as u64);
         t.count("swp.loops_optimized", agg.optimized_loops as u64);

@@ -85,6 +85,10 @@ pub struct PipelinedLoop {
     /// Whether differential encoding was enabled for this loop
     /// (Section 8.2 selective enabling).
     pub differential_enabled: bool,
+    /// Candidate scorings the kernel's remapping search spent
+    /// ([`dra_regalloc::RemapStats::evaluations`]); 0 when the loop is not
+    /// differential.
+    pub remap_evaluations: u64,
 }
 
 /// Errors from the pipelining flow.
@@ -177,13 +181,14 @@ pub fn pipeline_loop(ddg: &LoopDdg, cfg: &PipelineConfig) -> Result<PipelinedLoo
     // Differential encoding, enabled only when extra registers are in use
     // (Section 8.2): loops that fit in diff_n registers stay direct.
     let differential_enabled = alloc.regs_used > cfg.diff_n as usize;
+    let mut remap_evaluations = 0;
     let set_last_regs = if differential_enabled {
         let params = DiffParams::new(cfg.reg_n, cfg.diff_n.min(cfg.reg_n));
         let mut remap_cfg = RemapConfig::new(params);
         remap_cfg.starts = 32; // kernels are small; a few restarts suffice
         remap_cfg.threads = cfg.remap_threads;
         remap_cfg.strategy = cfg.remap_strategy;
-        remap_function(&mut alloc.func, &remap_cfg);
+        remap_evaluations = remap_function(&mut alloc.func, &remap_cfg).evaluations;
         let enc = EncodingConfig::new(params);
         let stats = insert_set_last_reg(&mut alloc.func, &enc);
         dra_encoding::verify_function(&alloc.func, &enc)
@@ -215,6 +220,7 @@ pub fn pipeline_loop(ddg: &LoopDdg, cfg: &PipelineConfig) -> Result<PipelinedLoo
         cycles,
         kernel_ops: work.len(),
         differential_enabled,
+        remap_evaluations,
     })
 }
 
@@ -251,6 +257,7 @@ mod tests {
         assert!(!r.differential_enabled);
         assert_eq!(r.set_last_regs, 0);
         assert_eq!(r.spill_ops, 0);
+        assert_eq!(r.remap_evaluations, 0, "no remap search on a direct loop");
         assert!(r.cycles >= 1000);
     }
 
