@@ -345,6 +345,24 @@ impl AdjacencyIndex {
         delta
     }
 
+    /// Set `marks[node]` and the mark of every node sharing an edge with
+    /// `node`. After a swap of `x` and `y`, exactly the pairs with an
+    /// endpoint marked by `mark_neighborhood(x)` and
+    /// `mark_neighborhood(y)` can have a new [`Self::swap_delta`]: the
+    /// kernel reads `rv` only at its two nodes and their row neighbours,
+    /// and rows are symmetric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `marks` is shorter than the node count.
+    #[inline]
+    pub fn mark_neighborhood(&self, node: u32, marks: &mut [bool]) {
+        marks[node as usize] = true;
+        for &(o, _, _) in self.row(node) {
+            marks[o as usize] = true;
+        }
+    }
+
     /// Total weight of edges incident to `node`.
     pub fn incident_weight(&self, node: u32) -> f64 {
         self.row(node).iter().map(|&(_, _, w)| w).sum()
@@ -664,6 +682,20 @@ mod tests {
         assert_eq!(idx.incident_weight(0), 5.0);
         assert_eq!(idx.incident_weight(1), 2.0);
         assert_eq!(idx.incident_weight(2), 3.0);
+    }
+
+    #[test]
+    fn mark_neighborhood_marks_node_and_both_directions() {
+        let mut g = AdjacencyGraph::new(5);
+        g.add_edge(0, 1, 1.0);
+        g.add_edge(3, 0, 1.0);
+        g.add_edge(2, 4, 1.0);
+        let idx = g.index();
+        let mut marks = vec![false; 5];
+        idx.mark_neighborhood(0, &mut marks);
+        assert_eq!(marks, [true, true, false, true, false]);
+        idx.mark_neighborhood(4, &mut marks);
+        assert_eq!(marks, [true, true, true, true, true]);
     }
 
     #[test]

@@ -28,8 +28,10 @@
 //! `y` can only change the violation status of edges incident to `x` or
 //! `y`, so a candidate is scored with [`AdjacencyIndex::swap_delta`] in
 //! `O(deg(x) + deg(y))` (rotations with [`AdjacencyIndex::cycle_delta`])
-//! instead of re-walking the whole edge set (`O(E)`). Accumulated
-//! floating-point drift is shed by recomputing the exact cost
+//! instead of re-walking the whole edge set (`O(E)`). The greedy
+//! [`descend`] goes further and keeps each sweep's deltas in a table,
+//! rescoring only the pairs whose inputs the applied swap changed.
+//! Accumulated floating-point drift is shed by recomputing the exact cost
 //! ([`AdjacencyIndex::perm_cost`]) whenever a new champion is recorded and
 //! once per descent before results are compared. That recomputation is
 //! also where every register vector is checked against `RegN`; the
@@ -188,15 +190,17 @@ pub struct RemapConfig {
     /// CPU. The search result and all work counters are identical at any
     /// thread count.
     pub threads: usize,
-    /// Portfolio-wide evaluation budget: the maximum incremental scorings
-    /// ([`AdjacencyIndex::swap_delta`] counting 1, a k-node
+    /// Portfolio-wide evaluation budget: the maximum candidate scorings
+    /// (a swap candidate counting 1, a k-node
     /// [`AdjacencyIndex::cycle_delta`] counting `k - 1`) the whole run may
-    /// spend. Pre-split deterministically across the restart tasks
-    /// (`budget / starts` each, remainder to the lowest indices), so the
-    /// cutoff is a pure function of the input and both the result and the
-    /// counters stay bit-identical at any [`RemapConfig::threads`]. The
-    /// exhaustive and branch-and-bound searches spend the budget as a
-    /// single task.
+    /// spend. A greedy-descent candidate read from the descent's delta
+    /// table ([`descend`]) counts 1 like a fresh
+    /// [`AdjacencyIndex::swap_delta`] call. Pre-split deterministically
+    /// across the restart tasks (`budget / starts` each, remainder to the
+    /// lowest indices), so the cutoff is a pure function of the input and
+    /// both the result and the counters stay bit-identical at any
+    /// [`RemapConfig::threads`]. The exhaustive and branch-and-bound
+    /// searches spend the budget as a single task.
     pub eval_budget: u64,
     /// Which search strategy (or portfolio of strategies) to run.
     pub strategy: RemapStrategy,
@@ -250,10 +254,12 @@ pub struct RemapStats {
     pub cost_after: f64,
     /// Whether the exhaustive search was used.
     pub exhaustive: bool,
-    /// Incremental cost evaluations performed (`swap_delta` calls counting
-    /// 1, k-node `cycle_delta` calls counting `k - 1`, branch-and-bound
-    /// candidate scorings counting 1). A pure function of the input —
-    /// identical at any thread count.
+    /// Candidate scorings performed (swap candidates counting 1, k-node
+    /// `cycle_delta` calls counting `k - 1`, branch-and-bound candidate
+    /// scorings counting 1). A greedy-descent swap candidate counts 1
+    /// whether [`descend`] scored it with `swap_delta` or read it from
+    /// its delta table, so this is the work of the full-rescoring search.
+    /// A pure function of the input — identical at any thread count.
     pub evaluations: u64,
     /// Restart tasks actually executed (0 for exhaustive runs; below
     /// `RemapConfig::starts` only when the eval budget is smaller than the
@@ -545,37 +551,89 @@ fn slice_budget(total: u64, tasks: u64, i: u64) -> u64 {
     total / tasks + u64::from(i < total % tasks)
 }
 
+/// Result of one greedy descent ([`descend`], [`reference::descend`]).
+#[derive(Debug)]
+pub struct Descent {
+    /// The register vector the descent stopped at.
+    pub rv: Vec<u8>,
+    /// Its exact cost ([`AdjacencyIndex::perm_cost`]).
+    pub cost: f64,
+    /// Candidate swaps visited, one budget unit each.
+    pub evals: u64,
+}
+
+/// Reusable buffers of [`descend`]: the swap-delta table over the free
+/// slots and the per-node stale marks. A restart loop keeps one and hands
+/// it to every descent it runs, so descents allocate nothing; no contents
+/// carry over (each descent starts all-stale).
+#[derive(Debug, Default)]
+pub struct DescentScratch {
+    /// `deltas[a * |free| + b]` (`a < b`): the last `swap_delta` of free
+    /// slots `a` and `b`.
+    deltas: Vec<f64>,
+    /// `stale[node]`: `rv` changed at `node` or a neighbour since the
+    /// pairs with endpoint `node` were last scored.
+    stale: Vec<bool>,
+}
+
 /// One greedy descent (the inner loop of the paper's Figure 7): repeatedly
 /// apply the single pairwise swap with the biggest cost reduction until a
-/// local minimum. Candidate swaps are scored **only** with
-/// [`AdjacencyIndex::swap_delta`]; the full cost is computed once before
-/// the loop and once after it (to shed incremental rounding drift).
+/// local minimum. The full cost is computed once before the loop and once
+/// after it (to shed incremental rounding drift).
 ///
-/// `budget` caps the `swap_delta` evaluations of this descent (the task's
-/// slice of [`RemapConfig::eval_budget`]), checked per candidate so the
-/// slice is never overrun: a surface that keeps producing improving swaps
-/// stops at its current (still valid) permutation instead of looping
-/// unboundedly.
-fn descend(
+/// Candidates are scored through a **delta table**: `scratch` keeps every
+/// free pair's [`AdjacencyIndex::swap_delta`] from the previous sweep, and
+/// after each applied swap only the two swapped nodes and their neighbours
+/// ([`AdjacencyIndex::mark_neighborhood`]) are marked stale. A sweep
+/// rescores the pairs with a stale endpoint and reads the rest from the
+/// table; the first sweep finds every node stale. The kernel reads `rv`
+/// only at a pair and its neighbours, so an untouched pair's cached delta
+/// has the bits a fresh call would return, and the descent visits,
+/// compares and applies exactly what the full-rescoring
+/// [`reference::descend`] does.
+///
+/// `budget` caps the candidates this descent visits (the task's slice of
+/// [`RemapConfig::eval_budget`]), checked per candidate so the slice is
+/// never overrun: a surface that keeps producing improving swaps stops at
+/// its current (still valid) permutation instead of looping unboundedly.
+/// A candidate read from the table costs one unit and one `evals` count,
+/// like a fresh scoring, so counters and cutoffs do not depend on how many
+/// pairs the table served.
+pub fn descend(
     idx: &AdjacencyIndex,
     free: &[usize],
     params: DiffParams,
     budget: u64,
     mut rv: Vec<u8>,
-) -> StartOutcome {
+    scratch: &mut DescentScratch,
+) -> Descent {
+    let n = free.len();
+    let DescentScratch { deltas, stale } = scratch;
+    if deltas.len() < n * n {
+        deltas.resize(n * n, 0.0);
+    }
+    stale.clear();
+    stale.resize(rv.len(), true);
     let mut cost = idx.perm_cost(&rv, params);
     let mut evals = 0u64;
     while cost > EPS && evals < budget {
         let mut best_swap: Option<(usize, usize, f64)> = None;
-        'sweep: for a in 0..free.len() {
-            for b in a + 1..free.len() {
+        'sweep: for a in 0..n {
+            let sa = free[a];
+            let a_stale = stale[sa];
+            let row = &mut deltas[a * n..(a + 1) * n];
+            for b in a + 1..n {
                 if evals >= budget {
                     break 'sweep;
                 }
-                let d = idx.swap_delta(&rv, free[a] as u32, free[b] as u32, params);
+                let sb = free[b];
+                if a_stale || stale[sb] {
+                    row[b] = idx.swap_delta(&rv, sa as u32, sb as u32, params);
+                }
+                let d = row[b];
                 evals += 1;
                 if d < -EPS && best_swap.is_none_or(|(_, _, bd)| d < bd) {
-                    best_swap = Some((free[a], free[b], d));
+                    best_swap = Some((sa, sb, d));
                 }
             }
         }
@@ -583,16 +641,60 @@ fn descend(
             Some((a, b, d)) => {
                 rv.swap(a, b);
                 cost += d;
+                stale.fill(false);
+                idx.mark_neighborhood(a as u32, stale);
+                idx.mark_neighborhood(b as u32, stale);
             }
             None => break, // local minimum (or slice exhausted mid-sweep)
         }
     }
     let cost = idx.perm_cost(&rv, params);
-    StartOutcome {
-        rv,
-        cost,
-        evals,
-        cycle_moves: 0,
+    Descent { rv, cost, evals }
+}
+
+/// The full-rescoring greedy descent [`descend`] replaced, kept as its
+/// testing oracle (like `dra_adjgraph::graph::reference`): every sweep
+/// calls [`AdjacencyIndex::swap_delta`] for every free pair. The property
+/// tests in `crates/regalloc/tests/proptest_remap.rs` require the same
+/// `(rv, cost bits, evals)` from both. Nothing outside tests calls it.
+pub mod reference {
+    use super::{Descent, EPS};
+    use dra_adjgraph::{AdjacencyIndex, DiffParams};
+
+    /// [`super::descend`] without the delta table.
+    pub fn descend(
+        idx: &AdjacencyIndex,
+        free: &[usize],
+        params: DiffParams,
+        budget: u64,
+        mut rv: Vec<u8>,
+    ) -> Descent {
+        let mut cost = idx.perm_cost(&rv, params);
+        let mut evals = 0u64;
+        while cost > EPS && evals < budget {
+            let mut best_swap: Option<(usize, usize, f64)> = None;
+            'sweep: for a in 0..free.len() {
+                for b in a + 1..free.len() {
+                    if evals >= budget {
+                        break 'sweep;
+                    }
+                    let d = idx.swap_delta(&rv, free[a] as u32, free[b] as u32, params);
+                    evals += 1;
+                    if d < -EPS && best_swap.is_none_or(|(_, _, bd)| d < bd) {
+                        best_swap = Some((free[a], free[b], d));
+                    }
+                }
+            }
+            match best_swap {
+                Some((a, b, d)) => {
+                    rv.swap(a, b);
+                    cost += d;
+                }
+                None => break, // local minimum (or slice exhausted mid-sweep)
+            }
+        }
+        let cost = idx.perm_cost(&rv, params);
+        Descent { rv, cost, evals }
     }
 }
 
@@ -696,6 +798,7 @@ fn lns_descend(
     budget: u64,
     seed: u64,
     rv: Vec<u8>,
+    scratch: &mut DescentScratch,
 ) -> StartOutcome {
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut evals = 0u64;
@@ -704,7 +807,7 @@ fn lns_descend(
     let mut cycle: Vec<u32> = Vec::with_capacity(8);
     let mut cur = rv;
     loop {
-        let out = descend(idx, free, params, budget - evals, cur);
+        let out = descend(idx, free, params, budget - evals, cur, scratch);
         evals += out.evals;
         cur = out.rv;
         let cost = out.cost;
@@ -821,6 +924,7 @@ fn portfolio_multistart(
     let run_range = |lo: u32, hi: u32| -> (Option<Candidate>, SearchCounters) {
         let mut counters = SearchCounters::default();
         let mut best: Option<Candidate> = None;
+        let mut scratch = DescentScratch::default();
         for start in lo..hi {
             let slice = slice_budget(cfg.eval_budget, u64::from(starts), u64::from(start));
             if slice == 0 {
@@ -830,9 +934,19 @@ fn portfolio_multistart(
             let rv0 = start_vector(reg_n, &free, cfg.seed, start);
             let moves_seed = task_seed(cfg.seed, strat_ix, start);
             let out = match racers[strat_ix] {
-                RemapStrategy::Greedy => descend(idx, &free, params, slice, rv0),
+                RemapStrategy::Greedy => {
+                    let d = descend(idx, &free, params, slice, rv0, &mut scratch);
+                    StartOutcome {
+                        rv: d.rv,
+                        cost: d.cost,
+                        evals: d.evals,
+                        cycle_moves: 0,
+                    }
+                }
                 RemapStrategy::Anneal => anneal(idx, &free, params, slice, moves_seed, rv0),
-                RemapStrategy::Lns => lns_descend(idx, &free, params, slice, moves_seed, rv0),
+                RemapStrategy::Lns => {
+                    lns_descend(idx, &free, params, slice, moves_seed, rv0, &mut scratch)
+                }
                 RemapStrategy::BranchBound | RemapStrategy::Portfolio => {
                     unreachable!("not restart strategies")
                 }
@@ -1037,7 +1151,14 @@ fn branch_and_bound(g: &AdjacencyGraph, idx: &AdjacencyIndex, cfg: &RemapConfig)
 
     // Incumbent: one greedy descent from the identity.
     let identity = identity(reg_n);
-    let inc = descend(idx, &free, params, cfg.eval_budget / 4, identity.clone());
+    let inc = descend(
+        idx,
+        &free,
+        params,
+        cfg.eval_budget / 4,
+        identity.clone(),
+        &mut DescentScratch::default(),
+    );
     counters.evaluations += inc.evals;
     counters.starts_run += 1;
     if inc.cost <= EPS {
@@ -1344,6 +1465,57 @@ mod tests {
                 cfg.threads = threads;
                 cfg.strategy = strategy;
                 let stats = remap_function(&mut f, &cfg);
+                (
+                    format!("{f}"),
+                    stats.cost_after.to_bits(),
+                    stats.evaluations,
+                    stats.starts_run,
+                    stats.cycle_moves,
+                )
+            };
+            let sequential = run(1);
+            assert_eq!(run(2), sequential, "{strategy:?}: 2 threads diverged");
+            assert_eq!(run(8), sequential, "{strategy:?}: 8 threads diverged");
+        }
+    }
+
+    /// A sparse instance at `RegN = 64`: 48 moves over a scrambled walk of
+    /// the register file, about three edges per register, the shape of a
+    /// register-hungry pipelined kernel. One applied swap leaves most of
+    /// the 2016 candidate deltas unchanged, so descents here read most
+    /// candidates from the delta table.
+    fn sparse64() -> Function {
+        let mut b = FunctionBuilder::new("sparse64");
+        for i in 0..48u32 {
+            b.push(Inst::Mov {
+                dst: PReg(((i * 23 + 7) % 64) as u8).into(),
+                src: PReg(((i * 37 + 5) % 64) as u8).into(),
+            });
+        }
+        b.ret(None);
+        b.finish()
+    }
+
+    #[test]
+    fn sparse_parallel_multistart_matches_sequential() {
+        // `parallel_multistart_matches_sequential` on a sparse RegN 64
+        // graph, where the delta table serves most candidates.
+        for strategy in [
+            RemapStrategy::Greedy,
+            RemapStrategy::Lns,
+            RemapStrategy::Portfolio,
+        ] {
+            let run = |threads: usize| {
+                let mut f = sparse64();
+                let mut cfg = RemapConfig::new(DiffParams::new(64, 32));
+                cfg.starts = 32;
+                cfg.threads = threads;
+                cfg.strategy = strategy;
+                let stats = remap_function(&mut f, &cfg);
+                assert!(
+                    stats.cost_after < stats.cost_before,
+                    "{strategy:?} found nothing"
+                );
                 (
                     format!("{f}"),
                     stats.cost_after.to_bits(),

@@ -2,12 +2,18 @@
 //! fixed seed, the parallel multistart must produce exactly the same
 //! remapped function and cost at any thread count, because every start's
 //! RNG stream is a pure function of `(seed, start index)` and ties break
-//! toward the lowest start index.
+//! toward the lowest start index. The delta-table greedy descent
+//! (`remap::descend`) must also take the same steps as the full-rescoring
+//! oracle it replaced (`remap::reference::descend`).
 
-use dra_adjgraph::{build_preg_adjacency, DiffParams};
+use dra_adjgraph::{build_preg_adjacency, AdjacencyGraph, DiffParams};
 use dra_ir::{Function, FunctionBuilder, Inst, PReg, RegClass};
+use dra_regalloc::remap::{descend, reference, DescentScratch};
 use dra_regalloc::{remap_function, RemapConfig, RemapStrategy};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 const REG_N: u8 = 12;
 
@@ -21,6 +27,85 @@ fn build_function(pairs: &[(u8, u8)]) -> Function {
     }
     b.ret(None);
     b.finish()
+}
+
+/// Run the delta-table descent and the full-rescoring oracle from two
+/// seeded start vectors over one random instance, sharing one scratch
+/// between the table descents (so reuse is covered), and require the same
+/// `(rv, cost bits, evals)` from both.
+///
+/// `edges` are `(from, to, w)` taken modulo `reg_n`, with weight `w / 3`
+/// (so costs carry rounding); slot `i` is pinned when `pins[i] == 0`.
+fn check_descent(
+    reg_n: u16,
+    diff_n: u16,
+    edges: &[(u32, u32, u32)],
+    pins: &[u8],
+    budget: u64,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let n = u32::from(reg_n);
+    let mut g = AdjacencyGraph::new(reg_n as usize);
+    for &(a, b, w) in edges {
+        g.add_edge(a % n, b % n, f64::from(w) / 3.0);
+    }
+    let idx = g.index();
+    let params = DiffParams::new(reg_n, diff_n % reg_n + 1);
+    let free: Vec<usize> = (0..reg_n as usize).filter(|&i| pins[i] != 0).collect();
+    let mut scratch = DescentScratch::default();
+    for start_seed in [seed, !seed] {
+        let mut vals: Vec<u8> = free.iter().map(|&i| i as u8).collect();
+        vals.shuffle(&mut SmallRng::seed_from_u64(start_seed));
+        let mut rv: Vec<u8> = (0..reg_n).map(|r| r as u8).collect();
+        for (&slot, &v) in free.iter().zip(&vals) {
+            rv[slot] = v;
+        }
+        let got = descend(&idx, &free, params, budget, rv.clone(), &mut scratch);
+        let want = reference::descend(&idx, &free, params, budget, rv);
+        prop_assert_eq!(&got.rv, &want.rv, "register vectors differ");
+        prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "costs differ");
+        prop_assert_eq!(got.evals, want.evals, "evaluation counts differ");
+        prop_assert!(got.evals <= budget, "descent overran its budget");
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(debug_assertions) { 64 } else { 256 }
+    ))]
+
+    /// The delta-table descent equals the full-rescoring oracle step for
+    /// step at RegN 8, 12, 32 and 64, with random DiffN, pinned slots and
+    /// start vectors, under budgets that run to a local minimum or cut the
+    /// descent mid-sweep.
+    #[test]
+    fn table_descent_matches_full_rescoring(
+        reg_n in prop_oneof![Just(8u16), Just(12), Just(32), Just(64)],
+        diff_n in 0u16..64,
+        edges in proptest::collection::vec((any::<u32>(), any::<u32>(), 1u32..100), 1..200),
+        pins in proptest::collection::vec(0u8..8, 64),
+        budget in prop_oneof![Just(u64::MAX), 1u64..6000],
+        seed in any::<u64>(),
+    ) {
+        check_descent(reg_n, diff_n, &edges, &pins, budget, seed)?;
+    }
+
+    /// The sparse regime of the software-pipelined kernels: RegN 32 or 64
+    /// with at most one edge per node on average, where most candidates of
+    /// a sweep after the first are served from the table.
+    #[test]
+    fn sparse_table_descent_matches_full_rescoring(
+        wide in any::<bool>(),
+        diff_n in 0u16..64,
+        edges in proptest::collection::vec((any::<u32>(), any::<u32>(), 1u32..100), 1..32),
+        pins in proptest::collection::vec(0u8..8, 64),
+        budget in prop_oneof![Just(u64::MAX), 1u64..6000],
+        seed in any::<u64>(),
+    ) {
+        let reg_n = if wide { 64 } else { 32 };
+        check_descent(reg_n, diff_n, &edges, &pins, budget, seed)?;
+    }
 }
 
 proptest! {
