@@ -1,8 +1,10 @@
 //! Remapping-search scaling: the seed's full-rescoring greedy descent vs
 //! the incremental delta-cost search, across register-file sizes:
-//! `RegN` 8 to 32 at `DiffN = 8`, and the sparse `RegN = 64, DiffN = 32`
-//! regime of the software-pipelined kernels, where most of a descent's
-//! candidates come from its delta table.
+//! `RegN` 8 to 32 at `DiffN = 8` (with the paper's `RegN = 12`, a dense
+//! graph where restarts merge and the sweep memo replays sweeps), and the
+//! sparse `RegN = 64, DiffN = 32` regime of the software-pipelined
+//! kernels, where most of a descent's candidates come from its delta
+//! table.
 //!
 //! Three variants per `RegN`:
 //!
@@ -91,7 +93,7 @@ fn allocated_function(reg_n: u16) -> Function {
 fn bench_remap_scaling(c: &mut Criterion) {
     let mut group = c.benchmark_group("remap_scaling");
     group.sample_size(10);
-    for (reg_n, diff_n) in [(8u16, 8u16), (16, 8), (24, 8), (32, 8), (64, 32)] {
+    for (reg_n, diff_n) in [(8u16, 8u16), (12, 8), (16, 8), (24, 8), (32, 8), (64, 32)] {
         let params = DiffParams::new(reg_n, diff_n);
         let f = allocated_function(reg_n);
         let g = build_preg_adjacency(&f, RegClass::Int, reg_n);

@@ -30,7 +30,9 @@
 //! `O(deg(x) + deg(y))` (rotations with [`AdjacencyIndex::cycle_delta`])
 //! instead of re-walking the whole edge set (`O(E)`). The greedy
 //! [`descend`] goes further and keeps each sweep's deltas in a table,
-//! rescoring only the pairs whose inputs the applied swap changed.
+//! rescoring only the pairs whose inputs the applied swap changed, and
+//! replays whole sweeps that an earlier restart of the same search already
+//! ran from the same register vector ([`SweepMemo`]).
 //! Accumulated floating-point drift is shed by recomputing the exact cost
 //! ([`AdjacencyIndex::perm_cost`]) whenever a new champion is recorded and
 //! once per descent before results are compared. That recomputation is
@@ -68,9 +70,11 @@ const EPS: f64 = 1e-9;
 
 /// Default portfolio-wide evaluation budget ([`RemapConfig::eval_budget`]).
 /// Shared by all restarts: at the paper's 1000 starts each task's slice is
-/// 4000 evaluations, roughly ten times what a greedy descent on the
-/// evaluation's `RegN = 12` actually spends (~6 sweeps of 66 candidate
-/// pairs), so the default never binds on realistic inputs — it exists so a
+/// 4000 evaluations, about 14 times what a greedy descent at the
+/// evaluation's setup actually spends. There `RegN = 12` with the call
+/// clobbers `r0` and `r1` pinned, so 10 slots are free, a sweep has 45
+/// candidate pairs, and a descent runs 6.4 sweeps (~288 evaluations) on
+/// average. The default never binds on realistic inputs; it exists so a
 /// pathological cost surface degrades to a bounded search instead of an
 /// unbounded one.
 pub const DEFAULT_EVAL_BUDGET: u64 = 4_000_000;
@@ -195,7 +199,8 @@ pub struct RemapConfig {
     /// [`AdjacencyIndex::cycle_delta`] counting `k - 1`) the whole run may
     /// spend. A greedy-descent candidate read from the descent's delta
     /// table ([`descend`]) counts 1 like a fresh
-    /// [`AdjacencyIndex::swap_delta`] call. Pre-split deterministically
+    /// [`AdjacencyIndex::swap_delta`] call, and a sweep replayed from the
+    /// search's [`SweepMemo`] counts every candidate of the sweep. Pre-split deterministically
     /// across the restart tasks (`budget / starts` each, remainder to the
     /// lowest indices), so the cutoff is a pure function of the input and
     /// both the result and the counters stay bit-identical at any
@@ -257,8 +262,9 @@ pub struct RemapStats {
     /// Candidate scorings performed (swap candidates counting 1, k-node
     /// `cycle_delta` calls counting `k - 1`, branch-and-bound candidate
     /// scorings counting 1). A greedy-descent swap candidate counts 1
-    /// whether [`descend`] scored it with `swap_delta` or read it from
-    /// its delta table, so this is the work of the full-rescoring search.
+    /// whether [`descend`] scored it with `swap_delta`, read it from its
+    /// delta table or skipped it in a sweep replayed from the
+    /// [`SweepMemo`], so this is the work of the full-rescoring search.
     /// A pure function of the input — identical at any thread count.
     pub evaluations: u64,
     /// Restart tasks actually executed (0 for exhaustive runs; below
@@ -510,10 +516,7 @@ struct StartOutcome {
 /// any worker thread can regenerate any start's stream independently of
 /// how the starts are partitioned.
 fn start_seed(seed: u64, start: u32) -> u64 {
-    let mut z = seed ^ (u64::from(start) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(seed ^ (u64::from(start) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// Derive the RNG seed of the *search moves* of a task: a pure function of
@@ -521,8 +524,11 @@ fn start_seed(seed: u64, start: u32) -> u64 {
 /// strategies explore from identical initial vectors but with independent
 /// move randomness.
 fn task_seed(seed: u64, strat_ix: usize, start: u32) -> u64 {
-    let mut z =
-        start_seed(seed, start) ^ (strat_ix as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+    mix64(start_seed(seed, start) ^ (strat_ix as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93))
+}
+
+/// The SplitMix64 finalizer.
+fn mix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -565,7 +571,9 @@ pub struct Descent {
 /// Reusable buffers of [`descend`]: the swap-delta table over the free
 /// slots and the per-node stale marks. A restart loop keeps one and hands
 /// it to every descent it runs, so descents allocate nothing; no contents
-/// carry over (each descent starts all-stale).
+/// carry over (each descent starts all-stale). What does carry over
+/// between the descents of one search lives in its [`SweepMemo`], never
+/// here: a scratch may serve searches over different graphs.
 #[derive(Debug, Default)]
 pub struct DescentScratch {
     /// `deltas[a * |free| + b]` (`a < b`): the last `swap_delta` of free
@@ -574,6 +582,116 @@ pub struct DescentScratch {
     /// `stale[node]`: `rv` changed at `node` or a neighbour since the
     /// pairs with endpoint `node` were last scored.
     stale: Vec<bool>,
+}
+
+/// Outcome of a recorded sweep that found no improving swap.
+const LOCAL_MINIMUM: u16 = u16::MAX;
+
+/// The sweeps one search has completed, keyed by the register vector each
+/// started from: restarts of the same search merge before their local
+/// minimum, and a complete sweep's outcome is a pure function of that
+/// vector, so [`descend`] replays a recorded outcome instead of rescoring
+/// the sweep.
+///
+/// A memo is bound to one `(index, free slots, params)` by construction
+/// and lives exactly as long as the search that owns it (one worker's
+/// range of restart tasks), so no entry can answer for another graph.
+/// Entries are compact: the keys sit in one flat byte arena (`RegN` bytes
+/// each), the outcome is 2 bytes (the swapped slot pair or "local
+/// minimum"), and a linear-probing table of 4-byte entry indices, at most
+/// half full, is addressed by a 64-bit fingerprint of the key.
+/// Lookups compare the key itself, so equal fingerprints never confuse
+/// two vectors. Only complete sweeps that started after a descent's first
+/// are recorded, so each entry was paid for by a full sweep of
+/// evaluations and the memo holds at most `eval_budget / sweep_len`
+/// entries.
+#[derive(Debug)]
+pub struct SweepMemo<'a> {
+    idx: &'a AdjacencyIndex,
+    free: &'a [usize],
+    params: DiffParams,
+    /// Entry index + 1 of the key hashed to each slot (0: empty); the
+    /// length is zero or a power of two.
+    slots: Vec<u32>,
+    /// Entry `i`'s register vector: `keys[i * RegN..(i + 1) * RegN]`.
+    keys: Vec<u8>,
+    /// Entry `i`'s outcome: `(a << 8) | b` for the swap of slots `a < b`,
+    /// or [`LOCAL_MINIMUM`].
+    outcomes: Vec<u16>,
+}
+
+impl<'a> SweepMemo<'a> {
+    /// An empty memo for descents over `idx` with the given free slots and
+    /// parameters.
+    pub fn new(idx: &'a AdjacencyIndex, free: &'a [usize], params: DiffParams) -> Self {
+        SweepMemo {
+            idx,
+            free,
+            params,
+            slots: Vec::new(),
+            keys: Vec::new(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// The slot holding `rv`'s entry (`Ok`), or the empty slot where it
+    /// would go (`Err`). The table must not be empty.
+    fn probe(&self, fp: u64, rv: &[u8]) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut s = fp as usize & mask;
+        loop {
+            let Some(i) = (self.slots[s] as usize).checked_sub(1) else {
+                return Err(s);
+            };
+            if self.keys[i * rv.len()..(i + 1) * rv.len()] == *rv {
+                return Ok(s);
+            }
+            s = (s + 1) & mask;
+        }
+    }
+
+    /// The recorded outcome of a complete sweep from `rv`.
+    fn lookup(&self, fp: u64, rv: &[u8]) -> Option<u16> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let s = self.probe(fp, rv).ok()?;
+        Some(self.outcomes[self.slots[s] as usize - 1])
+    }
+
+    /// Record a complete sweep from `rv`, which must not be recorded yet.
+    /// A memo whose entry indices no longer fit a slot stops recording.
+    fn record(&mut self, fp: u64, rv: &[u8], outcome: u16) {
+        let Ok(entry) = u32::try_from(self.outcomes.len() + 1) else {
+            return;
+        };
+        if 2 * (self.outcomes.len() + 1) > self.slots.len() {
+            // Double the table (from 64 slots) and reinsert every key.
+            let len = (2 * self.slots.len()).max(64);
+            self.slots = vec![0; len];
+            for (i, key) in self.keys.chunks(rv.len()).enumerate() {
+                let s = self
+                    .probe(fingerprint(key), key)
+                    .expect_err("keys are distinct");
+                self.slots[s] = i as u32 + 1;
+            }
+        }
+        let s = self
+            .probe(fp, rv)
+            .expect_err("a missed vector is not recorded");
+        self.slots[s] = entry;
+        self.keys.extend_from_slice(rv);
+        self.outcomes.push(outcome);
+    }
+}
+
+/// 64-bit fingerprint of a register vector, eight bytes per mixing round.
+fn fingerprint(rv: &[u8]) -> u64 {
+    rv.chunks(8).fold(rv.len() as u64, |h, chunk| {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        mix64(h ^ u64::from_le_bytes(word))
+    })
 }
 
 /// One greedy descent (the inner loop of the paper's Figure 7): repeatedly
@@ -592,22 +710,31 @@ pub struct DescentScratch {
 /// compares and applies exactly what the full-rescoring
 /// [`reference::descend`] does.
 ///
+/// Whole sweeps are served by the search's [`SweepMemo`]: before each
+/// sweep the current `rv` is looked up, and on a hit the recorded swap is
+/// applied with its delta recomputed by one `swap_delta` call (the bits
+/// the sweep found), every node is marked stale, and the other pairs are
+/// never scored. A complete sweep that missed is recorded, unless it was
+/// the descent's first.
+///
 /// `budget` caps the candidates this descent visits (the task's slice of
 /// [`RemapConfig::eval_budget`]), checked per candidate so the slice is
 /// never overrun: a surface that keeps producing improving swaps stops at
 /// its current (still valid) permutation instead of looping unboundedly.
 /// A candidate read from the table costs one unit and one `evals` count,
-/// like a fresh scoring, so counters and cutoffs do not depend on how many
-/// pairs the table served.
+/// like a fresh scoring, and a replayed sweep charges all
+/// `|free|·(|free|−1)/2` of its candidates. A sweep is replayed or
+/// recorded only when it fits the remaining budget whole, so counters and
+/// cutoffs do not depend on how many pairs the table or the memo served.
 pub fn descend(
-    idx: &AdjacencyIndex,
-    free: &[usize],
-    params: DiffParams,
+    memo: &mut SweepMemo<'_>,
     budget: u64,
     mut rv: Vec<u8>,
     scratch: &mut DescentScratch,
 ) -> Descent {
+    let (idx, free, params) = (memo.idx, memo.free, memo.params);
     let n = free.len();
+    let sweep_len = (n * n.saturating_sub(1) / 2) as u64;
     let DescentScratch { deltas, stale } = scratch;
     if deltas.len() < n * n {
         deltas.resize(n * n, 0.0);
@@ -617,6 +744,20 @@ pub fn descend(
     let mut cost = idx.perm_cost(&rv, params);
     let mut evals = 0u64;
     while cost > EPS && evals < budget {
+        // Only a sweep that fits the slice whole completes, so only such a
+        // sweep may be replayed or recorded.
+        let fp = (budget - evals >= sweep_len).then(|| fingerprint(&rv));
+        if let Some(outcome) = fp.and_then(|fp| memo.lookup(fp, &rv)) {
+            evals += sweep_len;
+            if outcome == LOCAL_MINIMUM {
+                break;
+            }
+            let (a, b) = (usize::from(outcome >> 8), usize::from(outcome & 0xff));
+            cost += idx.swap_delta(&rv, a as u32, b as u32, params);
+            rv.swap(a, b);
+            stale.fill(true);
+            continue;
+        }
         let mut best_swap: Option<(usize, usize, f64)> = None;
         'sweep: for a in 0..n {
             let sa = free[a];
@@ -636,6 +777,12 @@ pub fn descend(
                     best_swap = Some((sa, sb, d));
                 }
             }
+        }
+        // The descent's first sweep, which ends at `evals == sweep_len`,
+        // started from its start vector: not worth an entry.
+        if let Some(fp) = fp.filter(|_| evals > sweep_len) {
+            let outcome = best_swap.map_or(LOCAL_MINIMUM, |(a, b, _)| (a as u16) << 8 | b as u16);
+            memo.record(fp, &rv, outcome);
         }
         match best_swap {
             Some((a, b, d)) => {
@@ -792,14 +939,13 @@ fn apply_cycle(rv: &mut [u8], cycle: &[u32]) {
 /// A k-cycle evaluation charges `k - 1` budget units (it is k-1
 /// transpositions' worth of scoring work).
 fn lns_descend(
-    idx: &AdjacencyIndex,
-    free: &[usize],
-    params: DiffParams,
+    memo: &mut SweepMemo<'_>,
     budget: u64,
     seed: u64,
     rv: Vec<u8>,
     scratch: &mut DescentScratch,
 ) -> StartOutcome {
+    let (idx, free, params) = (memo.idx, memo.free, memo.params);
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut evals = 0u64;
     let mut cycle_moves = 0u64;
@@ -807,7 +953,7 @@ fn lns_descend(
     let mut cycle: Vec<u32> = Vec::with_capacity(8);
     let mut cur = rv;
     loop {
-        let out = descend(idx, free, params, budget - evals, cur, scratch);
+        let out = descend(memo, budget - evals, cur, scratch);
         evals += out.evals;
         cur = out.rv;
         let cost = out.cost;
@@ -925,6 +1071,7 @@ fn portfolio_multistart(
         let mut counters = SearchCounters::default();
         let mut best: Option<Candidate> = None;
         let mut scratch = DescentScratch::default();
+        let mut memo = SweepMemo::new(idx, &free, params);
         for start in lo..hi {
             let slice = slice_budget(cfg.eval_budget, u64::from(starts), u64::from(start));
             if slice == 0 {
@@ -935,7 +1082,7 @@ fn portfolio_multistart(
             let moves_seed = task_seed(cfg.seed, strat_ix, start);
             let out = match racers[strat_ix] {
                 RemapStrategy::Greedy => {
-                    let d = descend(idx, &free, params, slice, rv0, &mut scratch);
+                    let d = descend(&mut memo, slice, rv0, &mut scratch);
                     StartOutcome {
                         rv: d.rv,
                         cost: d.cost,
@@ -944,9 +1091,7 @@ fn portfolio_multistart(
                     }
                 }
                 RemapStrategy::Anneal => anneal(idx, &free, params, slice, moves_seed, rv0),
-                RemapStrategy::Lns => {
-                    lns_descend(idx, &free, params, slice, moves_seed, rv0, &mut scratch)
-                }
+                RemapStrategy::Lns => lns_descend(&mut memo, slice, moves_seed, rv0, &mut scratch),
                 RemapStrategy::BranchBound | RemapStrategy::Portfolio => {
                     unreachable!("not restart strategies")
                 }
@@ -1152,9 +1297,7 @@ fn branch_and_bound(g: &AdjacencyGraph, idx: &AdjacencyIndex, cfg: &RemapConfig)
     // Incumbent: one greedy descent from the identity.
     let identity = identity(reg_n);
     let inc = descend(
-        idx,
-        &free,
-        params,
+        &mut SweepMemo::new(idx, &free, params),
         cfg.eval_budget / 4,
         identity.clone(),
         &mut DescentScratch::default(),
@@ -1528,6 +1671,38 @@ mod tests {
             assert_eq!(run(2), sequential, "{strategy:?}: 2 threads diverged");
             assert_eq!(run(8), sequential, "{strategy:?}: 8 threads diverged");
         }
+    }
+
+    #[test]
+    fn repeated_start_replays_recorded_sweeps() {
+        let f = sparse64();
+        let params = DiffParams::new(64, 32);
+        let g = build_preg_adjacency(&f, RegClass::Int, 64);
+        let idx = g.index();
+        let free: Vec<usize> = (0..64).collect();
+        let sweep_len = 64 * 63 / 2;
+        let rv0 = start_vector(64, &free, 7, 1);
+        let mut scratch = DescentScratch::default();
+        let mut memo = SweepMemo::new(&idx, &free, params);
+        let first = descend(&mut memo, u64::MAX, rv0.clone(), &mut scratch);
+        let sweeps = first.evals / sweep_len;
+        assert!(sweeps > 2, "too short a descent to replay: {sweeps} sweeps");
+        // Every complete sweep but the first is recorded.
+        assert_eq!(memo.outcomes.len() as u64, sweeps - 1);
+        // The same start again retraces the first descent from the memo
+        // without recording anything new.
+        let again = descend(&mut memo, u64::MAX, rv0.clone(), &mut scratch);
+        assert_eq!(again.rv, first.rv);
+        assert_eq!(again.cost.to_bits(), first.cost.to_bits());
+        assert_eq!(again.evals, first.evals);
+        assert_eq!(memo.outcomes.len() as u64, sweeps - 1);
+        // Proof the replay path ran: once every recorded outcome claims a
+        // local minimum, a repeat stops at the first recorded vector, after
+        // one scored sweep and one replayed sweep.
+        memo.outcomes.fill(LOCAL_MINIMUM);
+        let forged = descend(&mut memo, u64::MAX, rv0, &mut scratch);
+        assert_eq!(forged.evals, 2 * sweep_len);
+        idx.recycle();
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! RNG stream is a pure function of `(seed, start index)` and ties break
 //! toward the lowest start index. The delta-table greedy descent
 //! (`remap::descend`) must also take the same steps as the full-rescoring
-//! oracle it replaced (`remap::reference::descend`).
+//! oracle it replaced (`remap::reference::descend`), alone and when the
+//! descents of one search share a sweep memo.
 
 use dra_adjgraph::{build_preg_adjacency, AdjacencyGraph, DiffParams};
 use dra_ir::{Function, FunctionBuilder, Inst, PReg, RegClass};
-use dra_regalloc::remap::{descend, reference, DescentScratch};
+use dra_regalloc::remap::{descend, reference, DescentScratch, SweepMemo};
 use dra_regalloc::{remap_function, RemapConfig, RemapStrategy};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -29,13 +30,65 @@ fn build_function(pairs: &[(u8, u8)]) -> Function {
     b.finish()
 }
 
-/// Run the delta-table descent and the full-rescoring oracle from two
-/// seeded start vectors over one random instance, sharing one scratch
-/// between the table descents (so reuse is covered), and require the same
-/// `(rv, cost bits, evals)` from both.
-///
-/// `edges` are `(from, to, w)` taken modulo `reg_n`, with weight `w / 3`
-/// (so costs carry rounding); slot `i` is pinned when `pins[i] == 0`.
+/// A random instance: `edges` are `(from, to, w)` taken modulo `reg_n`,
+/// with weight `w / 3` (so costs carry rounding); slot `i` is pinned when
+/// `pins[i] == 0`. Returns the graph, the parameters and the free slots.
+fn instance(
+    reg_n: u16,
+    diff_n: u16,
+    edges: &[(u32, u32, u32)],
+    pins: &[u8],
+) -> (AdjacencyGraph, DiffParams, Vec<usize>) {
+    let n = u32::from(reg_n);
+    let mut g = AdjacencyGraph::new(reg_n as usize);
+    for &(a, b, w) in edges {
+        g.add_edge(a % n, b % n, f64::from(w) / 3.0);
+    }
+    let params = DiffParams::new(reg_n, diff_n % reg_n + 1);
+    let free = (0..reg_n as usize).filter(|&i| pins[i] != 0).collect();
+    (g, params, free)
+}
+
+/// A seeded shuffle of the free slots' numbers over the identity.
+fn start_vector(reg_n: usize, free: &[usize], seed: u64) -> Vec<u8> {
+    let mut vals: Vec<u8> = free.iter().map(|&i| i as u8).collect();
+    vals.shuffle(&mut SmallRng::seed_from_u64(seed));
+    let mut rv: Vec<u8> = (0..reg_n).map(|r| r as u8).collect();
+    for (&slot, &v) in free.iter().zip(&vals) {
+        rv[slot] = v;
+    }
+    rv
+}
+
+/// Run one search over `g`: a descent from each seeded start vector, all
+/// sharing one [`SweepMemo`] and the caller's scratch, as a restart worker
+/// does. Every descent must equal the full-rescoring oracle, which has
+/// neither table nor memo: the same `(rv, cost bits, evals)`.
+fn check_search(
+    g: &AdjacencyGraph,
+    params: DiffParams,
+    free: &[usize],
+    budget: u64,
+    seeds: &[u64],
+    scratch: &mut DescentScratch,
+) -> Result<(), TestCaseError> {
+    let idx = g.index();
+    let mut memo = SweepMemo::new(&idx, free, params);
+    for &seed in seeds {
+        let rv = start_vector(params.reg_n() as usize, free, seed);
+        let got = descend(&mut memo, budget, rv.clone(), scratch);
+        let want = reference::descend(&idx, free, params, budget, rv);
+        prop_assert_eq!(&got.rv, &want.rv, "register vectors differ");
+        prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "costs differ");
+        prop_assert_eq!(got.evals, want.evals, "evaluation counts differ");
+        prop_assert!(got.evals <= budget, "descent overran its budget");
+    }
+    Ok(())
+}
+
+/// The delta-table descent against the oracle from two seeded start
+/// vectors over one random instance, sharing one scratch (so reuse is
+/// covered).
 fn check_descent(
     reg_n: u16,
     diff_n: u16,
@@ -44,30 +97,15 @@ fn check_descent(
     budget: u64,
     seed: u64,
 ) -> Result<(), TestCaseError> {
-    let n = u32::from(reg_n);
-    let mut g = AdjacencyGraph::new(reg_n as usize);
-    for &(a, b, w) in edges {
-        g.add_edge(a % n, b % n, f64::from(w) / 3.0);
-    }
-    let idx = g.index();
-    let params = DiffParams::new(reg_n, diff_n % reg_n + 1);
-    let free: Vec<usize> = (0..reg_n as usize).filter(|&i| pins[i] != 0).collect();
-    let mut scratch = DescentScratch::default();
-    for start_seed in [seed, !seed] {
-        let mut vals: Vec<u8> = free.iter().map(|&i| i as u8).collect();
-        vals.shuffle(&mut SmallRng::seed_from_u64(start_seed));
-        let mut rv: Vec<u8> = (0..reg_n).map(|r| r as u8).collect();
-        for (&slot, &v) in free.iter().zip(&vals) {
-            rv[slot] = v;
-        }
-        let got = descend(&idx, &free, params, budget, rv.clone(), &mut scratch);
-        let want = reference::descend(&idx, &free, params, budget, rv);
-        prop_assert_eq!(&got.rv, &want.rv, "register vectors differ");
-        prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits(), "costs differ");
-        prop_assert_eq!(got.evals, want.evals, "evaluation counts differ");
-        prop_assert!(got.evals <= budget, "descent overran its budget");
-    }
-    Ok(())
+    let (g, params, free) = instance(reg_n, diff_n, edges, pins);
+    check_search(
+        &g,
+        params,
+        &free,
+        budget,
+        &[seed, !seed],
+        &mut DescentScratch::default(),
+    )
 }
 
 proptest! {
@@ -105,6 +143,55 @@ proptest! {
     ) {
         let reg_n = if wide { 64 } else { 32 };
         check_descent(reg_n, diff_n, &edges, &pins, budget, seed)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(debug_assertions) { 16 } else { 64 }
+    ))]
+
+    /// Many seeded descents over one graph share one sweep memo, as the
+    /// restarts of one search worker do, and each still equals the
+    /// oracle: at RegN 8, 12, 32 and 64, with random DiffN and pinned
+    /// slots, under budgets that never bind or that meet the whole-sweep
+    /// fence mid-descent. The first start vector comes round again last,
+    /// so that descent retraces the first one's recorded sweeps.
+    #[test]
+    fn memo_descents_match_full_rescoring(
+        reg_n in prop_oneof![Just(8u16), Just(12), Just(32), Just(64)],
+        diff_n in 0u16..64,
+        edges in proptest::collection::vec((any::<u32>(), any::<u32>(), 1u32..100), 1..200),
+        pins in proptest::collection::vec(0u8..8, 64),
+        budget in prop_oneof![Just(u64::MAX), 1u64..3000],
+        seed in any::<u64>(),
+    ) {
+        let (g, params, free) = instance(reg_n, diff_n, &edges, &pins);
+        let mut seeds: Vec<u64> = (0..63).map(|i| seed.wrapping_add(i)).collect();
+        seeds.push(seed);
+        check_search(&g, params, &free, budget, &seeds, &mut DescentScratch::default())?;
+    }
+
+    /// Two searches over different graphs in turn, through the public
+    /// `descend` API with one scratch and the same start vectors, so the
+    /// second search sweeps from vectors the first one recorded. A memo
+    /// borrows the index it was made for, so each search needs its own,
+    /// and the second search still equals the oracle on its own graph.
+    #[test]
+    fn memo_entries_stay_with_their_search(
+        reg_n in prop_oneof![Just(8u16), Just(12)],
+        diff_n in 0u16..64,
+        first in proptest::collection::vec((any::<u32>(), any::<u32>(), 1u32..100), 1..100),
+        second in proptest::collection::vec((any::<u32>(), any::<u32>(), 1u32..100), 1..100),
+        pins in proptest::collection::vec(0u8..8, 64),
+        seed in any::<u64>(),
+    ) {
+        let seeds: Vec<u64> = (0..32).map(|i| seed.wrapping_add(i)).collect();
+        let mut scratch = DescentScratch::default();
+        for edges in [&first, &second] {
+            let (g, params, free) = instance(reg_n, diff_n, edges, &pins);
+            check_search(&g, params, &free, u64::MAX, &seeds, &mut scratch)?;
+        }
     }
 }
 
