@@ -15,10 +15,10 @@ use dra_core::batch::run_lowend_matrix_with_telemetry;
 use dra_core::lowend::{
     compile_and_run, compile_program_telemetry, Approach, LowEndRun, LowEndSetup,
 };
+use dra_core::telemetry::JsonWriter;
 use dra_core::Telemetry;
 use dra_regalloc::{remap_function, RemapConfig, RemapStrategy};
 use dra_workloads::benchmark_names;
-use std::fmt::Write as _;
 
 /// Remap-search work aggregated over a run's functions.
 fn remap_totals(run: &LowEndRun) -> (u64, u32, u64) {
@@ -46,15 +46,22 @@ fn main() {
     let (matrix, telemetry) = run_lowend_matrix_with_telemetry(&names, &approaches, &setup);
     emit_telemetry(&telemetry, "fig13");
 
+    // Fixed-precision ratios and costs go in as preformatted numbers.
+    let fixed = |v: f64| format!("{v:.6}");
+    let mut json = JsonWriter::pretty();
+    json.obj().key("figure").str("fig13");
+    json.key("remap_starts").u64(setup.remap_starts.into());
+    json.key("remap_threads").u64(setup.remap_threads as u64);
+    json.key("benchmarks").arr();
     let mut rows = Vec::new();
     let mut columns: Vec<Vec<f64>> = vec![Vec::new(); others.len()];
-    let mut json_benchmarks = Vec::new();
     for (name, runs) in names.iter().zip(&matrix) {
         let base = runs[0]
             .as_ref()
             .unwrap_or_else(|e| panic!("{name}/baseline: {e}"));
         let mut row = vec![name.to_string()];
-        let mut json_approaches = Vec::new();
+        json.obj().key("name").str(name);
+        json.key("baseline_code_bits").u64(base.code_bits).key("approaches").arr();
         for (ai, (&a, run)) in others.iter().zip(&runs[1..]).enumerate() {
             let run = run
                 .as_ref()
@@ -63,27 +70,17 @@ fn main() {
             columns[ai].push(ratio);
             row.push(format!("{ratio:.3}"));
             let (evals, starts, nanos) = remap_totals(run);
-            json_approaches.push(format!(
-                concat!(
-                    "{{\"approach\": \"{}\", \"code_ratio\": {:.6}, ",
-                    "\"code_bits\": {}, \"remap_evaluations\": {}, ",
-                    "\"remap_starts_run\": {}, \"remap_search_nanos\": {}}}"
-                ),
-                a.label(),
-                ratio,
-                run.code_bits,
-                evals,
-                starts,
-                nanos
-            ));
+            json.obj().key("approach").str(a.label());
+            json.key("code_ratio").raw(&fixed(ratio));
+            json.key("code_bits").u64(run.code_bits);
+            json.key("remap_evaluations").u64(evals);
+            json.key("remap_starts_run").u64(starts.into());
+            json.key("remap_search_nanos").u64(nanos).end();
         }
-        json_benchmarks.push(format!(
-            "    {{\"name\": \"{name}\", \"baseline_code_bits\": {}, \"approaches\": [\n      {}\n    ]}}",
-            base.code_bits,
-            json_approaches.join(",\n      ")
-        ));
+        json.end().end();
         rows.push(row);
     }
+    json.end();
     let mut avg_row = vec!["AVERAGE".to_string()];
     for col in &columns {
         avg_row.push(format!("{:.3}", average(col)));
@@ -115,7 +112,7 @@ fn main() {
     // and should win outright on some benchmarks at equal or lower
     // search time.
     let mut port_rows = Vec::new();
-    let mut json_portfolio = Vec::new();
+    json.key("portfolio_vs_greedy").arr();
     for (name, runs) in names.iter().zip(&matrix) {
         let natural = runs[1]
             .as_ref()
@@ -141,25 +138,22 @@ fn main() {
             format!("{g_evals}"),
             format!("{p_evals}"),
         ]);
-        json_portfolio.push(format!(
-            concat!(
-                "    {{\"name\": \"{}\", \"eval_budget\": {}, ",
-                "\"natural_greedy_evaluations\": {}, ",
-                "\"greedy_dynamic_slr\": {}, \"portfolio_dynamic_slr\": {}, ",
-                "\"greedy_evaluations\": {}, \"portfolio_evaluations\": {}, ",
-                "\"greedy_search_nanos\": {}, \"portfolio_search_nanos\": {}}}"
-            ),
-            name,
-            budget,
-            nat_evals,
-            greedy.dynamic_set_last_regs,
-            port.dynamic_set_last_regs,
-            g_evals,
-            p_evals,
-            g_nanos,
-            p_nanos
-        ));
+        json.obj().key("name").str(name);
+        for (k, v) in [
+            ("eval_budget", budget),
+            ("natural_greedy_evaluations", nat_evals),
+            ("greedy_dynamic_slr", greedy.dynamic_set_last_regs),
+            ("portfolio_dynamic_slr", port.dynamic_set_last_regs),
+            ("greedy_evaluations", g_evals),
+            ("portfolio_evaluations", p_evals),
+            ("greedy_search_nanos", g_nanos),
+            ("portfolio_search_nanos", p_nanos),
+        ] {
+            json.key(k).u64(v);
+        }
+        json.end();
     }
+    json.end();
     print!(
         "\n{}",
         render_table(
@@ -188,7 +182,7 @@ fn main() {
         ("lns", RemapStrategy::Lns),
         ("portfolio", RemapStrategy::Portfolio),
     ];
-    let mut json_gap = Vec::new();
+    json.key("optimality_gap").arr();
     // Two regimes: a tight budget where the heuristics differ, and an
     // ample one where they should all close the gap.
     for gap_budget in [2_000u64, 50_000] {
@@ -214,9 +208,8 @@ fn main() {
                 bb_nodes += st.bb_nodes;
             }
             let mut row = vec![name.to_string(), format!("{optimal:.1}")];
-            let mut fields = vec![format!(
-                "\"eval_budget\": {gap_budget}, \"optimal_cost\": {optimal:.6}, \"bb_nodes\": {bb_nodes}"
-            )];
+            json.obj().key("name").str(name).key("eval_budget").u64(gap_budget);
+            json.key("optimal_cost").raw(&fixed(optimal)).key("bb_nodes").u64(bb_nodes);
             for &(label, strat) in &heuristics {
                 let mut cfg = RemapConfig::new(gap_params);
                 cfg.exhaustive_limit = 0; // force the heuristic searches
@@ -230,15 +223,11 @@ fn main() {
                 }
                 let gap = cost - optimal;
                 row.push(format!("{cost:.1} (+{gap:.1})"));
-                fields.push(format!(
-                    "\"{label}_cost\": {cost:.6}, \"{label}_gap\": {gap:.6}"
-                ));
+                json.key(&format!("{label}_cost")).raw(&fixed(cost));
+                json.key(&format!("{label}_gap")).raw(&fixed(gap));
             }
+            json.end();
             gap_rows.push(row);
-            json_gap.push(format!(
-                "    {{\"name\": \"{name}\", {}}}",
-                fields.join(", ")
-            ));
         }
         let mut gap_header = vec!["benchmark".to_string(), "optimal".to_string()];
         gap_header.extend(heuristics.iter().map(|&(l, _)| format!("{l} (gap)")));
@@ -255,26 +244,8 @@ fn main() {
         );
     }
 
-    let mut json = String::new();
-    writeln!(json, "{{").unwrap();
-    writeln!(json, "  \"figure\": \"fig13\",").unwrap();
-    writeln!(
-        json,
-        "  \"remap_starts\": {}, \"remap_threads\": {},",
-        setup.remap_starts, setup.remap_threads
-    )
-    .unwrap();
-    writeln!(json, "  \"benchmarks\": [").unwrap();
-    writeln!(json, "{}", json_benchmarks.join(",\n")).unwrap();
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"portfolio_vs_greedy\": [").unwrap();
-    writeln!(json, "{}", json_portfolio.join(",\n")).unwrap();
-    writeln!(json, "  ],").unwrap();
-    writeln!(json, "  \"optimality_gap\": [").unwrap();
-    writeln!(json, "{}", json_gap.join(",\n")).unwrap();
-    writeln!(json, "  ]").unwrap();
-    writeln!(json, "}}").unwrap();
-    match std::fs::write("results/fig13.json", &json) {
+    json.end().end();
+    match std::fs::write("results/fig13.json", json.finish()) {
         Ok(()) => eprintln!("wrote results/fig13.json"),
         Err(e) => eprintln!("could not write results/fig13.json: {e}"),
     }

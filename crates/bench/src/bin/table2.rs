@@ -7,7 +7,7 @@
 //! loops dominate execution.
 
 use dra_bench::{batch_threads, emit_telemetry, pct, render_table, suite_size};
-use dra_core::highend::{run_highend_sweep_with_telemetry, speedup_percent, HighEndSetup};
+use dra_core::highend::{run_highend_sweep_with_telemetry, speedup_percent};
 use dra_workloads::{generate_loop_suite, LoopSuiteConfig};
 
 fn main() {
@@ -23,18 +23,13 @@ fn main() {
         run_highend_sweep_with_telemetry(&suite, &[32, 40, 48, 56, 64], batch_threads());
     emit_telemetry(&telemetry, "table2");
     let base = &sweep[0];
-    let base_setup = HighEndSetup::at(32);
-    let base_overall = base.overall_cycles(&base_setup, base.all_cycles);
+    let base_overall = base.overall_cycles(base.all_cycles);
 
     let mut rows = Vec::new();
     for agg in &sweep[1..] {
-        let setup = HighEndSetup::at(agg.reg_n);
         let opt = speedup_percent(base.optimized_cycles as f64, agg.optimized_cycles as f64);
         let all = speedup_percent(base.all_cycles as f64, agg.all_cycles as f64);
-        let overall = speedup_percent(
-            base_overall,
-            agg.overall_cycles(&setup, base.all_cycles),
-        );
+        let overall = speedup_percent(base_overall, agg.overall_cycles(base.all_cycles));
         rows.push(vec![
             format!("{}", agg.reg_n),
             pct(opt),

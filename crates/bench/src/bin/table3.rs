@@ -8,7 +8,7 @@
 //! slice of the code.
 
 use dra_bench::{batch_threads, emit_telemetry, pct, render_table, suite_size};
-use dra_core::highend::{run_highend_sweep_with_telemetry, HighEndSetup};
+use dra_core::highend::run_highend_sweep_with_telemetry;
 use dra_workloads::{generate_loop_suite, LoopSuiteConfig};
 
 fn main() {
@@ -33,13 +33,12 @@ fn main() {
         pct(0.0),
     ]];
     for agg in &sweep[1..] {
-        let setup = HighEndSetup::at(agg.reg_n);
         rows.push(vec![
             format!("{}", agg.reg_n),
             format!("{}", agg.optimized_spills),
             pct(agg.optimized_code_growth(base)),
             pct(agg.all_loops_code_growth(base)),
-            pct(agg.overall_code_growth(base, &setup)),
+            pct(agg.overall_code_growth(base)),
         ]);
     }
 

@@ -17,12 +17,13 @@
 //! binaries honor `DRA_LOOPS=<n>` to shrink the 1928-loop suite for quick
 //! runs, and every binary honors `DRA_THREADS=<n>` to pin the batch
 //! driver's worker count (`0`/unset = one per CPU); results are identical
-//! at any thread count. `DRA_CACHE_CAP=<n>` bounds both session caches
-//! (see `dra_core::knob`). All knobs parse strictly — garbage aborts.
+//! at any thread count. Both knobs parse strictly — garbage aborts (see
+//! `dra_core::knob`).
 
 use std::fmt::Write as _;
 
-/// Geometric mean of percentage values given as ratios.
+/// Arithmetic mean of the values (0 for none): the AVERAGE row of the
+/// figure tables.
 pub fn average(values: &[f64]) -> f64 {
     if values.is_empty() {
         return 0.0;

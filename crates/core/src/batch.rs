@@ -497,8 +497,8 @@ pub fn run_lowend_matrix_with_telemetry(
         let run = match outcome {
             CellOutcome::Ok(run) => run,
             CellOutcome::Failed { stage, message } => Err(PipelineError::Panic { stage, message }),
-            // Batch cells run without a cancel token; the arm exists for
-            // exhaustiveness (a future deadline-aware batch would land here).
+            // Batch cells run without a cancel token, so this arm is
+            // unreachable; it exists for exhaustiveness.
             CellOutcome::Cancelled { stage } => Err(PipelineError::Panic {
                 stage,
                 message: "cancelled".to_string(),

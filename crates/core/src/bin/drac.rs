@@ -16,7 +16,7 @@
 use dra_core::corpus::{corpus_setup, resolve_profile, run_corpus_compile, write_profile};
 use dra_core::lowend::{compile_and_run, compile_program_telemetry, Approach, LowEndSetup};
 use dra_core::profile::compile_and_run_profiled;
-use dra_core::serve::{serve, ServeAddr, ServeConfig};
+use dra_core::serve::{result_json, serve, ServeAddr, ServeConfig};
 use dra_core::telemetry::{validate_telemetry, Telemetry};
 use dra_encoding::EncodingConfig;
 use dra_regalloc::RemapStrategy;
@@ -103,23 +103,7 @@ fn main() -> ExitCode {
                 }
             };
             match (cmd.as_str(), args.emit.as_str()) {
-                ("compile", "json") | ("run", "json") => {
-                    // Flat JSON object, hand-emitted (no JSON dependency).
-                    println!(
-                        "{{\"benchmark\":\"{bench}\",\"approach\":\"{}\",\"instructions\":{},\"spill_insts\":{},\"set_last_regs\":{},\"code_bits\":{},\"cycles\":{},\"dynamic_spills\":{},\"dynamic_set_last_regs\":{},\"icache_misses\":{},\"dcache_misses\":{},\"result\":{}}}",
-                        approach.label(),
-                        run.total_insts,
-                        run.spill_insts,
-                        run.set_last_regs,
-                        run.code_bits,
-                        run.cycles,
-                        run.dynamic_spills,
-                        run.dynamic_set_last_regs,
-                        run.icache_misses,
-                        run.dcache_misses,
-                        run.ret_value.map_or("null".to_string(), |v| v.to_string()),
-                    );
-                }
+                ("compile", "json") | ("run", "json") => println!("{}", result_json(&run)),
                 ("compile", "ir") => print!("{}", run.program),
                 ("compile", "bits") => {
                     let geom = setup.machine.geometry;
@@ -364,7 +348,7 @@ fn run_check(bench: Option<&str>, approach: Option<Approach>) -> ExitCode {
 fn run_serve(args: &[String]) -> ExitCode {
     let mut addr: Option<ServeAddr> = None;
     let mut workers = 0usize;
-    let mut retries = 1u32;
+    let mut retries: Option<u32> = None;
     let mut queue_cap: Option<usize> = None;
     let mut telemetry_root: Option<PathBuf> = None;
     let mut it = args.iter();
@@ -379,7 +363,7 @@ fn run_serve(args: &[String]) -> ExitCode {
                 None => return usage(),
             },
             "--retries" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => retries = v,
+                Some(v) => retries = Some(v),
                 None => return usage(),
             },
             "--queue-cap" => match it.next().and_then(|v| v.parse().ok()) {
@@ -399,7 +383,9 @@ fn run_serve(args: &[String]) -> ExitCode {
     };
     let mut config = ServeConfig::new(addr);
     config.workers = workers;
-    config.retries = retries;
+    if let Some(r) = retries {
+        config.setup.cell_retries = r;
+    }
     if let Some(cap) = queue_cap {
         config.queue_cap = cap;
     }
@@ -556,9 +542,8 @@ fn run_corpus_cmd(args: &[String]) -> ExitCode {
         }
     };
     let mut setup = corpus_setup();
-    dra_core::knob::apply_cache_cap(&mut setup);
     setup.batch_threads = threads;
-    let report = match run_corpus_compile(&profile, count, seed, threads, &setup) {
+    let report = match run_corpus_compile(&profile, count, seed, &setup) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("corpus: {e}");

@@ -6,9 +6,9 @@
 //! at *corpus* scale — tens of thousands of distinct functions through
 //! one resident [`CompileSession`]. This module closes the loop:
 //!
-//! * **`dra-profile-v1`** — a [`WorkloadProfile`] serialized with the
-//!   same hand-rolled JSON the telemetry schema uses (no dependencies),
-//!   so a profile extracted from any run can be checked in, diffed, and
+//! * **`dra-profile-v1`** — a [`WorkloadProfile`] serialized by the
+//!   workspace's one JSON writer ([`crate::telemetry::JsonWriter`]), so a
+//!   profile extracted from any run can be checked in, diffed, and
 //!   fed back to the generator ([`profile_to_json`] /
 //!   [`profile_from_json`], both gated by
 //!   [`dra_workloads::validate_profile`]).
@@ -28,34 +28,18 @@
 use crate::batch::run_batch;
 use crate::lowend::{Approach, LowEndSetup};
 use crate::session::CompileSession;
-use crate::telemetry::{escape_json, parse_json, Json, Telemetry};
+use crate::telemetry::{parse_json, Json, JsonWriter, Telemetry};
 use dra_workloads::profile::{
     InstMix, WorkloadProfile, DEPTH_BUCKETS, PRESSURE_BUCKETS, PROFILE_SCHEMA,
 };
 use dra_workloads::{generate_from_profile, validate_profile};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // dra-profile-v1 serialization
 // ---------------------------------------------------------------------------
-
-fn json_f64(v: f64) -> String {
-    // `{}` on f64 prints the shortest representation that round-trips,
-    // and never produces exponents for the magnitudes a profile holds.
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{:.1}", v)
-    } else {
-        format!("{v}")
-    }
-}
-
-fn json_array(values: &[f64]) -> String {
-    let parts: Vec<String> = values.iter().map(|v| json_f64(*v)).collect();
-    format!("[{}]", parts.join(","))
-}
 
 /// Serialize a profile as a `dra-profile-v1` JSON document (validated
 /// first — a malformed profile must not reach disk).
@@ -65,40 +49,45 @@ fn json_array(values: &[f64]) -> String {
 /// Whatever [`validate_profile`] rejects.
 pub fn profile_to_json(p: &WorkloadProfile) -> Result<String, String> {
     validate_profile(p)?;
-    let m = &p.inst_mix;
-    let c = &p.cfg_shape;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\n  \"schema\": \"{PROFILE_SCHEMA}\",\n  \"name\": \"{}\",\n",
-        escape_json(&p.name)
-    );
-    let _ = write!(
-        out,
-        "  \"inst_mix\": {{\"alu\": {}, \"muldiv\": {}, \"mem\": {}, \"mov\": {}, \"call\": {}, \"branch\": {}}},\n",
-        json_f64(m.alu),
-        json_f64(m.muldiv),
-        json_f64(m.mem),
-        json_f64(m.mov),
-        json_f64(m.call),
-        json_f64(m.branch),
-    );
-    let _ = write!(
-        out,
-        "  \"pressure_hist\": {},\n  \"loop_depth_hist\": {},\n",
-        json_array(&p.pressure_hist),
-        json_array(&p.loop_depth_hist),
-    );
-    let _ = write!(
-        out,
-        "  \"cfg_shape\": {{\"avg_blocks\": {}, \"avg_block_len\": {}, \"branch_density\": {}, \"avg_funcs\": {}}},\n",
-        json_f64(c.avg_blocks),
-        json_f64(c.avg_block_len),
-        json_f64(c.branch_density),
-        json_f64(c.avg_funcs),
-    );
-    let _ = write!(out, "  \"call_density\": {}\n}}\n", json_f64(p.call_density));
-    Ok(out)
+    let (m, c) = (&p.inst_mix, &p.cfg_shape);
+    let mut w = JsonWriter::pretty();
+    w.obj().key("schema").str(PROFILE_SCHEMA).key("name").str(&p.name);
+    let mix = [
+        ("alu", m.alu),
+        ("muldiv", m.muldiv),
+        ("mem", m.mem),
+        ("mov", m.mov),
+        ("call", m.call),
+        ("branch", m.branch),
+    ];
+    let shape = [
+        ("avg_blocks", c.avg_blocks),
+        ("avg_block_len", c.avg_block_len),
+        ("branch_density", c.branch_density),
+        ("avg_funcs", c.avg_funcs),
+    ];
+    w.key("inst_mix").obj();
+    for (k, v) in mix {
+        w.key(k).f64(v);
+    }
+    w.end();
+    for (k, hist) in [
+        ("pressure_hist", &p.pressure_hist[..]),
+        ("loop_depth_hist", &p.loop_depth_hist[..]),
+    ] {
+        w.key(k).arr();
+        for &v in hist {
+            w.f64(v);
+        }
+        w.end();
+    }
+    w.key("cfg_shape").obj();
+    for (k, v) in shape {
+        w.key(k).f64(v);
+    }
+    w.end();
+    w.key("call_density").f64(p.call_density).end();
+    Ok(w.finish())
 }
 
 fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a Json, String> {
@@ -249,7 +238,8 @@ pub struct CorpusReport {
 }
 
 /// Generate `count` functions from `profile` and compile every program
-/// through a fresh [`CompileSession`] with the symbolic checker on.
+/// through a fresh [`CompileSession`] with the symbolic checker on, on
+/// `setup.batch_threads` workers.
 /// Degradation stays enabled (matching production corpus compiles), so
 /// a violation surfaces in `checker.violations` rather than as an
 /// error; both are reported.
@@ -261,7 +251,6 @@ pub fn run_corpus_compile(
     profile: &WorkloadProfile,
     count: usize,
     seed: u64,
-    threads: usize,
     setup: &LowEndSetup,
 ) -> Result<CorpusReport, String> {
     let mut setup = setup.clone();
@@ -273,7 +262,7 @@ pub fn run_corpus_compile(
     let session = CompileSession::new(setup);
     let mut telemetry = Telemetry::new();
     let t0 = Instant::now();
-    let cells = run_batch(&texts, threads, |_, text| {
+    let cells = run_batch(&texts, session.setup().batch_threads, |_, text| {
         session
             .compile_source(text, Approach::Adaptive)
             .map(|(run, _)| run.telemetry.clone())
@@ -367,7 +356,9 @@ mod tests {
     #[test]
     fn corpus_compiles_clean_under_the_checker() {
         let profile = dra_workloads::builtin_profile("embedded-dsp").unwrap();
-        let report = run_corpus_compile(&profile, 40, 7, 2, &corpus_setup()).unwrap();
+        let mut setup = corpus_setup();
+        setup.batch_threads = 2;
+        let report = run_corpus_compile(&profile, 40, 7, &setup).unwrap();
         assert_eq!(report.functions, 40);
         assert!(report.programs > 0 && report.programs <= 40);
         assert_eq!(report.errors, 0, "corpus compiles must not error");

@@ -1,40 +1,17 @@
 //! The Section 10.2 pipeline: software-pipeline a loop suite at a swept
 //! `RegN` and aggregate the Table 2 / Table 3 quantities.
 
+use crate::batch::{run_batch_isolated, CellOutcome};
 use crate::telemetry::Telemetry;
 use dra_swp::{pipeline_loop, PipelineConfig, PipelinedLoop};
 use dra_workloads::SuiteLoop;
 
-/// Setup of one high-end sweep point.
-#[derive(Clone, Debug)]
-pub struct HighEndSetup {
-    /// Registers addressable at this sweep point (32 = no differential).
-    pub reg_n: u16,
-    /// Fraction of total execution time spent in loops (the paper: >80%).
-    pub loop_time_fraction: f64,
-    /// Fraction of static code occupied by the studied loops (small —
-    /// loops are hot, not big).
-    pub loop_code_fraction: f64,
-    /// Bytes per VLIW instruction word (LEAF32).
-    pub inst_bytes: u64,
-    /// Worker threads for pipelining the suite's loops in parallel
-    /// (`0` = one per CPU). Loops are independent; the aggregate is
-    /// identical at any thread count.
-    pub batch_threads: usize,
-}
+/// Fraction of total execution time spent in loops (the paper: >80%).
+pub const LOOP_TIME_FRACTION: f64 = 0.8;
 
-impl HighEndSetup {
-    /// The paper's configuration at a given `RegN`.
-    pub fn at(reg_n: u16) -> Self {
-        HighEndSetup {
-            reg_n,
-            loop_time_fraction: 0.8,
-            loop_code_fraction: 0.10,
-            inst_bytes: 4,
-            batch_threads: 0,
-        }
-    }
-}
+/// Fraction of static code occupied by the studied loops (small — loops
+/// are hot, not big).
+pub const LOOP_CODE_FRACTION: f64 = 0.10;
 
 /// Aggregated results over a loop suite at one `RegN`.
 #[derive(Clone, Debug, PartialEq)]
@@ -62,12 +39,12 @@ pub struct HighEndAggregate {
 }
 
 impl HighEndAggregate {
-    /// Whole-program cycles, assuming loops are `loop_time_fraction` of
+    /// Whole-program cycles, assuming loops are [`LOOP_TIME_FRACTION`] of
     /// execution at the baseline.
-    pub fn overall_cycles(&self, setup: &HighEndSetup, baseline_all_cycles: u64) -> f64 {
+    pub fn overall_cycles(&self, baseline_all_cycles: u64) -> f64 {
         // Non-loop time is constant across sweep points.
-        let nonloop = baseline_all_cycles as f64 * (1.0 - setup.loop_time_fraction)
-            / setup.loop_time_fraction;
+        let nonloop =
+            baseline_all_cycles as f64 * (1.0 - LOOP_TIME_FRACTION) / LOOP_TIME_FRACTION;
         self.all_cycles as f64 + nonloop
     }
 
@@ -85,77 +62,62 @@ impl HighEndAggregate {
     }
 
     /// Code growth over the entire program, percent (loops are only
-    /// `loop_code_fraction` of the binary).
-    pub fn overall_code_growth(&self, baseline: &HighEndAggregate, setup: &HighEndSetup) -> f64 {
-        self.all_loops_code_growth(baseline) * setup.loop_code_fraction
+    /// [`LOOP_CODE_FRACTION`] of the binary).
+    pub fn overall_code_growth(&self, baseline: &HighEndAggregate) -> f64 {
+        self.all_loops_code_growth(baseline) * LOOP_CODE_FRACTION
     }
 }
 
-/// Pipeline every loop of the suite at `setup.reg_n`.
+/// Software-pipeline every loop of the suite at every `reg_ns` point and
+/// aggregate each point over the loops that pipelined successfully at
+/// **every** point, so the cycle/spill/code totals are directly
+/// comparable (on a single point, that is every loop that pipelined).
 ///
 /// Loops whose initial register requirement fits the direct-encodable 32
 /// registers are compiled identically at every sweep point (differential
 /// encoding stays off — Section 8.2); the "optimized" set is those that
 /// exceeded 32.
 ///
-/// Aggregates only loops that pipeline successfully at *this* point; when
-/// comparing sweep points, prefer [`run_highend_sweep`], which restricts
-/// every point to the common set so cycle totals are comparable.
-pub fn run_highend_suite(suite: &[SuiteLoop], setup: &HighEndSetup) -> HighEndAggregate {
-    let results: Vec<Option<PipelinedLoop>> =
-        pipeline_all(suite, setup.reg_n, setup.batch_threads);
-    aggregate(setup.reg_n, &results, &|i| results[i].is_some())
-}
-
-/// Run the whole `reg_ns` sweep over one suite, aggregating each point
-/// over the loops that pipelined successfully at **every** point, so the
-/// cycle/spill/code totals are directly comparable.
+/// `threads` workers pipeline the flat (point × loop) grid
+/// ([`crate::batch::run_batch_isolated`]; `0` = one per CPU), and the
+/// aggregates are identical at any thread count. A poisoned loop cell
+/// becomes a hole (dropping that loop from every point's common set),
+/// not an abort of the whole sweep.
 ///
-/// `threads` workers pipeline the whole (sweep point × loop) grid
-/// ([`crate::batch::run_batch`]; `0` = one per CPU); the aggregates are
-/// identical at any thread count.
-pub fn run_highend_sweep(
+/// The telemetry holds the per-point aggregates as `swp.*` counters
+/// (summed over the sweep, so schedule-invariant — the pipeliner is
+/// deterministic per loop), the contained cell panics as
+/// `swp.cell_panics`, the kernel remapping work as `remap.evaluations`
+/// (summed over every pipelined cell, common set or not) and a
+/// wall-clock `sweep` span around the whole grid.
+pub fn run_highend_sweep_with_telemetry(
     suite: &[SuiteLoop],
     reg_ns: &[u16],
     threads: usize,
-) -> Vec<HighEndAggregate> {
-    sweep_grid(suite, reg_ns, threads).0
-}
-
-/// The flat (point × loop) grid behind [`run_highend_sweep`], with the
-/// batch driver's panic containment: a poisoned loop cell becomes a hole
-/// (dropping that loop from every point's common set), not an abort of
-/// the whole sweep. Returns the per-point aggregates, the number of
-/// contained cell panics and the remap evaluations summed over every
-/// pipelined cell.
-fn sweep_grid(
-    suite: &[SuiteLoop],
-    reg_ns: &[u16],
-    threads: usize,
-) -> (Vec<HighEndAggregate>, u64, u64) {
+) -> (Vec<HighEndAggregate>, Telemetry) {
+    let mut t = Telemetry::new();
     // One flat batch over every (point, loop) cell keeps all workers busy
     // even when one sweep point dominates the cost.
     let cells: Vec<(u16, usize)> = reg_ns
         .iter()
         .flat_map(|&r| (0..suite.len()).map(move |i| (r, i)))
         .collect();
-    let (outcomes, stats) =
-        crate::batch::run_batch_isolated(&cells, threads, 0, |_, &(reg_n, i)| {
+    let (outcomes, stats) = t.time("sweep", || {
+        run_batch_isolated(&cells, threads, 0, |_, &(reg_n, i)| {
             let cfg = PipelineConfig::highend(reg_n);
             pipeline_loop(&suite[i].ddg, &cfg).ok()
-        });
+        })
+    });
     let mut flat = outcomes.into_iter().map(|o| match o {
-        crate::batch::CellOutcome::Ok(r) => r,
-        crate::batch::CellOutcome::Failed { .. } | crate::batch::CellOutcome::Cancelled { .. } => {
-            None
-        }
+        CellOutcome::Ok(r) => r,
+        CellOutcome::Failed { .. } | CellOutcome::Cancelled { .. } => None,
     });
     let per_point: Vec<Vec<Option<PipelinedLoop>>> = reg_ns
         .iter()
-        .map(|_| (0..suite.len()).map(|_| flat.next().expect("cell")).collect())
+        .map(|_| flat.by_ref().take(suite.len()).collect())
         .collect();
     let common = |i: usize| per_point.iter().all(|v| v[i].is_some());
-    let aggregates = reg_ns
+    let sweep: Vec<HighEndAggregate> = reg_ns
         .iter()
         .zip(&per_point)
         .map(|(&reg_n, results)| aggregate(reg_n, results, &common))
@@ -166,25 +128,8 @@ fn sweep_grid(
         .flatten()
         .map(|r| r.remap_evaluations)
         .sum();
-    (aggregates, stats.failed, remap_evaluations)
-}
-
-/// [`run_highend_sweep`], additionally recording telemetry: the
-/// per-point aggregates as `swp.*` counters (summed over the sweep, so
-/// schedule-invariant — the pipeliner is deterministic per loop), the
-/// kernel remapping work as `remap.evaluations` (summed over every
-/// pipelined cell, common set or not) and a wall-clock `sweep` span
-/// around the whole grid.
-pub fn run_highend_sweep_with_telemetry(
-    suite: &[SuiteLoop],
-    reg_ns: &[u16],
-    threads: usize,
-) -> (Vec<HighEndAggregate>, Telemetry) {
-    let mut t = Telemetry::new();
-    let (sweep, cell_panics, remap_evaluations) =
-        t.time("sweep", || sweep_grid(suite, reg_ns, threads));
     t.count("swp.sweep_points", sweep.len() as u64);
-    t.count("swp.cell_panics", cell_panics);
+    t.count("swp.cell_panics", stats.failed);
     t.count("remap.evaluations", remap_evaluations);
     for agg in &sweep {
         t.count("swp.loops_total", agg.total_loops as u64);
@@ -195,11 +140,6 @@ pub fn run_highend_sweep_with_telemetry(
         t.count("swp.cycles", agg.all_cycles);
     }
     (sweep, t)
-}
-
-fn pipeline_all(suite: &[SuiteLoop], reg_n: u16, threads: usize) -> Vec<Option<PipelinedLoop>> {
-    let cfg = PipelineConfig::highend(reg_n);
-    crate::batch::run_batch(suite, threads, |_, l| pipeline_loop(&l.ddg, &cfg).ok())
 }
 
 fn aggregate(
@@ -253,6 +193,11 @@ mod tests {
     use super::*;
     use dra_workloads::{generate_loop_suite, LoopSuiteConfig};
 
+    /// The aggregate of a one-point sweep: every loop that pipelined.
+    fn point(suite: &[SuiteLoop], reg_n: u16) -> HighEndAggregate {
+        run_highend_sweep_with_telemetry(suite, &[reg_n], 0).0.remove(0)
+    }
+
     fn suite(n: usize) -> Vec<SuiteLoop> {
         generate_loop_suite(&LoopSuiteConfig {
             n_loops: n,
@@ -264,8 +209,8 @@ mod tests {
     #[test]
     fn sweep_improves_optimized_loops() {
         let s = suite(40);
-        let base = run_highend_suite(&s, &HighEndSetup::at(32));
-        let wide = run_highend_suite(&s, &HighEndSetup::at(64));
+        let base = point(&s, 32);
+        let wide = point(&s, 64);
         assert_eq!(base.total_loops, wide.total_loops);
         assert!(base.optimized_loops > 0, "suite contains hungry loops");
         assert!(
@@ -285,8 +230,8 @@ mod tests {
     #[test]
     fn common_loops_unchanged_across_sweep() {
         let s = suite(40);
-        let base = run_highend_suite(&s, &HighEndSetup::at(32));
-        let wide = run_highend_suite(&s, &HighEndSetup::at(48));
+        let base = point(&s, 32);
+        let wide = point(&s, 48);
         let base_common = base.all_cycles - base.optimized_cycles;
         let wide_common = wide.all_cycles - wide.optimized_cycles;
         assert_eq!(
@@ -298,9 +243,9 @@ mod tests {
     #[test]
     fn set_last_regs_only_in_differential_points() {
         let s = suite(30);
-        let base = run_highend_suite(&s, &HighEndSetup::at(32));
+        let base = point(&s, 32);
         assert_eq!(base.set_last_regs, 0, "RegN=32 is direct");
-        let wide = run_highend_suite(&s, &HighEndSetup::at(48));
+        let wide = point(&s, 48);
         assert!(wide.set_last_regs > 0, "differential kernels need repairs");
     }
 
@@ -314,9 +259,8 @@ mod tests {
     #[test]
     fn overall_cycles_adds_constant_nonloop_time() {
         let s = suite(20);
-        let setup = HighEndSetup::at(32);
-        let base = run_highend_suite(&s, &setup);
-        let overall = base.overall_cycles(&setup, base.all_cycles);
+        let base = point(&s, 32);
+        let overall = base.overall_cycles(base.all_cycles);
         assert!(overall > base.all_cycles as f64);
         // 80% loops => total = loops / 0.8.
         let expected = base.all_cycles as f64 / 0.8;
@@ -326,10 +270,9 @@ mod tests {
     #[test]
     fn code_growth_relative_to_baseline() {
         let s = suite(30);
-        let setup = HighEndSetup::at(48);
-        let base = run_highend_suite(&s, &HighEndSetup::at(32));
-        let wide = run_highend_suite(&s, &setup);
-        let overall = wide.overall_code_growth(&base, &setup);
+        let base = point(&s, 32);
+        let wide = point(&s, 48);
+        let overall = wide.overall_code_growth(&base);
         let all = wide.all_loops_code_growth(&base);
         assert!(
             overall.abs() <= all.abs() || all == 0.0,

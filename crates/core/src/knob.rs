@@ -1,12 +1,10 @@
 //! Strict environment knobs shared by every experiment entry point.
 //!
-//! Historically these lived in `dra-bench`, but the `drac` CLI (which
-//! lives in this crate and must not depend on the bench harness) needs
-//! the same discipline for its own knobs — `DRA_CACHE_CAP` bounds both
-//! session caches, for example. The rule everywhere: empty means
-//! default, a valid number is taken as-is, and garbage aborts loudly. A
-//! typo'd `DRA_THREADS=abc` must kill the experiment, not silently run
-//! it with the default.
+//! The figure and table binaries read `DRA_THREADS` and `DRA_LOOPS`
+//! through these. The rule everywhere: empty means default, a valid
+//! number is taken as-is, and garbage aborts loudly. A typo'd
+//! `DRA_THREADS=abc` must kill the experiment, not silently run it with
+//! the default.
 
 /// Strictly parse one knob value: empty/whitespace means `default`, a
 /// valid number is taken as-is, and anything else panics naming the knob
@@ -41,66 +39,33 @@ pub fn env_knob(name: &str, default: usize) -> usize {
     }
 }
 
-/// Apply the `DRA_CACHE_CAP` override to a [`crate::lowend::LowEndSetup`]:
-/// when set, it bounds **both** session caches (source artifacts and
-/// finished allocations) to the same entry count, modelling a
-/// memory-constrained deployment with one knob. Unset leaves the setup's
-/// own capacities (the compiled-in defaults) untouched.
-///
-/// # Panics
-///
-/// On an unparseable `DRA_CACHE_CAP` value.
-pub fn apply_cache_cap(setup: &mut crate::lowend::LowEndSetup) {
-    let source = env_knob("DRA_CACHE_CAP", setup.source_cache_cap);
-    let result = env_knob("DRA_CACHE_CAP", setup.result_cache_cap);
-    setup.source_cache_cap = source;
-    setup.result_cache_cap = result;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn knob_parses_valid_values() {
-        assert_eq!(parse_knob("DRA_CACHE_CAP", "64", 512), 64);
-        assert_eq!(parse_knob("DRA_CACHE_CAP", " 8 ", 0), 8);
-        assert_eq!(parse_knob("DRA_CACHE_CAP", "0", 4), 0);
+        assert_eq!(parse_knob("DRA_THREADS", "64", 512), 64);
+        assert_eq!(parse_knob("DRA_THREADS", " 8 ", 0), 8);
+        assert_eq!(parse_knob("DRA_THREADS", "0", 4), 0);
     }
 
     #[test]
     fn knob_empty_means_default() {
-        assert_eq!(parse_knob("DRA_CACHE_CAP", "", 512), 512);
-        assert_eq!(parse_knob("DRA_CACHE_CAP", "  ", 256), 256);
+        assert_eq!(parse_knob("DRA_THREADS", "", 512), 512);
+        assert_eq!(parse_knob("DRA_THREADS", "  ", 256), 256);
     }
 
     #[test]
     fn knob_rejects_garbage_loudly() {
         for bad in ["abc", "-3", "1.5", "8 entries"] {
-            let err = std::panic::catch_unwind(|| parse_knob("DRA_CACHE_CAP", bad, 0))
+            let err = std::panic::catch_unwind(|| parse_knob("DRA_THREADS", bad, 0))
                 .expect_err("garbage must panic, not fall back to the default");
             let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
             assert!(
-                msg.contains("DRA_CACHE_CAP") && msg.contains(bad),
+                msg.contains("DRA_THREADS") && msg.contains(bad),
                 "panic must name the knob and the offending value: {msg:?}"
             );
         }
-    }
-
-    #[test]
-    fn cache_cap_overrides_both_capacities() {
-        // The only test touching this env var, so no parallel-test race
-        // on the process-global environment.
-        let mut setup = crate::lowend::LowEndSetup::default();
-        std::env::set_var("DRA_CACHE_CAP", "33");
-        apply_cache_cap(&mut setup);
-        std::env::remove_var("DRA_CACHE_CAP");
-        assert_eq!(setup.source_cache_cap, 33);
-        assert_eq!(setup.result_cache_cap, 33);
-        let defaults = crate::lowend::LowEndSetup::default();
-        let mut setup = defaults.clone();
-        apply_cache_cap(&mut setup);
-        assert_eq!(setup.source_cache_cap, defaults.source_cache_cap);
-        assert_eq!(setup.result_cache_cap, defaults.result_cache_cap);
     }
 }

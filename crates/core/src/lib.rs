@@ -46,16 +46,13 @@ pub use corpus::{
     profile_from_json, profile_to_json, resolve_profile, run_corpus_compile, write_profile,
     CorpusReport,
 };
-pub use knob::{apply_cache_cap, env_knob, parse_knob};
+pub use knob::{env_knob, parse_knob};
 pub use session::{result_key, CompileSession, ResultKey};
 pub use faults::{
     adjudicate, run_fault_campaign, sample_faults, FaultOutcome, FaultReport, PipelineFaults,
     SplitMix64, StreamFault,
 };
-pub use highend::{
-    run_highend_suite, run_highend_sweep, run_highend_sweep_with_telemetry, HighEndAggregate,
-    HighEndSetup,
-};
+pub use highend::{run_highend_sweep_with_telemetry, HighEndAggregate};
 pub use lowend::{
     compile_and_run, compile_and_run_source, Approach, LowEndRun, LowEndSetup, PipelineError,
 };

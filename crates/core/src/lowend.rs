@@ -151,13 +151,10 @@ pub struct LowEndSetup {
     /// (`drac --check` turns it on).
     pub check: bool,
     /// Entry bound for the session's parsed-source cache
-    /// ([`crate::batch::SourceCache`]). The `DRA_CACHE_CAP` knob
-    /// ([`crate::knob::apply_cache_cap`]) overrides it for low-memory
-    /// deployments.
+    /// ([`crate::batch::SourceCache`]).
     pub source_cache_cap: usize,
     /// Entry bound for the session's allocation-result cache (tighter by
     /// default: a cached [`LowEndRun`] retains the compiled program).
-    /// Also overridden by `DRA_CACHE_CAP`.
     pub result_cache_cap: usize,
 }
 

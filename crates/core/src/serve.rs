@@ -84,9 +84,7 @@ use crate::batch::run_isolated_cancellable;
 use crate::faults::{ServeFaults, SplitMix64};
 use crate::lowend::{Approach, LowEndRun, LowEndSetup};
 use crate::session::{result_key, CompileSession};
-use crate::telemetry::{
-    escape_json, parse_json, CancelToken, Json, Telemetry, TelemetryReport,
-};
+use crate::telemetry::{parse_json, CancelToken, Json, JsonWriter, Telemetry, TelemetryReport};
 use std::collections::VecDeque;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -643,40 +641,52 @@ pub fn parse_request(line: &str) -> Result<(Request, Wire), WireError> {
 // Protocol: responses.
 // ---------------------------------------------------------------------------
 
-fn id_json(id: Option<&str>) -> String {
-    match id {
-        Some(s) => format!("\"{}\"", escape_json(s)),
-        None => "null".to_string(),
-    }
-}
-
 /// Render the deterministic result object for a run. Field order is
 /// fixed and only schedule-invariant quantities appear — no wall-clock,
 /// no search-work counters — so concurrent and sequential service of the
-/// same job produce *byte-identical* fragments (pinned by test).
+/// same job produce *byte-identical* fragments (pinned by test). `drac
+/// compile|run --emit json` prints the same object.
 pub fn result_json(run: &LowEndRun) -> String {
+    let mut w = JsonWriter::compact();
+    write_result(&mut w, run);
+    w.finish()
+}
+
+fn write_result(w: &mut JsonWriter, run: &LowEndRun) {
     let degraded = run.remap.iter().filter(|s| s.degraded).count();
-    let ret = match run.ret_value {
-        Some(v) => v.to_string(),
-        None => "null".to_string(),
+    w.obj().key("approach").str(run.approach.label());
+    for (k, v) in [
+        ("total_insts", run.total_insts as u64),
+        ("spill_insts", run.spill_insts as u64),
+        ("set_last_regs", run.set_last_regs as u64),
+        ("code_bits", run.code_bits),
+        ("cycles", run.cycles),
+        ("dynamic_spills", run.dynamic_spills),
+        ("dynamic_set_last_regs", run.dynamic_set_last_regs),
+        ("icache_misses", run.icache_misses),
+        ("dcache_misses", run.dcache_misses),
+        ("degraded_funcs", degraded as u64),
+    ] {
+        w.key(k).u64(v);
+    }
+    match run.ret_value {
+        Some(v) => w.key("ret").i64(v),
+        None => w.key("ret").null(),
     };
-    format!(
-        "{{\"approach\":\"{}\",\"total_insts\":{},\"spill_insts\":{},\"set_last_regs\":{},\
-         \"code_bits\":{},\"cycles\":{},\"dynamic_spills\":{},\"dynamic_set_last_regs\":{},\
-         \"icache_misses\":{},\"dcache_misses\":{},\"degraded_funcs\":{},\"ret\":{}}}",
-        escape_json(run.approach.label()),
-        run.total_insts,
-        run.spill_insts,
-        run.set_last_regs,
-        run.code_bits,
-        run.cycles,
-        run.dynamic_spills,
-        run.dynamic_set_last_regs,
-        run.icache_misses,
-        run.dcache_misses,
-        degraded,
-        ret,
-    )
+    w.end();
+}
+
+/// A response line's opening `{"schema":…,"id":…,"ok":…`; the caller
+/// adds its fields and closes the object.
+fn response_head(wire: Wire, id: Option<&str>, ok: bool) -> JsonWriter {
+    let mut w = JsonWriter::compact();
+    w.obj().key("schema").str(wire.schema());
+    match id {
+        Some(id) => w.key("id").str(id),
+        None => w.key("id").null(),
+    };
+    w.key("ok").bool(ok);
+    w
 }
 
 /// An `ok:false` response line (no trailing newline). `wire` echoes the
@@ -684,45 +694,35 @@ pub fn result_json(run: &LowEndRun) -> String {
 /// schema from use [`Wire::V1`], the most conservative framing); the
 /// `retryable` flag is derived from `kind` ([`retryable_kind`]).
 pub fn response_error(wire: Wire, id: Option<&str>, kind: &str, message: &str) -> String {
-    format!(
-        "{{\"schema\":\"{}\",\"id\":{},\"ok\":false,\"error\":{{\"kind\":\"{}\",\"retryable\":{},\"message\":\"{}\"}}}}",
-        wire.schema(),
-        id_json(id),
-        escape_json(kind),
-        retryable_kind(kind),
-        escape_json(message),
-    )
+    let mut w = response_head(wire, id, false);
+    w.key("error").obj().key("kind").str(kind);
+    w.key("retryable").bool(retryable_kind(kind));
+    w.key("message").str(message).end().end();
+    w.finish()
 }
 
 /// A successful compile response line.
 pub fn response_run(wire: Wire, id: &str, run: &LowEndRun, cached: bool, micros: u64) -> String {
-    format!(
-        "{{\"schema\":\"{}\",\"id\":{},\"ok\":true,\"kind\":\"compile\",\"cached\":{},\"micros\":{},\"result\":{}}}",
-        wire.schema(),
-        id_json(Some(id)),
-        cached,
-        micros,
-        result_json(run),
-    )
+    let mut w = response_head(wire, Some(id), true);
+    w.key("kind").str("compile").key("cached").bool(cached);
+    w.key("micros").u64(micros).key("result");
+    write_result(&mut w, run);
+    w.end();
+    w.finish()
 }
 
 fn response_plain(wire: Wire, id: &str, kind: &str) -> String {
-    format!(
-        "{{\"schema\":\"{}\",\"id\":{},\"ok\":true,\"kind\":\"{}\"}}",
-        wire.schema(),
-        id_json(Some(id)),
-        kind,
-    )
+    let mut w = response_head(wire, Some(id), true);
+    w.key("kind").str(kind).end();
+    w.finish()
 }
 
 /// A `stats` response embedding the merged telemetry frame.
 pub fn response_stats(wire: Wire, id: &str, telemetry: &Telemetry) -> String {
-    format!(
-        "{{\"schema\":\"{}\",\"id\":{},\"ok\":true,\"kind\":\"stats\",\"stats\":{}}}",
-        wire.schema(),
-        id_json(Some(id)),
-        telemetry.to_json_compact("serve"),
-    )
+    let mut w = response_head(wire, Some(id), true);
+    w.key("kind").str("stats");
+    w.key("stats").raw(&telemetry.to_json_compact("serve")).end();
+    w.finish()
 }
 
 /// A parsed response line, as seen by clients.
@@ -835,67 +835,77 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------------
-// Request builders (shared by the client, tests and benchmarks).
+// Request encoder (shared by the client, tests and benchmarks).
 // ---------------------------------------------------------------------------
 
-/// Build a benchmark compile request line.
+impl Request {
+    /// The request line [`parse_request`] reads back as `(self, wire)`.
+    /// `deadline_ms` and a non-default `priority` are written only when
+    /// set; both are v2 fields, so a V1 line carrying them is rejected by
+    /// the parser rather than silently narrowed.
+    pub fn to_line(&self, wire: Wire) -> String {
+        let (id, kind) = match self {
+            Request::Compile { id, .. } => (id, "compile"),
+            Request::Ping { id } => (id, "ping"),
+            Request::Stats { id } => (id, "stats"),
+            Request::Shutdown { id } => (id, "shutdown"),
+        };
+        let mut w = JsonWriter::compact();
+        w.obj().key("schema").str(wire.schema());
+        w.key("id").str(id).key("kind").str(kind);
+        if let Request::Compile { approach, spec, deadline_ms, priority, .. } = self {
+            w.key("approach").str(approach.label());
+            match spec {
+                JobSpec::Bench(name) => w.key("bench").str(name),
+                JobSpec::Source(text) => w.key("source").str(text),
+            };
+            if let Some(ms) = deadline_ms {
+                w.key("deadline_ms").u64(*ms);
+            }
+            if *priority != Priority::default() {
+                w.key("priority").str(priority.label());
+            }
+        }
+        w.end();
+        w.finish()
+    }
+}
+
+fn compile_request(id: &str, approach: Approach, spec: JobSpec) -> Request {
+    Request::Compile {
+        id: id.to_string(),
+        approach,
+        spec,
+        deadline_ms: None,
+        priority: Priority::default(),
+    }
+}
+
+/// Build a `dra-serve-v1` benchmark compile request line.
 pub fn request_compile_bench(id: &str, bench: &str, approach: Approach) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"id\":\"{}\",\"kind\":\"compile\",\"approach\":\"{}\",\"bench\":\"{}\"}}",
-        escape_json(id),
-        escape_json(approach.label()),
-        escape_json(bench),
-    )
+    compile_request(id, approach, JobSpec::Bench(bench.to_string())).to_line(Wire::V1)
 }
 
-/// Build a source-text compile request line (text is JSON-escaped, so
-/// embedded newlines survive the line framing).
+/// Build a `dra-serve-v1` source-text compile request line (text is
+/// JSON-escaped, so embedded newlines survive the line framing).
 pub fn request_compile_source(id: &str, source: &str, approach: Approach) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"id\":\"{}\",\"kind\":\"compile\",\"approach\":\"{}\",\"source\":\"{}\"}}",
-        escape_json(id),
-        escape_json(approach.label()),
-        escape_json(source),
-    )
+    compile_request(id, approach, JobSpec::Source(source.to_string())).to_line(Wire::V1)
 }
 
-/// Build a `ping` / `stats` / `shutdown` request line.
+/// Build a `dra-serve-v1` `ping` / `stats` / `shutdown` request line.
+///
+/// # Panics
+///
+/// On any other `kind`.
 pub fn request_plain(id: &str, kind: &str) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"id\":\"{}\",\"kind\":\"{}\"}}",
-        escape_json(id),
-        escape_json(kind),
-    )
-}
-
-fn v2_suffix(deadline_ms: Option<u64>, priority: Priority) -> String {
-    let mut out = String::new();
-    if let Some(ms) = deadline_ms {
-        out.push_str(&format!(",\"deadline_ms\":{ms}"));
-    }
-    if priority != Priority::default() {
-        out.push_str(&format!(",\"priority\":\"{}\"", priority.label()));
-    }
-    out
-}
-
-/// Build a `dra-serve-v2` source-text compile request line with an
-/// optional deadline and an explicit priority (defaulted fields are
-/// omitted — absent means v1 semantics by construction).
-pub fn request_compile_source_v2(
-    id: &str,
-    source: &str,
-    approach: Approach,
-    deadline_ms: Option<u64>,
-    priority: Priority,
-) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA_V2}\",\"id\":\"{}\",\"kind\":\"compile\",\"approach\":\"{}\",\"source\":\"{}\"{}}}",
-        escape_json(id),
-        escape_json(approach.label()),
-        escape_json(source),
-        v2_suffix(deadline_ms, priority),
-    )
+    let id = id.to_string();
+    let request = match kind {
+        "ping" => Request::Ping { id },
+        "stats" => Request::Stats { id },
+        "shutdown" => Request::Shutdown { id },
+        other => panic!("{other:?} is not a ping, stats or shutdown request"),
+    };
+    request.to_line(Wire::V1)
 }
 
 // ---------------------------------------------------------------------------
@@ -909,14 +919,9 @@ pub struct ServeConfig {
     pub addr: ServeAddr,
     /// Worker pool size; 0 means one per available core.
     pub workers: usize,
-    /// Per-request panic re-attempts (see [`run_isolated_cancellable`]).
-    pub retries: u32,
-    /// Pipeline setup shared by every request.
+    /// Pipeline setup shared by every request, including the per-request
+    /// panic re-attempts (`cell_retries`) and the session's cache bounds.
     pub setup: LowEndSetup,
-    /// Source-cache capacity (parsed/validated artifacts).
-    pub source_capacity: usize,
-    /// Result-cache capacity (completed runs).
-    pub result_capacity: usize,
     /// Per-line byte cap.
     pub max_line_bytes: usize,
     /// Per-shard queue bound: batch-priority admissions are shed with a
@@ -949,10 +954,7 @@ impl ServeConfig {
         ServeConfig {
             addr,
             workers: 0,
-            retries: 1,
             setup,
-            source_capacity: crate::batch::DEFAULT_SOURCE_CAPACITY,
-            result_capacity: crate::session::DEFAULT_RESULT_CAPACITY,
             max_line_bytes: DEFAULT_MAX_LINE_BYTES,
             queue_cap: DEFAULT_QUEUE_CAP,
             telemetry_root: None,
@@ -1257,12 +1259,11 @@ fn resolved_workers(requested: usize) -> usize {
 fn spawn_worker(
     shard: Arc<ShardState>,
     session: Arc<CompileSession>,
-    retries: u32,
     faults: Arc<ServeFaults>,
     stall_gate: Arc<AtomicBool>,
     running: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
-    thread::spawn(move || worker_loop(&shard, &session, retries, &faults, &stall_gate, &running))
+    thread::spawn(move || worker_loop(&shard, &session, &faults, &stall_gate, &running))
 }
 
 /// Join every finished connection thread (freeing its handle) and count
@@ -1290,11 +1291,7 @@ fn run_server(
 ) -> io::Result<Telemetry> {
     crate::telemetry::install_cancel_quiet_hook();
     let workers = resolved_workers(config.workers);
-    let session = Arc::new(CompileSession::with_capacities(
-        config.setup.clone(),
-        config.source_capacity,
-        config.result_capacity,
-    ));
+    let session = Arc::new(CompileSession::new(config.setup.clone()));
     let faults = Arc::new(config.faults.clone());
     let stall_gate = Arc::clone(&config.stall_gate);
 
@@ -1313,7 +1310,6 @@ fn run_server(
             spawn_worker(
                 Arc::clone(shard),
                 Arc::clone(&session),
-                config.retries,
                 Arc::clone(&faults),
                 Arc::clone(&stall_gate),
                 Arc::clone(&running),
@@ -1381,7 +1377,6 @@ fn run_server(
             let replacement = spawn_worker(
                 Arc::clone(shard),
                 Arc::clone(&ctx.session),
-                config.retries,
                 Arc::clone(&faults),
                 Arc::clone(&stall_gate),
                 Arc::clone(&running),
@@ -1606,7 +1601,6 @@ fn handle_line(line: &str, writer: &Arc<ConnWriter>, ctx: &ConnCtx) -> bool {
 fn worker_loop(
     shard: &ShardState,
     session: &CompileSession,
-    retries: u32,
     faults: &ServeFaults,
     stall_gate: &AtomicBool,
     running: &AtomicBool,
@@ -1670,6 +1664,7 @@ fn worker_loop(
             }
         }
         let token = CancelToken::with_deadline(job.deadline);
+        let retries = session.setup().cell_retries;
         let (outcome, _attempts) = run_isolated_cancellable(retries, Some(&token), || {
             if faults.panic_request_ids.contains(&job.id) {
                 panic!("injected serve fault (request {})", job.id);
@@ -2001,7 +1996,14 @@ mod tests {
             }
         );
         // Absent v2 fields keep v1 semantics.
-        let line = request_compile_source_v2("b", "fn f {\n  entry:\n    ret\n}\n", Approach::OSpill, None, Priority::Interactive);
+        let line = Request::Compile {
+            id: "b".into(),
+            approach: Approach::OSpill,
+            spec: JobSpec::Source("fn f {\n  entry:\n    ret\n}\n".into()),
+            deadline_ms: None,
+            priority: Priority::Interactive,
+        }
+        .to_line(Wire::V2);
         let (r, wire) = parse_request(&line).unwrap();
         assert_eq!(wire, Wire::V2);
         match r {
@@ -2129,6 +2131,200 @@ mod tests {
         for kind in ["bad-request", "panic", "parse", "oversized"] {
             let r = Response::parse(&response_error(Wire::V2, Some("x"), kind, "no")).unwrap();
             assert!(!r.retryable, "kind {kind} should not be retryable");
+        }
+    }
+
+    /// A hand-built run whose every printed field is distinct.
+    fn golden_run() -> LowEndRun {
+        LowEndRun {
+            approach: Approach::OSpill,
+            spill_insts: 2,
+            set_last_regs: 3,
+            total_insts: 41,
+            code_bits: 656,
+            cycles: 1234,
+            dynamic_spills: 5,
+            dynamic_set_last_regs: 6,
+            icache_misses: 7,
+            dcache_misses: 8,
+            ret_value: Some(-9),
+            remap: vec![dra_regalloc::RemapStats::degraded_marker()],
+            entry_trace: Vec::new(),
+            block_counts: Default::default(),
+            telemetry: Telemetry::new(),
+            program: dra_ir::Program::default(),
+        }
+    }
+
+    #[test]
+    fn response_lines_are_pinned_byte_for_byte() {
+        let run = golden_run();
+        let result = r#"{"approach":"O-spill","total_insts":41,"spill_insts":2,"set_last_regs":3,"code_bits":656,"cycles":1234,"dynamic_spills":5,"dynamic_set_last_regs":6,"icache_misses":7,"dcache_misses":8,"degraded_funcs":1,"ret":-9}"#;
+        assert_eq!(result_json(&run), result);
+        let mut no_ret = run.clone();
+        no_ret.ret_value = None;
+        assert!(result_json(&no_ret).ends_with(r#""degraded_funcs":1,"ret":null}"#));
+        assert_eq!(
+            response_run(Wire::V2, "r1", &run, true, 17),
+            format!(
+                r#"{{"schema":"dra-serve-v2","id":"r1","ok":true,"kind":"compile","cached":true,"micros":17,"result":{result}}}"#
+            )
+        );
+        assert_eq!(
+            response_error(Wire::V1, Some("x\"y"), "bad-request", "line\nbreak\u{1}"),
+            r#"{"schema":"dra-serve-v1","id":"x\"y","ok":false,"error":{"kind":"bad-request","retryable":false,"message":"line\nbreak\u0001"}}"#
+        );
+        assert_eq!(
+            response_error(Wire::V2, None, "overloaded", "full"),
+            r#"{"schema":"dra-serve-v2","id":null,"ok":false,"error":{"kind":"overloaded","retryable":true,"message":"full"}}"#
+        );
+        assert_eq!(
+            response_plain(Wire::V1, "p", "pong"),
+            r#"{"schema":"dra-serve-v1","id":"p","ok":true,"kind":"pong"}"#
+        );
+        let mut t = Telemetry::new();
+        t.count("serve.requests", 3);
+        t.span_ns("serve.request", 9);
+        assert_eq!(
+            response_stats(Wire::V1, "s", &t),
+            r#"{"schema":"dra-serve-v1","id":"s","ok":true,"kind":"stats","stats":{"schema":"dra-telemetry-v1","binary":"serve","counters":{"serve.requests":3},"spans_ns":{"serve.request":9}}}"#
+        );
+    }
+
+    #[test]
+    fn request_lines_are_pinned_byte_for_byte() {
+        assert_eq!(
+            request_compile_bench("a\"1", "crc32", Approach::Select),
+            r#"{"schema":"dra-serve-v1","id":"a\"1","kind":"compile","approach":"select","bench":"crc32"}"#
+        );
+        assert_eq!(
+            request_compile_source("b", "fn f {\n\tret \\ é\n}\n", Approach::OSpill),
+            r#"{"schema":"dra-serve-v1","id":"b","kind":"compile","approach":"O-spill","source":"fn f {\n\tret \\ é\n}\n"}"#
+        );
+        for kind in ["ping", "stats", "shutdown"] {
+            assert_eq!(
+                request_plain("c", kind),
+                format!(r#"{{"schema":"dra-serve-v1","id":"c","kind":"{kind}"}}"#)
+            );
+        }
+        let v2 = |id: &str, approach, deadline_ms, priority| {
+            Request::Compile {
+                id: id.into(),
+                approach,
+                spec: JobSpec::Source("x".into()),
+                deadline_ms,
+                priority,
+            }
+            .to_line(Wire::V2)
+        };
+        assert_eq!(
+            v2("d", Approach::Select, Some(250), Priority::Batch),
+            r#"{"schema":"dra-serve-v2","id":"d","kind":"compile","approach":"select","source":"x","deadline_ms":250,"priority":"batch"}"#
+        );
+        assert_eq!(
+            v2("e", Approach::Coalesce, None, Priority::Interactive),
+            r#"{"schema":"dra-serve-v2","id":"e","kind":"compile","approach":"coalesce","source":"x"}"#
+        );
+    }
+
+    /// Ids and texts that exercise every escape the writer makes.
+    fn awkward_texts() -> Vec<String> {
+        let control: String = (1u32..0x20).filter_map(char::from_u32).collect();
+        vec![
+            "plain".into(),
+            "q\"uote \\back\nnew\ttab\r".into(),
+            control,
+            "é ü 中文 😀 𝄞".into(),
+            "fn f {\n  entry:\n    ret\n}\n; 😀\u{7f}".into(),
+        ]
+    }
+
+    #[test]
+    fn every_request_round_trips_through_its_line() {
+        let approaches = Approach::ALL.iter().copied().chain([Approach::Adaptive]);
+        let approaches: Vec<Approach> = approaches.collect();
+        for wire in [Wire::V1, Wire::V2] {
+            // The v2 fields ride only on v2 lines.
+            let v2_fields: &[(Option<u64>, Priority)] = match wire {
+                Wire::V1 => &[(None, Priority::Interactive)],
+                Wire::V2 => &[
+                    (None, Priority::Interactive),
+                    (Some(0), Priority::Interactive),
+                    (None, Priority::Batch),
+                    (Some(250), Priority::Batch),
+                ],
+            };
+            for text in awkward_texts() {
+                let id = text.clone();
+                let mut requests = vec![
+                    Request::Ping { id: id.clone() },
+                    Request::Stats { id: id.clone() },
+                    Request::Shutdown { id: id.clone() },
+                ];
+                for (i, &approach) in approaches.iter().enumerate() {
+                    let spec = if i % 2 == 0 {
+                        JobSpec::Source(text.clone())
+                    } else {
+                        JobSpec::Bench(text.clone())
+                    };
+                    for &(deadline_ms, priority) in v2_fields {
+                        requests.push(Request::Compile {
+                            id: id.clone(),
+                            approach,
+                            spec: spec.clone(),
+                            deadline_ms,
+                            priority,
+                        });
+                    }
+                }
+                for r in requests {
+                    let line = r.to_line(wire);
+                    assert!(!line.contains('\n'), "one line: {line:?}");
+                    assert_eq!(parse_request(&line), Ok((r, wire)), "{line:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_response_line_parses_back() {
+        let run = golden_run();
+        let mut t = Telemetry::new();
+        t.count("serve.requests", 3);
+        t.span_ns("serve.request", 9);
+        for wire in [Wire::V1, Wire::V2] {
+            for text in awkward_texts() {
+                let line = response_run(wire, &text, &run, true, 17);
+                let r = Response::parse(&line).unwrap();
+                assert!(r.ok && r.cached && r.micros == 17, "{line:?}");
+                assert_eq!(r.id.as_deref(), Some(text.as_str()));
+                assert_eq!(r.result_fragment(), Some(result_json(&run).as_str()));
+                assert_eq!(r.result.unwrap()["degraded_funcs"].as_u64(), Some(1));
+
+                for kind in ["overloaded", "bad-request"] {
+                    let line = response_error(wire, Some(&text), kind, &text);
+                    let r = Response::parse(&line).unwrap();
+                    assert!(!r.ok);
+                    assert_eq!(r.id.as_deref(), Some(text.as_str()));
+                    assert_eq!(r.error, Some((kind.to_string(), text.clone())));
+                    assert_eq!(r.retryable, retryable_kind(kind));
+                }
+                let r = Response::parse(&response_error(wire, None, "bad-json", &text)).unwrap();
+                assert_eq!(r.id, None);
+
+                for kind in ["pong", "bye"] {
+                    let r = Response::parse(&response_plain(wire, &text, kind)).unwrap();
+                    assert!(r.ok);
+                    assert_eq!(r.kind.as_deref(), Some(kind));
+                    assert_eq!(r.id.as_deref(), Some(text.as_str()));
+                }
+
+                let r = Response::parse(&response_stats(wire, &text, &t)).unwrap();
+                assert_eq!(r.id.as_deref(), Some(text.as_str()));
+                let stats = r.stats.unwrap();
+                assert_eq!(stats.counters, t.counters().clone());
+                assert_eq!(stats.spans_ns, t.spans().clone());
+            }
         }
     }
 

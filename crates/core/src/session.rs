@@ -100,20 +100,10 @@ impl CompileSession {
     /// which default to [`crate::batch::DEFAULT_SOURCE_CAPACITY`] /
     /// [`DEFAULT_RESULT_CAPACITY`]).
     pub fn new(setup: LowEndSetup) -> CompileSession {
-        let (source, result) = (setup.source_cache_cap, setup.result_cache_cap);
-        CompileSession::with_capacities(setup, source, result)
-    }
-
-    /// A session with explicit source/result cache entry bounds.
-    pub fn with_capacities(
-        setup: LowEndSetup,
-        source_capacity: usize,
-        result_capacity: usize,
-    ) -> CompileSession {
         CompileSession {
+            sources: SourceCache::with_capacity(setup.source_cache_cap),
+            results: Mutex::new(LruCache::new(setup.result_cache_cap)),
             setup,
-            sources: SourceCache::with_capacity(source_capacity),
-            results: Mutex::new(LruCache::new(result_capacity)),
             lookups: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             uncacheable: AtomicU64::new(0),
@@ -353,7 +343,9 @@ mod tests {
 
     #[test]
     fn result_cache_is_lru_bounded() {
-        let session = CompileSession::with_capacities(quick_setup(), 16, 2);
+        let mut setup = quick_setup();
+        setup.result_cache_cap = 2;
+        let session = CompileSession::new(setup);
         session.compile_bench("crc32", Approach::Baseline).unwrap();
         session.compile_bench("bitcount", Approach::Baseline).unwrap();
         session.compile_bench("qsort", Approach::Baseline).unwrap();

@@ -49,7 +49,8 @@
 //! `scripts/tier1.sh` uses that same validation as a schema regression
 //! guard. Parsing needs no dependency: [`parse_json`] is a minimal
 //! recursive-descent JSON reader sufficient for the schema (and strict
-//! enough to reject malformed files).
+//! enough to reject malformed files). Nor does writing: [`JsonWriter`]
+//! writes every JSON document and protocol line in the workspace.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -327,9 +328,9 @@ impl Telemetry {
     }
 
     /// Overwrite counter `name` with `value` (creating it if absent).
-    /// Exists for test normalization: the remap search's work counters
-    /// are schedule-dependent under a parallel early exit and get pinned
-    /// to zero before runs are compared.
+    /// For values that are a level rather than a running sum, such as the
+    /// daemon's `serve.workers` and `serve.overload.peak_depth` gauges, and
+    /// for rebuilding a registry from a parsed frame.
     pub fn set_counter(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_string(), value);
     }
@@ -344,35 +345,30 @@ impl Telemetry {
 
     /// Serialize as the stable `dra-telemetry-v1` JSON object.
     pub fn to_json(&self, binary: &str) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(out, "  \"binary\": \"{}\",", escape_json(binary));
-        let _ = writeln!(out, "  \"counters\": {{");
-        write_map(&mut out, &self.counters);
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"spans_ns\": {{");
-        write_map(&mut out, &self.spans);
-        let _ = writeln!(out, "  }}");
-        let _ = writeln!(out, "}}");
-        out
+        let mut w = JsonWriter::pretty();
+        self.write_json(&mut w, binary);
+        w.finish()
     }
 
     /// [`Telemetry::to_json`] on a single line — the form embedded in
     /// line-delimited protocols (`dra-serve-v1` `stats` responses), where
     /// a newline would terminate the frame. Parses to the same document.
     pub fn to_json_compact(&self, binary: &str) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"{SCHEMA}\",\"binary\":\"{}\",\"counters\":{{",
-            escape_json(binary)
-        );
-        write_map_compact(&mut out, &self.counters);
-        let _ = write!(out, "}},\"spans_ns\":{{");
-        write_map_compact(&mut out, &self.spans);
-        let _ = write!(out, "}}}}");
-        out
+        let mut w = JsonWriter::compact();
+        self.write_json(&mut w, binary);
+        w.finish()
+    }
+
+    fn write_json(&self, w: &mut JsonWriter, binary: &str) {
+        w.obj().key("schema").str(SCHEMA).key("binary").str(binary);
+        for (name, map) in [("counters", &self.counters), ("spans_ns", &self.spans)] {
+            w.key(name).obj();
+            for (k, v) in map {
+                w.key(k).u64(*v);
+            }
+            w.end();
+        }
+        w.end();
     }
 
     /// Write `to_json` to `results/telemetry/<binary>.json` relative to
@@ -394,42 +390,173 @@ impl Telemetry {
     }
 }
 
-fn write_map(out: &mut String, map: &BTreeMap<String, u64>) {
-    let n = map.len();
-    for (i, (k, v)) in map.iter().enumerate() {
-        let comma = if i + 1 < n { "," } else { "" };
-        let _ = writeln!(out, "    \"{}\": {v}{comma}", escape_json(k));
-    }
+// ---------------------------------------------------------------------------
+// JSON writer: every JSON document and protocol line the workspace emits.
+// ---------------------------------------------------------------------------
+
+/// A streaming JSON writer, compact or pretty (two-space indent), and
+/// the only place strings are escaped. Values are appended in document
+/// order: each object member is a [`JsonWriter::key`] then its value, and
+/// [`JsonWriter::end`] closes the innermost object or array.
+///
+/// ```
+/// use dra_core::telemetry::JsonWriter;
+///
+/// let mut w = JsonWriter::compact();
+/// w.obj().key("name").str("crc32").key("bits").arr().u64(8).u64(16).end().end();
+/// assert_eq!(w.finish(), r#"{"name":"crc32","bits":[8,16]}"#);
+/// ```
+pub struct JsonWriter {
+    out: String,
+    pretty: bool,
+    /// Open containers, innermost last: closing bracket, has a member yet.
+    open: Vec<(char, bool)>,
+    /// A key was just written, so the next value follows it directly.
+    after_key: bool,
 }
 
-fn write_map_compact(out: &mut String, map: &BTreeMap<String, u64>) {
-    let n = map.len();
-    for (i, (k, v)) in map.iter().enumerate() {
-        let comma = if i + 1 < n { "," } else { "" };
-        let _ = write!(out, "\"{}\":{v}{comma}", escape_json(k));
+impl JsonWriter {
+    /// A writer producing a single line (protocol frames).
+    pub fn compact() -> JsonWriter {
+        JsonWriter { out: String::new(), pretty: false, open: Vec::new(), after_key: false }
     }
-}
 
-/// JSON string-escape `s` (quotes, backslashes, control characters).
-/// Public because every hand-emitted JSON writer in the workspace — the
-/// telemetry files, the `dra-serve-v1` responses, the `dra-profile-v1`
-/// workload profiles — must escape identically.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    /// A writer producing one member per line, `"key": value`, and a
+    /// trailing newline (files). A closing bracket always gets its own
+    /// line, even for an empty container.
+    pub fn pretty() -> JsonWriter {
+        JsonWriter { pretty: true, ..JsonWriter::compact() }
+    }
+
+    /// The finished document.
+    pub fn finish(mut self) -> String {
+        debug_assert!(self.open.is_empty(), "unclosed JSON container");
+        if self.pretty {
+            self.out.push('\n');
+        }
+        self.out
+    }
+
+    /// Open an object.
+    pub fn obj(&mut self) -> &mut Self {
+        self.raw("{");
+        self.open.push(('}', false));
+        self
+    }
+
+    /// Open an array.
+    pub fn arr(&mut self) -> &mut Self {
+        self.raw("[");
+        self.open.push((']', false));
+        self
+    }
+
+    /// Close the innermost object or array.
+    pub fn end(&mut self) -> &mut Self {
+        let (close, _) = self.open.pop().expect("end() without an open container");
+        self.newline();
+        self.out.push(close);
+        self
+    }
+
+    /// The next object member's key.
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        debug_assert!(matches!(self.open.last(), Some(('}', _))), "key outside an object");
+        self.str(k);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+        self
+    }
+
+    /// A string value: quoted, with quotes, backslashes and control
+    /// characters escaped.
+    pub fn str(&mut self, v: &str) -> &mut Self {
+        let out = self.value();
+        out.push('"');
+        for c in v.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\t' => out.push_str("\\t"),
+                '\r' => out.push_str("\\r"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
+        }
+        out.push('"');
+        self
+    }
+
+    /// An unsigned integer value.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        let _ = write!(self.value(), "{v}");
+        self
+    }
+
+    /// A signed integer value.
+    pub fn i64(&mut self, v: i64) -> &mut Self {
+        let _ = write!(self.value(), "{v}");
+        self
+    }
+
+    /// A float value: the shortest form that round-trips, with `.0` on
+    /// integral values so it still reads as a float. JSON has no NaN or
+    /// infinity; those are written as `null`.
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        if !v.is_finite() {
+            return self.null();
+        }
+        let out = self.value();
+        let _ = if v.fract() == 0.0 && v.abs() < 1e15 {
+            write!(out, "{v:.1}")
+        } else {
+            write!(out, "{v}")
+        };
+        self
+    }
+
+    /// A boolean value.
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        self.raw(if v { "true" } else { "false" })
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.raw("null")
+    }
+
+    /// A preformatted value written verbatim, such as a number at a fixed
+    /// precision (`format!("{x:.6}")`); the caller vouches that it is one
+    /// JSON value.
+    pub fn raw(&mut self, fragment: &str) -> &mut Self {
+        self.value().push_str(fragment);
+        self
+    }
+
+    /// Start the next value and return the buffer to write it into. After
+    /// the first member of a container comes a comma, then (pretty) a
+    /// newline and indentation; a value right after its key needs neither.
+    fn value(&mut self) -> &mut String {
+        if !std::mem::take(&mut self.after_key) {
+            if let Some((_, has_member)) = self.open.last_mut() {
+                if std::mem::replace(has_member, true) {
+                    self.out.push(',');
+                }
+                self.newline();
+            }
+        }
+        &mut self.out
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            self.out.extend(std::iter::repeat_n("  ", self.open.len()));
         }
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -578,16 +705,22 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let mut code = hex4(b, *pos + 1)?;
                         *pos += 4;
+                        // A UTF-16 high surrogate must be followed by an
+                        // escaped low one; the pair is one character.
+                        if (0xD800..0xDC00).contains(&code) {
+                            let escaped = b.get(*pos + 1..*pos + 3) == Some(br"\u");
+                            let low = if escaped { hex4(b, *pos + 3)? } else { 0 };
+                            if (0xDC00..0xE000).contains(&low) {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                *pos += 6;
+                            }
+                        }
+                        let c = char::from_u32(code).ok_or_else(|| {
+                            format!("unpaired surrogate \\u{code:04x} at byte {pos}", pos = *pos)
+                        })?;
+                        out.push(c);
                     }
                     other => return Err(format!("bad escape {other:?}")),
                 }
@@ -605,6 +738,19 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
             }
         }
     }
+}
+
+/// The value of exactly four ASCII hex digits at `b[at..]`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let digits = b
+        .get(at..at + 4)
+        .ok_or_else(|| "truncated \\u escape".to_string())?;
+    digits.iter().try_fold(0, |acc, &d| {
+        char::from(d)
+            .to_digit(16)
+            .map(|v| acc * 16 + v)
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))
+    })
 }
 
 fn parse_obj(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
@@ -848,6 +994,35 @@ mod tests {
     }
 
     #[test]
+    fn frames_are_pinned_byte_for_byte() {
+        let mut t = Telemetry::new();
+        t.count("alloc.spilled_vregs", 42);
+        t.count("sim.\u{1}odd\"key", 7);
+        t.span_ns("simulate", 5);
+        assert_eq!(
+            t.to_json("fig\"99"),
+            "{\n  \"schema\": \"dra-telemetry-v1\",\n  \"binary\": \"fig\\\"99\",\n  \
+             \"counters\": {\n    \"alloc.spilled_vregs\": 42,\n    \"sim.\\u0001odd\\\"key\": 7\n  },\n  \
+             \"spans_ns\": {\n    \"simulate\": 5\n  }\n}\n"
+        );
+        assert_eq!(
+            t.to_json_compact("serve"),
+            "{\"schema\":\"dra-telemetry-v1\",\"binary\":\"serve\",\"counters\":\
+             {\"alloc.spilled_vregs\":42,\"sim.\\u0001odd\\\"key\":7},\"spans_ns\":{\"simulate\":5}}"
+        );
+        let empty = Telemetry::new();
+        assert_eq!(
+            empty.to_json("empty"),
+            "{\n  \"schema\": \"dra-telemetry-v1\",\n  \"binary\": \"empty\",\n  \
+             \"counters\": {\n  },\n  \"spans_ns\": {\n  }\n}\n"
+        );
+        assert_eq!(
+            empty.to_json_compact("empty"),
+            "{\"schema\":\"dra-telemetry-v1\",\"binary\":\"empty\",\"counters\":{},\"spans_ns\":{}}"
+        );
+    }
+
+    #[test]
     fn empty_registry_is_still_schema_valid() {
         let json = Telemetry::new().to_json("empty");
         let rep = validate_telemetry(&json).unwrap();
@@ -929,7 +1104,9 @@ mod tests {
             control.as_str(),
             "trailing multi-byte 😀",
         ] {
-            let doc = format!("\"{}\"", escape_json(s));
+            let mut w = JsonWriter::compact();
+            w.str(s);
+            let doc = w.finish();
             assert_eq!(parse_json(&doc), Ok(Json::Str(s.to_string())), "{doc:?}");
         }
         // Every short escape and `\u` escapes the writer never emits.
@@ -941,6 +1118,61 @@ mod tests {
             parse_json(r#""\u00e9\u4E2D é\u0000""#),
             Ok(Json::Str("é中 é\0".to_string()))
         );
+    }
+
+    #[test]
+    fn unicode_escapes_decode_surrogate_pairs_and_reject_the_rest() {
+        // What `json.dumps` sends for text outside the BMP.
+        assert_eq!(
+            parse_json(r#""\ud83d\ude00 \uD834\uDD1E""#),
+            Ok(Json::Str("😀 𝄞".to_string()))
+        );
+        for bad in [
+            r#""\ud83d""#,        // high surrogate at the end
+            r#""\ud83dx""#,       // high surrogate, then a plain char
+            r#""\ud83d\u0041""#, // high surrogate, then a non-surrogate
+            r#""\ud83d\ud83d""#, // two highs
+            r#""\ude00""#,        // lone low surrogate
+            r#""\ud83d\uZZZZ""#, // pair with bad hex
+            r#""\u+041""#,        // sign is not a hex digit
+            r#""\u-041""#,
+            r#""\u 041""#,
+            r#""\u00e""#,         // three digits
+            r#""\u00""#,
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
+    fn writer_nests_and_formats_every_value_kind() {
+        let mut w = JsonWriter::pretty();
+        w.obj()
+            .key("s")
+            .str("a\"b")
+            .key("n")
+            .arr()
+            .u64(1)
+            .i64(-2)
+            .f64(3.0)
+            .f64(0.25)
+            .f64(f64::NAN)
+            .bool(true)
+            .null()
+            .raw("1.500000")
+            .end()
+            .key("e")
+            .arr()
+            .end()
+            .end();
+        assert_eq!(
+            w.finish(),
+            "{\n  \"s\": \"a\\\"b\",\n  \"n\": [\n    1,\n    -2,\n    3.0,\n    0.25,\n    null,\n    \
+             true,\n    null,\n    1.500000\n  ],\n  \"e\": [\n  ]\n}\n"
+        );
+        let mut w = JsonWriter::compact();
+        w.arr().obj().key("k").arr().end().end().str("").end();
+        assert_eq!(w.finish(), r#"[{"k":[]},""]"#);
     }
 
     #[test]

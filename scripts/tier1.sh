@@ -6,10 +6,11 @@
 # the incremental-search plumbing, or the interference-graph
 # representations fail CI without paying for a full sweep), the
 # perfbench benchmark's own tests (it is a separate workspace built
-# against the crates by path, so nothing else here compiles it), and a
-# telemetry smoke: one figure binary must emit a schema-valid
-# results/telemetry/*.json that `drac report` accepts, and the committed
-# artifacts check (scripts/check_artifacts.sh).
+# against the crates by path, so nothing else here compiles it), the
+# committed artifacts check (scripts/check_artifacts.sh, which also runs
+# the telemetry, checker, profile and corpus smokes in a temporary
+# directory), and the fault, serve and overload smokes. Nothing here
+# writes into the tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -23,21 +24,14 @@ cargo bench --bench irc_color -- --test
 cargo bench --bench encoding -- --test
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-rm -f results/telemetry/fig11.json
-cargo run -q -p dra-bench --release --bin fig11 > /dev/null
-cargo run -q -p dra-core --release --bin drac -- report results/telemetry/fig11.json > /dev/null
-echo "telemetry smoke OK"
-
-# Checker smoke: the symbolic allocation checker over the full benchmark ×
-# approach matrix (`--check` wired through the same pipeline), which must
-# come back with zero violations and a schema-valid telemetry frame.
-cargo run -q -p dra-core --release --bin drac -- check > /dev/null
-cargo run -q -p dra-core --release --bin drac -- report results/telemetry/checker.json > /dev/null
-echo "checker smoke OK"
-
 # Committed artifacts check themselves: every figure and table binary,
 # run in a temporary directory, must print exactly its results/*.txt and
-# reproduce the committed telemetry counters.
+# reproduce the committed telemetry counters and profiles. The same run
+# is the telemetry smoke (every fresh frame must pass `drac report`), the
+# checker smoke (`drac check` over the full benchmark × approach matrix
+# must find zero violations) and the corpus smoke (100 generated
+# functions from the regenerated embedded-dsp profile must compile with
+# zero errors and zero checker violations).
 scripts/check_artifacts.sh
 
 # Fault containment: the injection suite end to end, then the decoder
@@ -46,19 +40,6 @@ scripts/check_artifacts.sh
 cargo test -q --test fault_injection
 cargo test -q --test fault_injection decoder_is_total
 echo "fault containment OK"
-
-# Corpus smoke: the profile → generator → batch-compile → checker loop
-# at CI scale. 100 generated functions must compile with zero errors and
-# zero checker violations (the command exits nonzero otherwise), the
-# emitted profile artifact must be a valid dra-profile-v1 document (the
-# generator accepts only validated profiles, so feeding the artifact
-# back through `corpus` is the validation gate), and the corpus
-# telemetry frame must be schema-valid.
-cargo run -q -p dra-core --release --bin drac -- profile --builtin embedded-dsp > /dev/null
-cargo run -q -p dra-core --release --bin drac -- corpus \
-  --profile results/profiles/embedded-dsp.json --count 100 > /dev/null
-cargo run -q -p dra-core --release --bin drac -- report results/telemetry/corpus.json > /dev/null
-echo "corpus smoke OK"
 
 # Serve smoke: a resident daemon on a temp Unix socket, driven through
 # the dra-serve-v1 line protocol — ping, two identical compiles (the

@@ -11,7 +11,7 @@
 //! of the input at any thread count.
 
 use dra_core::batch::{run_batch, run_lowend_matrix_with_telemetry};
-use dra_core::highend::run_highend_sweep;
+use dra_core::highend::run_highend_sweep_with_telemetry;
 use dra_core::lowend::{Approach, LowEndRun, LowEndSetup, PipelineError};
 use dra_workloads::{generate_loop_suite, LoopSuiteConfig};
 
@@ -194,9 +194,9 @@ fn highend_sweep_identical_across_thread_counts() {
         seed: 11,
     });
     let reg_ns = [32u16, 48, 64];
-    let want = run_highend_sweep(&suite, &reg_ns, 1);
+    let want = run_highend_sweep_with_telemetry(&suite, &reg_ns, 1).0;
     for threads in [2usize, 8] {
-        let got = run_highend_sweep(&suite, &reg_ns, threads);
+        let got = run_highend_sweep_with_telemetry(&suite, &reg_ns, threads).0;
         assert_eq!(want, got, "sweep diverged at {threads} threads");
     }
 }

@@ -1,7 +1,7 @@
 //! Integration of the high-end (Table 2 / Table 3) pipeline on a reduced
 //! loop suite: the qualitative shapes the paper reports must hold.
 
-use dra_core::highend::{run_highend_suite, run_highend_sweep, speedup_percent, HighEndSetup};
+use dra_core::highend::{run_highend_sweep_with_telemetry, speedup_percent};
 use dra_workloads::{generate_loop_suite, LoopSuiteConfig};
 
 /// Debug builds run the pipelines ~20x slower; shrink the suites so the
@@ -26,7 +26,7 @@ fn suite(n: usize) -> Vec<dra_workloads::SuiteLoop> {
 #[test]
 fn sweep_shapes_match_the_paper() {
     let s = suite(60);
-    let sweep = run_highend_sweep(&s, &[32, 40, 48, 56, 64], 0);
+    let sweep = run_highend_sweep_with_telemetry(&s, &[32, 40, 48, 56, 64], 0).0;
     let base = &sweep[0];
     assert!(base.optimized_loops > 0);
     assert!(
@@ -74,11 +74,10 @@ fn sweep_shapes_match_the_paper() {
 #[test]
 fn code_growth_is_bounded_overall() {
     let s = suite(60);
-    let sweep = run_highend_sweep(&s, &[32, 40, 64], 0);
+    let sweep = run_highend_sweep_with_telemetry(&s, &[32, 40, 64], 0).0;
     let base = &sweep[0];
     for agg in &sweep[1..] {
-        let setup = HighEndSetup::at(agg.reg_n);
-        let overall = agg.overall_code_growth(base, &setup);
+        let overall = agg.overall_code_growth(base);
         assert!(
             overall.abs() < 5.0,
             "RegN={}: overall code growth {overall}% out of the paper's ballpark",
@@ -90,7 +89,7 @@ fn code_growth_is_bounded_overall() {
 #[test]
 fn common_loops_identical_across_sweep_points() {
     let s = suite(40);
-    let sweep = run_highend_sweep(&s, &[40, 64], 0);
+    let sweep = run_highend_sweep_with_telemetry(&s, &[40, 64], 0).0;
     let a_common = sweep[0].all_cycles - sweep[0].optimized_cycles;
     let b_common = sweep[1].all_cycles - sweep[1].optimized_cycles;
     assert_eq!(a_common, b_common, "selective enabling leaves them alone");
@@ -99,6 +98,7 @@ fn common_loops_identical_across_sweep_points() {
 #[test]
 fn set_last_regs_appear_only_with_extra_registers() {
     let s = suite(40);
-    assert_eq!(run_highend_suite(&s, &HighEndSetup::at(32)).set_last_regs, 0);
-    assert!(run_highend_suite(&s, &HighEndSetup::at(56)).set_last_regs > 0);
+    let sweep = |reg_n| run_highend_sweep_with_telemetry(&s, &[reg_n], 0).0;
+    assert_eq!(sweep(32)[0].set_last_regs, 0);
+    assert!(sweep(56)[0].set_last_regs > 0);
 }

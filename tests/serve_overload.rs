@@ -8,8 +8,8 @@
 
 use dra_core::lowend::Approach;
 use dra_core::serve::{
-    request_compile_source, request_compile_source_v2, serve, BackoffPolicy, Priority, Response,
-    ServeAddr, ServeClient, ServeConfig,
+    request_compile_source, serve, BackoffPolicy, JobSpec, Priority, Request, Response, ServeAddr,
+    ServeClient, ServeConfig, Wire,
 };
 use dra_core::session::result_key;
 use dra_core::telemetry::Telemetry;
@@ -18,6 +18,25 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// A `dra-serve-v2` source compile line with an optional deadline and a
+/// priority.
+fn v2_line(
+    id: &str,
+    source: &str,
+    approach: Approach,
+    deadline_ms: Option<u64>,
+    priority: Priority,
+) -> String {
+    Request::Compile {
+        id: id.to_string(),
+        approach,
+        spec: JobSpec::Source(source.to_string()),
+        deadline_ms,
+        priority,
+    }
+    .to_line(Wire::V2)
+}
 
 fn chaos_config(workers: usize, queue_cap: usize) -> ServeConfig {
     let mut config = ServeConfig::new(ServeAddr::Tcp("127.0.0.1:0".to_string()));
@@ -78,7 +97,7 @@ fn deadline_expiring_while_queued_is_shed_without_compiling() {
     // Queue a request with a deadline that lapses while it waits.
     let doomed_src = source_for_shard("doomed", 0, 1);
     client
-        .send_line(&request_compile_source_v2(
+        .send_line(&v2_line(
             "doomed",
             &doomed_src,
             Approach::Select,
@@ -122,7 +141,7 @@ fn deadline_expiring_mid_service_cancels_at_a_checkpoint() {
     // release instead of compiling a result nobody can use.
     let src = source_for_shard("slow", 0, 1);
     client
-        .send_line(&request_compile_source_v2(
+        .send_line(&v2_line(
             "slow",
             &src,
             Approach::Select,
@@ -174,7 +193,7 @@ fn admission_control_sheds_batch_before_interactive() {
     ];
     for (i, (id, priority)) in lines.iter().enumerate() {
         client
-            .send_line(&request_compile_source_v2(
+            .send_line(&v2_line(
                 id,
                 &source_for_shard(&format!("adm-{i}"), 0, 1),
                 Approach::Select,
@@ -268,7 +287,7 @@ fn backoff_client_recovers_from_a_shed() {
     wait_for_counter(&addr, "serve.requests", 1);
     // Fill the batch lane so the backoff client's first attempt sheds.
     filler
-        .send_line(&request_compile_source_v2(
+        .send_line(&v2_line(
             "filler",
             &source_for_shard("filler", 0, 1),
             Approach::Select,
@@ -292,7 +311,7 @@ fn backoff_client_recovers_from_a_shed() {
         cap_ms: 400,
         seed: 7,
     };
-    let line = request_compile_source_v2(
+    let line = v2_line(
         "retry",
         &source_for_shard("retry", 0, 1),
         Approach::Select,
@@ -438,7 +457,7 @@ fn deadline_storm(seed: u64) -> (Outcome, Telemetry) {
     for (si, id) in stall_ids.iter().enumerate() {
         let src = source_for_shard(&format!("{seed:x}-storm-stall{si}"), si, 2);
         let line =
-            request_compile_source_v2(id, &src, Approach::Select, Some(400), Priority::Interactive);
+            v2_line(id, &src, Approach::Select, Some(400), Priority::Interactive);
         client.send_line(&line).unwrap();
         sent.push(id.to_string());
     }
@@ -449,7 +468,7 @@ fn deadline_storm(seed: u64) -> (Outcome, Telemetry) {
         let id = format!("storm-flood-{i}");
         let src = source_for_shard(&format!("{seed:x}-storm-flood-{i}"), 0, 1);
         let line =
-            request_compile_source_v2(&id, &src, Approach::Select, Some(40), Priority::Interactive);
+            v2_line(&id, &src, Approach::Select, Some(40), Priority::Interactive);
         client.send_line(&line).unwrap();
         sent.push(id);
     }
@@ -498,7 +517,7 @@ fn queue_flood(seed: u64) -> (Outcome, Telemetry) {
         for (lane, j, priority) in jobs.chain((0..3).map(|i| ("inter", i, Priority::Interactive))) {
             let id = format!("flood-{lane}-{si}-{j}");
             let src = source_for_shard(&format!("{seed:x}-{id}"), si, workers);
-            let line = request_compile_source_v2(&id, &src, Approach::Select, None, priority);
+            let line = v2_line(&id, &src, Approach::Select, None, priority);
             client.send_line(&line).unwrap();
             sent.push(id);
             if j < cap {

@@ -70,6 +70,38 @@ fn full_protocol_roundtrip_over_tcp() {
 }
 
 #[test]
+fn escaped_surrogate_pair_hits_the_raw_utf8_cache_entry() {
+    let mut config = tcp_config();
+    config.workers = 1;
+    config.setup.remap_starts = 16;
+    let handle = serve(config).expect("bind");
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+
+    // A program whose text carries an astral character (in a comment).
+    let text = format!("{}; 😀\n", dra_workloads::benchmark("crc32"));
+    let raw = client.compile_source("raw", &text, Approach::Select).unwrap();
+    assert!(raw.ok && !raw.cached, "{:?}", raw.error);
+
+    // The same text as Python's `json.dumps` sends it: the character as
+    // an escaped UTF-16 surrogate pair. The daemon must see the same
+    // bytes, so the compile is a result-cache hit.
+    let line = request_compile_source("escaped", &text, Approach::Select);
+    let escaped_line = line.replace('😀', "\\ud83d\\ude00");
+    assert_ne!(escaped_line, line);
+    let escaped = client.request(&escaped_line).unwrap();
+    assert!(escaped.ok, "{:?}", escaped.error);
+    assert!(escaped.cached, "same text must hit the same cache entry");
+    assert_eq!(raw.result_fragment(), escaped.result_fragment());
+
+    // Half a pair is malformed JSON, not a replacement character.
+    let lone = client.request(&line.replace('😀', "\\ud83d")).unwrap();
+    assert_eq!(lone.error.map(|e| e.0).as_deref(), Some("bad-json"));
+
+    assert!(client.shutdown("q").unwrap().ok);
+    handle.join().expect("clean shutdown");
+}
+
+#[test]
 fn hostile_input_gets_structured_errors_not_disconnects() {
     let mut config = tcp_config();
     config.workers = 1;
@@ -174,7 +206,7 @@ fn truncated_line_at_eof_gets_a_structured_error() {
 fn worker_panic_is_contained_per_request() {
     let mut config = tcp_config();
     config.workers = 2;
-    config.retries = 0;
+    config.setup.cell_retries = 0;
     config.faults.panic_request_ids.insert("boom".to_string());
     let handle = serve(config).expect("bind");
     let mut client = ServeClient::connect(handle.addr()).expect("connect");
