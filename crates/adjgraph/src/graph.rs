@@ -204,13 +204,12 @@ mod index_pool {
 /// is set and `other -> node` otherwise. Self-loops are never stored, so
 /// `other != node`.
 ///
-/// The remap kernels ([`Self::swap_delta`], [`Self::cycle_delta`],
-/// [`Self::attach_cost`], [`Self::perm_cost`]) test condition (3) without
-/// re-checking each register number against `RegN`: [`Self::perm_cost`]
-/// asserts that a whole register vector is in range, and every search
-/// calls it on its starting vector, at the end of every descent and on
-/// every champion, while between those points the vector only changes by
-/// swaps and rotations of its own entries. Indexing `rv` stays checked.
+/// The remap kernels ([`Self::swap_delta`], [`Self::perm_cost`]) test
+/// condition (3) without re-checking each register number against
+/// `RegN`: [`Self::perm_cost`] asserts that a whole register vector is in
+/// range, and every search calls it on its starting vector, at the end of
+/// every descent and on every champion, while between those points the
+/// vector only changes by swaps of its own entries. Indexing `rv` stays checked.
 /// [`Self::node_cost`] takes arbitrary assignments and keeps the checked
 /// [`DiffParams::in_range`].
 #[derive(Clone, Debug, Default)]
@@ -303,11 +302,6 @@ impl AdjacencyIndex {
         cost
     }
 
-    /// Mean edge weight (0 for an edgeless graph), summed in edge order.
-    pub fn mean_weight(&self) -> f64 {
-        self.edges.iter().map(|&(_, _, w)| w).sum::<f64>() / self.edges.len().max(1) as f64
-    }
-
     /// Exact cost change of swapping the register numbers assigned to
     /// nodes `x` and `y` under the register vector `rv` (node `i` holds
     /// number `rv[i]`), in time `O(deg(x) + deg(y))`.
@@ -368,78 +362,6 @@ impl AdjacencyIndex {
         self.row(node).iter().map(|&(_, _, w)| w).sum()
     }
 
-    /// Cost of the edges between `node`, given number `v`, and the nodes
-    /// marked in `assigned` (which hold their `rv` numbers): the attach
-    /// cost of branch-and-bound's partial assignments, O(deg(node)).
-    /// `v` and the assigned numbers must be below `RegN`, as for
-    /// [`Self::swap_delta`].
-    pub fn attach_cost(
-        &self,
-        rv: &[u8],
-        assigned: &[bool],
-        node: u32,
-        v: u8,
-        params: DiffParams,
-    ) -> f64 {
-        let mut c = 0.0;
-        for &(o, out, w) in self.row(node) {
-            if !assigned[o as usize] {
-                continue;
-            }
-            let d = rv[o as usize] as i32 - v as i32;
-            if params.violates(if out { d } else { -d }) {
-                c += w;
-            }
-        }
-        c
-    }
-
-    /// Exact cost change of rotating register numbers along `cycle`: node
-    /// `cycle[i]` takes the number previously held by `cycle[(i+1) % k]`
-    /// (a left rotation of the value sequence). A 2-cycle is exactly
-    /// [`Self::swap_delta`]. Runs in `O(sum of deg(cycle[i]) * k)` with no
-    /// allocation; `k` is expected to be small (3..=8).
-    ///
-    /// Each edge with multiple in-cycle endpoints appears in several rows;
-    /// it is charged only at the smallest in-cycle position among its
-    /// endpoints, so every edge counts exactly once. Returns
-    /// `cost(after) - cost(before)`; profitable rotations are negative.
-    /// The numbers in `rv` must be below `RegN`, as for
-    /// [`Self::swap_delta`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle` has repeated nodes (debug builds), or if any node
-    /// is out of range of `rv`.
-    pub fn cycle_delta(&self, rv: &[u8], cycle: &[u32], params: DiffParams) -> f64 {
-        let k = cycle.len();
-        if k < 2 {
-            return 0.0;
-        }
-        debug_assert!(
-            (0..k).all(|i| (i + 1..k).all(|j| cycle[i] != cycle[j])),
-            "cycle must not repeat nodes: {cycle:?}"
-        );
-        // The number the node at cycle position `p` takes.
-        let next = |p: usize| rv[cycle[(p + 1) % k] as usize];
-        let mut delta = 0.0;
-        for (i, &node) in cycle.iter().enumerate() {
-            let mine = (rv[node as usize], next(i));
-            for &(o, out, w) in self.row(node) {
-                let ro = rv[o as usize];
-                // Position of `o` in the cycle, if any; linear scan — k is
-                // small. The edge is charged at its smallest in-cycle
-                // endpoint position.
-                let ro_after = match cycle.iter().position(|&c| c == o) {
-                    Some(p) if p < i => continue,
-                    Some(p) => next(p),
-                    None => ro,
-                };
-                delta += flip(params, out, mine, (ro, ro_after), w);
-            }
-        }
-        delta
-    }
 }
 
 /// The closure-based incremental scorers the [`AdjacencyIndex`] kernels
@@ -486,31 +408,6 @@ pub mod reference {
         delta
     }
 
-    /// [`super::AdjacencyIndex::cycle_delta`], one closure call per endpoint.
-    pub fn cycle_delta(g: &AdjacencyGraph, rv: &[u8], cycle: &[u32], params: DiffParams) -> f64 {
-        let k = cycle.len();
-        if k < 2 {
-            return 0.0;
-        }
-        let pos = |n: u32| cycle.iter().position(|&c| c == n);
-        let after = |n: u32| match pos(n) {
-            Some(p) => rv[cycle[(p + 1) % k] as usize],
-            None => rv[n as usize],
-        };
-        let mut delta = 0.0;
-        for (i, &node) in cycle.iter().enumerate() {
-            for (a, b, w) in g.incident_edges_iter(node) {
-                let other = if a == node { b } else { a };
-                if matches!(pos(other), Some(p) if p < i) {
-                    continue;
-                }
-                let was = !params.in_range(rv[a as usize], rv[b as usize]);
-                let is = !params.in_range(after(a), after(b));
-                delta += (is as i8 - was as i8) as f64 * w;
-            }
-        }
-        delta
-    }
 }
 
 #[cfg(test)]
@@ -646,23 +543,13 @@ mod tests {
     }
 
     #[test]
-    fn perm_cost_and_attach_cost_match_the_graph() {
+    fn perm_cost_matches_the_graph() {
         let g = dense_test_graph();
         let idx = g.index();
         let params = DiffParams::new(8, 3);
         let rv: Vec<u8> = vec![5, 0, 7, 2, 4, 1];
         let full = g.assignment_cost(|n| Some(rv[n as usize]), params);
         assert_eq!(idx.perm_cost(&rv, params).to_bits(), full.to_bits());
-        assert_eq!(idx.mean_weight(), g.total_weight() / g.num_edges() as f64);
-        // Nodes 0..3 assigned: node 4's attach cost at number 6 is the
-        // node cost of 4 against them alone.
-        let assigned = [true, true, true, true, false, false];
-        let assign = |n: u32| match n {
-            4 => Some(6),
-            _ => assigned[n as usize].then(|| rv[n as usize]),
-        };
-        let want = g.node_cost(4, assign, params);
-        assert_eq!(idx.attach_cost(&rv, &assigned, 4, 6, params), want);
     }
 
     #[test]
@@ -784,65 +671,6 @@ mod tests {
             g.add_edge(a, b, w);
         }
         g
-    }
-
-    #[test]
-    fn cycle_delta_matches_full_recost() {
-        let g = dense_test_graph();
-        let idx = g.index();
-        let params = DiffParams::new(8, 3);
-        let rv: Vec<u8> = vec![5, 0, 7, 2, 4, 1];
-        let cycles: &[&[u32]] = &[
-            &[0, 1, 2],
-            &[2, 1, 0],
-            &[1, 3, 5],
-            &[0, 2, 4, 5],
-            &[5, 4, 3, 2, 1],
-            &[0, 1, 2, 3, 4, 5],
-        ];
-        for cycle in cycles {
-            let mut rotated = rv.clone();
-            let k = cycle.len();
-            for (i, &n) in cycle.iter().enumerate() {
-                rotated[n as usize] = rv[cycle[(i + 1) % k] as usize];
-            }
-            let before = g.assignment_cost(|n| Some(rv[n as usize]), params);
-            let after = g.assignment_cost(|n| Some(rotated[n as usize]), params);
-            let delta = idx.cycle_delta(&rv, cycle, params);
-            assert!(
-                (delta - (after - before)).abs() < 1e-12,
-                "cycle {cycle:?}: delta {delta} vs full {}",
-                after - before
-            );
-        }
-    }
-
-    #[test]
-    fn cycle_delta_two_cycle_equals_swap_delta() {
-        let g = dense_test_graph();
-        let idx = g.index();
-        let params = DiffParams::new(8, 2);
-        let rv: Vec<u8> = vec![3, 6, 0, 1, 7, 4];
-        for x in 0..6u32 {
-            for y in 0..6u32 {
-                if x == y {
-                    continue;
-                }
-                let swap = idx.swap_delta(&rv, x, y, params);
-                let cyc = idx.cycle_delta(&rv, &[x, y], params);
-                assert!((swap - cyc).abs() < 1e-12, "({x},{y}): {swap} vs {cyc}");
-            }
-        }
-    }
-
-    #[test]
-    fn cycle_delta_trivial_cycles_are_zero() {
-        let g = dense_test_graph();
-        let idx = g.index();
-        let params = DiffParams::new(8, 3);
-        let rv: Vec<u8> = vec![5, 0, 7, 2, 4, 1];
-        assert_eq!(idx.cycle_delta(&rv, &[], params), 0.0);
-        assert_eq!(idx.cycle_delta(&rv, &[3], params), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! Property tests for the incremental scorers `AdjacencyIndex::swap_delta`
-//! and `AdjacencyIndex::cycle_delta`: on random graphs and register
-//! vectors, the incremental delta must agree exactly with the difference
+//! Property tests for the incremental scorer `AdjacencyIndex::swap_delta`:
+//! on random graphs and register vectors, the incremental delta must
+//! agree exactly with the difference
 //! of two full `assignment_cost` evaluations, and every index kernel must
 //! return the same bits as its graph-walking oracle
 //! (`dra_adjgraph::graph::reference` and the `AdjacencyGraph` methods).
@@ -78,45 +78,6 @@ proptest! {
         );
     }
 
-    /// `cycle_delta` equals the full-recost difference of applying the
-    /// rotation, for random cycles of length 2..=N over random graphs,
-    /// register vectors, and differential windows. Length-2 cycles double
-    /// as a `swap_delta` cross-check.
-    #[test]
-    fn cycle_delta_matches_full_recost(
-        edges in proptest::collection::vec(
-            (0u32..N, 0u32..N, 1u32..100), 1..48
-        ),
-        rv in proptest::collection::vec(0u8..N as u8, N as usize),
-        // A permutation seed: sort indices by key to pick distinct nodes.
-        keys in proptest::collection::vec(any::<u32>(), N as usize),
-        k in 2usize..=N as usize,
-        diff_n in 1u16..=N as u16,
-    ) {
-        let g = build(&edges);
-        let idx = g.index();
-        let params = DiffParams::new(N as u16, diff_n);
-
-        // First k nodes of a key-sorted index permutation: a uniform-ish
-        // random simple cycle without needing a shuffle primitive.
-        let mut order: Vec<u32> = (0..N).collect();
-        order.sort_by_key(|&i| (keys[i as usize], i));
-        let cycle = &order[..k];
-
-        let mut rotated = rv.clone();
-        for (i, &n) in cycle.iter().enumerate() {
-            rotated[n as usize] = rv[cycle[(i + 1) % k] as usize];
-        }
-        let before = g.assignment_cost(|n| Some(rv[n as usize]), params);
-        let after = g.assignment_cost(|n| Some(rotated[n as usize]), params);
-
-        let delta = idx.cycle_delta(&rv, cycle, params);
-        prop_assert!(
-            (delta - (after - before)).abs() < 1e-9,
-            "cycle {cycle:?}: delta {delta}, full {}", after - before
-        );
-    }
-
     /// The CSR kernels against their oracles, bit for bit, over RegN
     /// 2..=64 and DiffN 1..=RegN (direct encoding included). Weights are
     /// inexact binary fractions, so a reordered sum would show up here.
@@ -130,8 +91,6 @@ proptest! {
         ),
         raw_rv in proptest::collection::vec(any::<u8>(), 64),
         unassigned in any::<u64>(),
-        keys in proptest::collection::vec(any::<u32>(), 64),
-        k in 2usize..=8,
     ) {
         let n = reg_n as u32;
         let diff_n = if direct { reg_n } else { 1 + diff_sel % reg_n };
@@ -164,15 +123,6 @@ proptest! {
                 );
             }
         }
-
-        let mut order: Vec<u32> = (0..n).collect();
-        order.sort_by_key(|&i| (keys[i as usize], i));
-        let cycle = &order[..k.min(n as usize)];
-        prop_assert_eq!(
-            idx.cycle_delta(&rv, cycle, params).to_bits(),
-            reference::cycle_delta(&g, &rv, cycle, params).to_bits(),
-            "cycle {:?}", cycle
-        );
         idx.recycle();
     }
 }

@@ -1,32 +1,12 @@
-//! Ablation D2 (DESIGN.md): the differential remapping search compared
-//! across strategies — the greedy multi-start descent at several restart
-//! counts, and greedy-1000 vs the portfolio (greedy + simulated annealing
-//! + LNS cycle moves) at the *same* evaluation budget, measuring the
-//! wall-time on the same allocated function. `fig13` reports the
-//! equal-budget solution quality on all ten benchmarks.
+//! Ablation D2 (DESIGN.md): the paper's greedy multi-start descent at
+//! several restart counts, measuring the wall-time on the same allocated
+//! function.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dra_adjgraph::DiffParams;
 use dra_core::lowend::LowEndSetup;
-use dra_regalloc::{
-    allocate_program, remap_function, AllocConfig, DenseIrc, RemapConfig, RemapStrategy,
-};
+use dra_regalloc::{allocate_program, remap_function, AllocConfig, DenseIrc, RemapConfig};
 use std::hint::black_box;
-
-/// Equal-budget comparison point: roughly 1/8 of what greedy-1000
-/// naturally spends on this function, so the fixed restart count starves
-/// while the budget-aware portfolio still completes its racers (the same
-/// regime as the fig13 sweep).
-const EVAL_BUDGET: u64 = 50_000;
-
-fn budget_cfg(strategy: RemapStrategy) -> RemapConfig {
-    let mut cfg = RemapConfig::new(DiffParams::new(12, 8));
-    cfg.exhaustive_limit = 0; // always search
-    cfg.starts = 1000;
-    cfg.strategy = strategy;
-    cfg.eval_budget = EVAL_BUDGET;
-    cfg
-}
 
 fn bench_remap(c: &mut Criterion) {
     // A program allocated with 12 registers via the plain allocator, not
@@ -53,19 +33,6 @@ fn bench_remap(c: &mut Criterion) {
                     cfg.exhaustive_limit = 0; // force greedy
                     cfg.starts = starts;
                     black_box(remap_function(&mut f, &cfg));
-                })
-            },
-        );
-    }
-    // Greedy-1000 vs the portfolio under one equal evaluation budget.
-    for strategy in [RemapStrategy::Greedy, RemapStrategy::Portfolio] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("budget50k-{}", strategy.label())),
-            &func,
-            |b, f| {
-                b.iter(|| {
-                    let mut f = f.clone();
-                    black_box(remap_function(&mut f, &budget_cfg(strategy)));
                 })
             },
         );

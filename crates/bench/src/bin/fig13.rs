@@ -12,12 +12,10 @@
 use dra_adjgraph::DiffParams;
 use dra_bench::{average, batch_threads, emit_telemetry, render_table};
 use dra_core::batch::run_lowend_matrix_with_telemetry;
-use dra_core::lowend::{
-    compile_and_run, compile_program_telemetry, Approach, LowEndRun, LowEndSetup,
-};
+use dra_core::lowend::{compile_program_telemetry, Approach, LowEndRun, LowEndSetup};
 use dra_core::telemetry::JsonWriter;
 use dra_core::Telemetry;
-use dra_regalloc::{remap_function, RemapConfig, RemapStrategy};
+use dra_regalloc::{remap_function, RemapConfig};
 use dra_workloads::benchmark_names;
 
 /// Remap-search work aggregated over a run's functions.
@@ -99,92 +97,16 @@ fn main() {
     );
     println!("\npaper shape: remapping ~1.07, select <= 1.01, O-spill ~0.96, coalesce ~0.98");
 
-    // --- Portfolio vs greedy-1000 at an equal evaluation budget ---------
+    // --- Optimality gap vs the certified exhaustive search --------------
     //
-    // The search-portfolio acceptance experiment. Uncapped, greedy-1000
-    // already certifies at the branch-and-bound optimum on these
-    // benchmarks (see the gap table below), so the interesting regime is
-    // a *constrained* equal budget: both searches get 1/8 of the
-    // evaluations greedy-1000 naturally spends per searching function.
-    // Greedy keeps the paper's fixed 1000 restarts and truncates every
-    // descent; the portfolio concentrates the same budget on fewer,
-    // complete greedy/SA/LNS racers. The portfolio must never be worse
-    // and should win outright on some benchmarks at equal or lower
-    // search time.
-    let mut port_rows = Vec::new();
-    json.key("portfolio_vs_greedy").arr();
-    for (name, runs) in names.iter().zip(&matrix) {
-        let natural = runs[1]
-            .as_ref()
-            .unwrap_or_else(|e| panic!("{name}/remap: {e}"));
-        let (nat_evals, _, _) = remap_totals(natural);
-        let searching = natural.remap.iter().filter(|st| st.evaluations > 0).count() as u64;
-        let budget = (nat_evals / searching.max(1) / 8).max(1);
-        let mut setup_g = setup.clone();
-        setup_g.remap_eval_budget = budget;
-        let greedy = compile_and_run(name, Approach::Remapping, &setup_g)
-            .unwrap_or_else(|e| panic!("{name}/greedy-capped: {e}"));
-        let mut setup_p = setup_g.clone();
-        setup_p.remap_strategy = RemapStrategy::Portfolio;
-        let port = compile_and_run(name, Approach::Remapping, &setup_p)
-            .unwrap_or_else(|e| panic!("{name}/portfolio: {e}"));
-        let (g_evals, _, g_nanos) = remap_totals(&greedy);
-        let (p_evals, _, p_nanos) = remap_totals(&port);
-        port_rows.push(vec![
-            name.to_string(),
-            format!("{budget}"),
-            format!("{}", greedy.dynamic_set_last_regs),
-            format!("{}", port.dynamic_set_last_regs),
-            format!("{g_evals}"),
-            format!("{p_evals}"),
-        ]);
-        json.obj().key("name").str(name);
-        for (k, v) in [
-            ("eval_budget", budget),
-            ("natural_greedy_evaluations", nat_evals),
-            ("greedy_dynamic_slr", greedy.dynamic_set_last_regs),
-            ("portfolio_dynamic_slr", port.dynamic_set_last_regs),
-            ("greedy_evaluations", g_evals),
-            ("portfolio_evaluations", p_evals),
-            ("greedy_search_nanos", g_nanos),
-            ("portfolio_search_nanos", p_nanos),
-        ] {
-            json.key(k).u64(v);
-        }
-        json.end();
-    }
-    json.end();
-    print!(
-        "\n{}",
-        render_table(
-            "Remap portfolio vs greedy-1000 at an equal (1/8-natural) eval budget",
-            &[
-                "benchmark".into(),
-                "budget/fn".into(),
-                "greedy dyn slr".into(),
-                "portfolio dyn slr".into(),
-                "greedy evals".into(),
-                "portfolio evals".into(),
-            ],
-            &port_rows
-        )
-    );
-
-    // --- Optimality gap vs the certified branch-and-bound ---------------
-    //
-    // On the direct-encoded (`RegN = 8`) baseline allocations, the exact
-    // branch-and-bound certifies the true optimum of the remap objective
-    // at `DiffN = 4`, which measures every heuristic's absolute gap.
+    // On the direct-encoded (`RegN = 8`) baseline allocations, the
+    // exhaustive enumeration certifies the true optimum of the remap
+    // objective at `DiffN = 4`, which measures the greedy multistart's
+    // absolute gap.
     let gap_params = DiffParams::new(8, 4);
-    let heuristics: [(&str, RemapStrategy); 4] = [
-        ("greedy", RemapStrategy::Greedy),
-        ("anneal", RemapStrategy::Anneal),
-        ("lns", RemapStrategy::Lns),
-        ("portfolio", RemapStrategy::Portfolio),
-    ];
     json.key("optimality_gap").arr();
-    // Two regimes: a tight budget where the heuristics differ, and an
-    // ample one where they should all close the gap.
+    // Two regimes: a tight budget that cuts descents short, and an ample
+    // one that lets every descent finish.
     for gap_budget in [2_000u64, 50_000] {
         let mut gap_rows = Vec::new();
         for name in &names {
@@ -192,53 +114,42 @@ fn main() {
             let mut t = Telemetry::new();
             compile_program_telemetry(&mut prog, Approach::Baseline, &setup, None, &mut t)
                 .unwrap_or_else(|e| panic!("{name}/baseline: {e}"));
-            let mut bb_cfg = RemapConfig::new(gap_params);
-            bb_cfg.strategy = RemapStrategy::BranchBound;
-            bb_cfg.eval_budget = 5_000_000;
-            let (mut optimal, mut bb_nodes) = (0.0f64, 0u64);
+            let mut exact_cfg = RemapConfig::new(gap_params);
+            exact_cfg.exhaustive_limit = 8;
+            let mut greedy_cfg = RemapConfig::new(gap_params);
+            greedy_cfg.exhaustive_limit = 0; // force the greedy multistart
+            greedy_cfg.starts = 64;
+            greedy_cfg.eval_budget = gap_budget;
+            let (mut optimal, mut cost) = (0.0f64, 0.0f64);
             for f in &prog.funcs {
-                let mut f = f.clone();
-                let st = remap_function(&mut f, &bb_cfg);
+                let st = remap_function(&mut f.clone(), &exact_cfg);
                 assert!(
                     st.certified,
-                    "{name}/{}: branch-and-bound must certify RegN = 8 instances",
+                    "{name}/{}: the exhaustive search must certify RegN = 8 instances",
                     f.name
                 );
                 optimal += st.cost_after;
-                bb_nodes += st.bb_nodes;
+                cost += remap_function(&mut f.clone(), &greedy_cfg).cost_after;
             }
-            let mut row = vec![name.to_string(), format!("{optimal:.1}")];
+            let gap = cost - optimal;
+            gap_rows.push(vec![
+                name.to_string(),
+                format!("{optimal:.1}"),
+                format!("{cost:.1} (+{gap:.1})"),
+            ]);
             json.obj().key("name").str(name).key("eval_budget").u64(gap_budget);
-            json.key("optimal_cost").raw(&fixed(optimal)).key("bb_nodes").u64(bb_nodes);
-            for &(label, strat) in &heuristics {
-                let mut cfg = RemapConfig::new(gap_params);
-                cfg.exhaustive_limit = 0; // force the heuristic searches
-                cfg.strategy = strat;
-                cfg.starts = 64;
-                cfg.eval_budget = gap_budget;
-                let mut cost = 0.0f64;
-                for f in &prog.funcs {
-                    let mut f = f.clone();
-                    cost += remap_function(&mut f, &cfg).cost_after;
-                }
-                let gap = cost - optimal;
-                row.push(format!("{cost:.1} (+{gap:.1})"));
-                json.key(&format!("{label}_cost")).raw(&fixed(cost));
-                json.key(&format!("{label}_gap")).raw(&fixed(gap));
-            }
-            json.end();
-            gap_rows.push(row);
+            json.key("optimal_cost").raw(&fixed(optimal));
+            json.key("greedy_cost").raw(&fixed(cost));
+            json.key("greedy_gap").raw(&fixed(gap)).end();
         }
-        let mut gap_header = vec!["benchmark".to_string(), "optimal".to_string()];
-        gap_header.extend(heuristics.iter().map(|&(l, _)| format!("{l} (gap)")));
         print!(
             "\n{}",
             render_table(
                 &format!(
-                    "Remap optimality gap vs certified branch-and-bound \
+                    "Remap optimality gap vs certified exhaustive search \
                      (RegN=8, DiffN=4, 64 starts, {gap_budget} evals)"
                 ),
-                &gap_header,
+                &["benchmark".into(), "optimal".into(), "greedy (gap)".into()],
                 &gap_rows
             )
         );

@@ -525,9 +525,9 @@ mod tests {
     /// Zero the remap wall-clock field (`search_nanos`) and drop telemetry
     /// spans: they measure wall-clock time, not the compilation result, so
     /// two otherwise-identical runs differ there. The remap *work*
-    /// counters (`evaluations`, `starts_run`, `cycle_moves`) are
-    /// schedule-invariant — the portfolio splits its budget
-    /// deterministically — so they stay in the comparison.
+    /// counters (`evaluations`, `starts_run`) are schedule-invariant — the
+    /// multistart splits its budget deterministically — so they stay in
+    /// the comparison.
     fn normalized(mut r: LowEndRun) -> LowEndRun {
         for st in &mut r.remap {
             st.search_nanos = 0;

@@ -19,14 +19,13 @@ use dra_core::profile::compile_and_run_profiled;
 use dra_core::serve::{result_json, serve, ServeAddr, ServeConfig};
 use dra_core::telemetry::{validate_telemetry, Telemetry};
 use dra_encoding::EncodingConfig;
-use dra_regalloc::RemapStrategy;
 use dra_workloads::benchmark_names;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  drac list\n  drac compile --bench <name> --approach <a> [--emit ir|stats|bits|json] [--profile] [--check] [--remap-strategy <s>]\n  drac run --bench <name> --approach <a> [--profile] [--check] [--remap-strategy <s>]\n  drac sweep --bench <name> [--check] [--remap-strategy <s>]\n  drac check [--bench <name>] [--approach <a>]\n  drac serve --addr <unix:PATH|tcp:HOST:PORT> [--workers <n>] [--retries <n>] [--queue-cap <n>] [--telemetry-root <dir>]\n  drac profile [--bench <name>] [--name <out-name>] [--builtin <name|all>]   (default: all benchmarks)\n  drac corpus --profile <name|path> --count <n> [--seed <n>] [--threads <n>]\n  drac report [<telemetry.json>|<dir>]…   (default: results/telemetry)\n\napproaches: baseline remapping select o-spill coalesce adaptive\nremap strategies: greedy anneal lns bb portfolio\nbuiltin profiles: embedded-dsp pointer-chasing deep-cfg call-heavy"
+        "usage:\n  drac list\n  drac compile --bench <name> --approach <a> [--emit ir|stats|bits|json] [--profile] [--check]\n  drac run --bench <name> --approach <a> [--profile] [--check]\n  drac sweep --bench <name> [--check]\n  drac check [--bench <name>] [--approach <a>]\n  drac serve --addr <unix:PATH|tcp:HOST:PORT> [--workers <n>] [--retries <n>] [--queue-cap <n>] [--telemetry-root <dir>]\n  drac profile [--bench <name>] [--name <out-name>] [--builtin <name|all>]   (default: all benchmarks)\n  drac corpus --profile <name|path> --count <n> [--seed <n>] [--threads <n>]\n  drac report [<telemetry.json>|<dir>]…   (default: results/telemetry)\n\napproaches: baseline remapping select o-spill coalesce adaptive\nbuiltin profiles: embedded-dsp pointer-chasing deep-cfg call-heavy"
     );
     ExitCode::FAILURE
 }
@@ -37,7 +36,6 @@ struct Args {
     emit: String,
     profile: bool,
     check: bool,
-    remap_strategy: Option<RemapStrategy>,
 }
 
 fn parse_args(rest: &[String]) -> Option<Args> {
@@ -47,7 +45,6 @@ fn parse_args(rest: &[String]) -> Option<Args> {
         emit: "stats".to_string(),
         profile: false,
         check: false,
-        remap_strategy: None,
     };
     let mut it = rest.iter();
     while let Some(a) = it.next() {
@@ -57,9 +54,6 @@ fn parse_args(rest: &[String]) -> Option<Args> {
             "--emit" => args.emit = it.next()?.clone(),
             "--profile" => args.profile = true,
             "--check" => args.check = true,
-            "--remap-strategy" => {
-                args.remap_strategy = Some(RemapStrategy::parse(it.next()?)?)
-            }
             _ => return None,
         }
     }
@@ -87,9 +81,6 @@ fn main() -> ExitCode {
             };
             let mut setup = LowEndSetup::default();
             setup.check = args.check;
-            if let Some(strategy) = args.remap_strategy {
-                setup.remap_strategy = strategy;
-            }
             let run = if args.profile {
                 compile_and_run_profiled(&bench, approach, &setup)
             } else {
@@ -156,9 +147,6 @@ fn main() -> ExitCode {
             };
             let mut setup = LowEndSetup::default();
             setup.check = args.check;
-            if let Some(strategy) = args.remap_strategy {
-                setup.remap_strategy = strategy;
-            }
             println!(
                 "{:<11} {:>7} {:>7} {:>11} {:>10}",
                 "approach", "spill%", "slr%", "code(bits)", "cycles"

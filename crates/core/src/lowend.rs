@@ -11,7 +11,7 @@ use dra_isa::code_size_bits;
 use dra_regalloc::{
     check_allocation, check_function_encoding, remap_function, AllocConfig, AllocationRecord,
     Allocator, AllocatorStats, CheckError, CheckStats, Coalescing, DenseIrc, Ospill, RemapConfig,
-    RemapStats, RemapStrategy,
+    RemapStats,
 };
 use dra_sim::{simulate, LowEndConfig};
 use dra_workloads::benchmark;
@@ -117,12 +117,6 @@ pub struct LowEndSetup {
     /// Worker threads for the remapping restarts (`0` = one per CPU).
     /// The search result is identical at any thread count.
     pub remap_threads: usize,
-    /// Search strategy for the remapping pass (greedy restarts by
-    /// default — the paper's algorithm; see [`RemapStrategy`]).
-    pub remap_strategy: RemapStrategy,
-    /// Portfolio-wide evaluation budget for the remapping search, split
-    /// deterministically across restart tasks.
-    pub remap_eval_budget: u64,
     /// Worker threads for the batch driver ([`crate::batch`]) when running
     /// many (benchmark, approach) cells (`0` = one per CPU). Like
     /// `remap_threads`, results are identical at any thread count.
@@ -168,8 +162,6 @@ impl Default for LowEndSetup {
             args: vec![],
             remap_starts: 1000,
             remap_threads: 0,
-            remap_strategy: RemapStrategy::Greedy,
-            remap_eval_budget: dra_regalloc::DEFAULT_EVAL_BUDGET,
             batch_threads: 0,
             degrade: true,
             cell_retries: 1,
@@ -182,13 +174,12 @@ impl Default for LowEndSetup {
 }
 
 impl LowEndSetup {
-    /// The remapping configuration this setup implies.
+    /// The remapping configuration this setup implies (the search-wide
+    /// evaluation budget is [`dra_regalloc::DEFAULT_EVAL_BUDGET`]).
     pub fn remap_config(&self) -> RemapConfig {
         let mut cfg = RemapConfig::new(self.diff);
         cfg.starts = self.remap_starts;
         cfg.threads = self.remap_threads;
-        cfg.strategy = self.remap_strategy;
-        cfg.eval_budget = self.remap_eval_budget;
         // The allocator keeps values that live across calls out of the
         // clobbered registers; an unpinned permutation could move such a
         // value *into* one. Pinning the clobbers preserves the allocator's
@@ -412,27 +403,15 @@ fn record_allocator_stats(t: &mut Telemetry, s: &AllocatorStats) {
 /// Record one function's remapping-search work counters and wall-clock
 /// span.
 ///
-/// Every counter here is a pure function of the input (the portfolio's
-/// budget split and tie-breaks are schedule-invariant), so aggregates are
+/// Every counter here is a pure function of the input (the multistart's
+/// budget split and tie-break are schedule-invariant), so aggregates are
 /// identical at any `remap_threads` / batch thread count; only the `remap`
 /// span varies with the wall clock.
 fn record_remap(t: &mut Telemetry, st: &RemapStats) {
     t.count("remap.functions", 1);
     t.count("remap.evaluations", st.evaluations);
     t.count("remap.starts_run", st.starts_run as u64);
-    t.count("remap.cycle_moves", st.cycle_moves);
-    t.count("remap.bb_nodes", st.bb_nodes);
-    t.count(
-        match st.winner {
-            dra_regalloc::RemapWinner::Identity => "remap.win.identity",
-            dra_regalloc::RemapWinner::Exhaustive => "remap.win.exhaustive",
-            dra_regalloc::RemapWinner::Greedy => "remap.win.greedy",
-            dra_regalloc::RemapWinner::Anneal => "remap.win.anneal",
-            dra_regalloc::RemapWinner::Lns => "remap.win.lns",
-            dra_regalloc::RemapWinner::BranchBound => "remap.win.branch-bound",
-        },
-        1,
-    );
+    t.count(&format!("remap.win.{}", st.winner.label()), 1);
     if st.certified {
         t.count("remap.certified", 1);
     }

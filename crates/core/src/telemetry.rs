@@ -597,10 +597,11 @@ impl Json {
         }
     }
 
-    /// The numeric value as u64, if integral and in range.
+    /// The numeric value as u64, if integral and in range. `u64::MAX as
+    /// f64` rounds up to 2^64, one past the range, so the bound is strict.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -666,20 +667,46 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Stri
     }
 }
 
+/// A number by the JSON grammar:
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
 fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
+    let bad = || format!("bad number at byte {start}");
+    // Advance past a run of digits; false if the run is empty.
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while b.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
     if b.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < b.len()
-        && (b[*pos].is_ascii_digit() || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-    {
+    if b.get(*pos) == Some(&b'0') {
         *pos += 1;
+    } else if !digits(pos) {
+        return Err(bad());
     }
+    if b.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        if !digits(pos) {
+            return Err(bad());
+        }
+    }
+    if matches!(b.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(b.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        if !digits(pos) {
+            return Err(bad());
+        }
+    }
+    // The grammar admits only ASCII, so the slice is valid UTF-8, and
+    // every string it admits is a valid Rust float literal.
     let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    s.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("bad number {s:?} at byte {start}"))
+    s.parse::<f64>().map(Json::Num).map_err(|_| bad())
 }
 
 fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
@@ -1074,6 +1101,32 @@ mod tests {
         assert!(parse_json("12 34").is_err());
         assert!(parse_json("\"open").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_json_grammar() {
+        for bad in [
+            "01", "-01", "1.", "2.", "-.5", "1.e5", "-", ".5", "1e", "1e+", "+1", "--1", "1.5.2",
+            "00",
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad} must be rejected");
+            assert!(parse_json(&format!("[{bad}]")).is_err(), "[{bad}] must be rejected");
+        }
+        for (good, want) in [
+            ("0", 0.0),
+            ("-0", -0.0),
+            ("10", 10.0),
+            ("0.5", 0.5),
+            ("-0.5e-1", -0.05),
+            ("1E+2", 100.0),
+            ("2e0", 2.0),
+        ] {
+            assert_eq!(parse_json(good), Ok(Json::Num(want)), "{good}");
+        }
+        // 2^64 is one past u64::MAX: a number, but not a u64.
+        let big = parse_json("18446744073709551616").unwrap();
+        assert_eq!(big.as_u64(), None);
+        assert_eq!(parse_json("9007199254740992").unwrap().as_u64(), Some(1 << 53));
     }
 
     #[test]

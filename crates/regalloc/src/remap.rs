@@ -4,30 +4,20 @@
 //! permuted freely: a permutation preserves the only constraint a
 //! traditional allocator enforces (co-live ranges in distinct registers)
 //! while changing the differential-encoding cost. This pass searches the
-//! permutation space for a low-cost register vector with a **portfolio**
-//! of strategies ([`RemapStrategy`]):
+//! permutation space for a low-cost register vector the paper's way:
 //!
 //! * **exhaustive** search for small `RegN` (the paper notes
-//!   `O(RegN² · RegN!)` is tractable there),
-//! * the paper's **greedy pairwise-swap descent** restarted from many
-//!   random initial register vectors (1000 in the paper),
-//! * **simulated annealing** over the same transposition neighborhood,
-//!   with a seeded geometric temperature ladder spanning each task's
-//!   evaluation slice,
-//! * **large-neighborhood search** (LNS): greedy descent to a local
-//!   minimum, then 3-cycle and k-cycle rotation moves scored with
-//!   [`AdjacencyIndex::cycle_delta`] to escape transposition-local minima,
-//! * an exact **branch-and-bound** for small instances (admissible bound
-//!   from a sorted incident-weight relaxation) that certifies optima and
-//!   measures every heuristic's gap.
+//!   `O(RegN² · RegN!)` is tractable there); a completed enumeration
+//!   certifies the optimum,
+//! * otherwise the paper's **greedy pairwise-swap descent** restarted from
+//!   many random initial register vectors (1000 in the paper).
 //!
 //! # Incremental delta-cost evaluation
 //!
-//! All searches move through permutation space by **transpositions** (and
-//! LNS by short rotations): a swap of the numbers held by nodes `x` and
-//! `y` can only change the violation status of edges incident to `x` or
-//! `y`, so a candidate is scored with [`AdjacencyIndex::swap_delta`] in
-//! `O(deg(x) + deg(y))` (rotations with [`AdjacencyIndex::cycle_delta`])
+//! Both searches move through permutation space by **transpositions**: a
+//! swap of the numbers held by nodes `x` and `y` can only change the
+//! violation status of edges incident to `x` or `y`, so a candidate is
+//! scored with [`AdjacencyIndex::swap_delta`] in `O(deg(x) + deg(y))`
 //! instead of re-walking the whole edge set (`O(E)`). The greedy
 //! [`descend`] goes further and keeps each sweep's deltas in a table,
 //! rescoring only the pairs whose inputs the applied swap changed, and
@@ -39,27 +29,26 @@
 //! also where every register vector is checked against `RegN`; the
 //! scorers in between trust it (see [`AdjacencyIndex`]).
 //!
-//! # Deterministic parallel racing under one budget
+//! # Deterministic parallel restarts under one budget
 //!
-//! The portfolio runs `starts` tasks; task `i` uses strategy
-//! `racers[i % racers.len()]` and the start vector of index `i`. Tasks are
-//! independent, so they run on [`std::thread::scope`] threads
-//! ([`RemapConfig::threads`]). Each task's RNG stream is a pure function
-//! of `(seed, strategy, start index)` (SplitMix64-finalized), the shared
-//! [`RemapConfig::eval_budget`] is pre-split into per-task slices
-//! (`budget / tasks`, the remainder spread over the lowest indices), and
-//! the winner is the lowest-cost result with ties broken by **strategy
-//! order, then lowest start index**. Nothing a task does depends on any
-//! other task, so the chosen `(permutation, cost)` *and every work
-//! counter* ([`RemapStats::evaluations`], [`RemapStats::starts_run`],
-//! [`RemapStats::cycle_moves`]) are bit-identical at any thread count,
-//! including the sequential `threads = 1` path.
+//! The multistart runs `starts` descents; descent `i` starts from the
+//! start vector of index `i`. Descents are independent, so they run on
+//! [`std::thread::scope`] threads ([`RemapConfig::threads`]). Each start
+//! vector is a pure function of `(seed, start index)` (SplitMix64-finalized),
+//! the shared [`RemapConfig::eval_budget`] is pre-split into per-start
+//! slices (`budget / starts`, the remainder spread over the lowest
+//! indices), and the winner is the lowest-cost result with ties broken by
+//! **lowest start index**. Nothing a descent does depends on any other, so
+//! the chosen `(permutation, cost)` *and every work counter*
+//! ([`RemapStats::evaluations`], [`RemapStats::starts_run`]) are
+//! bit-identical at any thread count, including the sequential
+//! `threads = 1` path.
 
-use dra_adjgraph::{build_preg_adjacency, AdjacencyGraph, AdjacencyIndex, DiffParams};
-use dra_ir::{Function, PReg, Program, Reg, RegClass};
+use dra_adjgraph::{build_preg_adjacency, AdjacencyIndex, DiffParams};
+use dra_ir::{Function, PReg, Reg, RegClass};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::cmp::Ordering;
 use std::time::Instant;
 
@@ -68,8 +57,8 @@ use std::time::Instant;
 /// masquerade as an improving swap (which could cycle the descent).
 const EPS: f64 = 1e-9;
 
-/// Default portfolio-wide evaluation budget ([`RemapConfig::eval_budget`]).
-/// Shared by all restarts: at the paper's 1000 starts each task's slice is
+/// Default search-wide evaluation budget ([`RemapConfig::eval_budget`]).
+/// Shared by all restarts: at the paper's 1000 starts each start's slice is
 /// 4000 evaluations, about 14 times what a greedy descent at the
 /// evaluation's setup actually spends. There `RegN = 12` with the call
 /// clobbers `r0` and `r1` pinned, so 10 slots are free, a sweep has 45
@@ -79,66 +68,6 @@ const EPS: f64 = 1e-9;
 /// unbounded one.
 pub const DEFAULT_EVAL_BUDGET: u64 = 4_000_000;
 
-/// Search strategy for the remapping pass ([`RemapConfig::strategy`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum RemapStrategy {
-    /// The paper's greedy pairwise-swap descent from random restarts.
-    #[default]
-    Greedy,
-    /// Simulated annealing over the transposition neighborhood.
-    Anneal,
-    /// Large-neighborhood search: greedy descent plus cycle-rotation moves.
-    Lns,
-    /// Exact branch-and-bound (admissible incident-weight bound). Certifies
-    /// the optimum when it completes within the evaluation budget; meant
-    /// for small `RegN` (≤ 8-ish) or gap measurement.
-    BranchBound,
-    /// Race greedy, annealing, and LNS as interleaved restart tasks under
-    /// the shared budget.
-    Portfolio,
-}
-
-impl RemapStrategy {
-    /// Parse a command-line strategy name.
-    pub fn parse(s: &str) -> Option<RemapStrategy> {
-        match s {
-            "greedy" => Some(RemapStrategy::Greedy),
-            "anneal" | "sa" => Some(RemapStrategy::Anneal),
-            "lns" => Some(RemapStrategy::Lns),
-            "bb" | "bnb" | "branch-bound" => Some(RemapStrategy::BranchBound),
-            "portfolio" => Some(RemapStrategy::Portfolio),
-            _ => None,
-        }
-    }
-
-    /// Canonical name (accepted by [`RemapStrategy::parse`]).
-    pub fn label(self) -> &'static str {
-        match self {
-            RemapStrategy::Greedy => "greedy",
-            RemapStrategy::Anneal => "anneal",
-            RemapStrategy::Lns => "lns",
-            RemapStrategy::BranchBound => "branch-bound",
-            RemapStrategy::Portfolio => "portfolio",
-        }
-    }
-
-    /// The strategies this configuration races as restart tasks (task `i`
-    /// runs `racers()[i % racers().len()]`). Branch-and-bound is not a
-    /// restart strategy and never appears here.
-    fn racers(self) -> &'static [RemapStrategy] {
-        match self {
-            RemapStrategy::Greedy | RemapStrategy::BranchBound => &[RemapStrategy::Greedy],
-            RemapStrategy::Anneal => &[RemapStrategy::Anneal],
-            RemapStrategy::Lns => &[RemapStrategy::Lns],
-            RemapStrategy::Portfolio => &[
-                RemapStrategy::Greedy,
-                RemapStrategy::Anneal,
-                RemapStrategy::Lns,
-            ],
-        }
-    }
-}
-
 /// Which searcher produced the final register vector of a remap run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RemapWinner {
@@ -147,14 +76,8 @@ pub enum RemapWinner {
     Identity,
     /// The small-`RegN` exhaustive enumeration.
     Exhaustive,
-    /// A greedy-descent restart task.
+    /// A greedy-descent restart.
     Greedy,
-    /// A simulated-annealing restart task.
-    Anneal,
-    /// A large-neighborhood-search restart task.
-    Lns,
-    /// The exact branch-and-bound.
-    BranchBound,
 }
 
 impl RemapWinner {
@@ -164,9 +87,6 @@ impl RemapWinner {
             RemapWinner::Identity => "identity",
             RemapWinner::Exhaustive => "exhaustive",
             RemapWinner::Greedy => "greedy",
-            RemapWinner::Anneal => "anneal",
-            RemapWinner::Lns => "lns",
-            RemapWinner::BranchBound => "branch-bound",
         }
     }
 }
@@ -178,37 +98,32 @@ pub struct RemapConfig {
     pub params: DiffParams,
     /// Register class whose numbers are permuted.
     pub class: RegClass,
-    /// Use exhaustive permutation search when `RegN <=` this bound (unless
-    /// [`RemapConfig::strategy`] is [`RemapStrategy::BranchBound`], which
-    /// always runs the branch-and-bound).
+    /// Use exhaustive permutation search when `RegN <=` this bound, the
+    /// greedy multistart otherwise.
     pub exhaustive_limit: u16,
-    /// Number of restart tasks for the heuristic searches (the paper uses
-    /// 1000, which is the default).
+    /// Number of greedy restarts (the paper uses 1000, which is the
+    /// default).
     pub starts: u32,
     /// Registers that must keep their numbers (special-purpose registers,
     /// Section 9.2, or calling-convention anchors, Section 9.3).
     pub pinned: Vec<PReg>,
-    /// RNG seed for the restart tasks (reproducibility).
+    /// RNG seed for the restart vectors (reproducibility).
     pub seed: u64,
-    /// Worker threads for the restart tasks; `0` means one per available
+    /// Worker threads for the restarts; `0` means one per available
     /// CPU. The search result and all work counters are identical at any
     /// thread count.
     pub threads: usize,
-    /// Portfolio-wide evaluation budget: the maximum candidate scorings
-    /// (a swap candidate counting 1, a k-node
-    /// [`AdjacencyIndex::cycle_delta`] counting `k - 1`) the whole run may
-    /// spend. A greedy-descent candidate read from the descent's delta
-    /// table ([`descend`]) counts 1 like a fresh
+    /// Search-wide evaluation budget: the maximum swap candidates the
+    /// whole run may score. A greedy-descent candidate read from the
+    /// descent's delta table ([`descend`]) counts 1 like a fresh
     /// [`AdjacencyIndex::swap_delta`] call, and a sweep replayed from the
-    /// search's [`SweepMemo`] counts every candidate of the sweep. Pre-split deterministically
-    /// across the restart tasks (`budget / starts` each, remainder to the
-    /// lowest indices), so the cutoff is a pure function of the input and
-    /// both the result and the counters stay bit-identical at any
-    /// [`RemapConfig::threads`]. The exhaustive and branch-and-bound
-    /// searches spend the budget as a single task.
+    /// search's [`SweepMemo`] counts every candidate of the sweep.
+    /// Pre-split deterministically across the restarts (`budget / starts`
+    /// each, remainder to the lowest indices), so the cutoff is a pure
+    /// function of the input and both the result and the counters stay
+    /// bit-identical at any [`RemapConfig::threads`]. The exhaustive
+    /// search spends the budget as a single task.
     pub eval_budget: u64,
-    /// Which search strategy (or portfolio of strategies) to run.
-    pub strategy: RemapStrategy,
 }
 
 impl RemapConfig {
@@ -225,27 +140,12 @@ impl RemapConfig {
             seed: 0x5eed,
             threads: 0,
             eval_budget: DEFAULT_EVAL_BUDGET,
-            strategy: RemapStrategy::Greedy,
         }
-    }
-
-    /// Paper-fidelity restarts (1000 initial register vectors). This is
-    /// the default; the method remains for call sites that want to state
-    /// the intent explicitly.
-    pub fn with_paper_restarts(mut self) -> Self {
-        self.starts = 1000;
-        self
     }
 
     /// Override the worker thread count (`0` = one per available CPU).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Override the search strategy.
-    pub fn with_strategy(mut self, strategy: RemapStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 }
@@ -259,29 +159,22 @@ pub struct RemapStats {
     pub cost_after: f64,
     /// Whether the exhaustive search was used.
     pub exhaustive: bool,
-    /// Candidate scorings performed (swap candidates counting 1, k-node
-    /// `cycle_delta` calls counting `k - 1`, branch-and-bound candidate
-    /// scorings counting 1). A greedy-descent swap candidate counts 1
+    /// Swap candidates scored. A greedy-descent swap candidate counts 1
     /// whether [`descend`] scored it with `swap_delta`, read it from its
     /// delta table or skipped it in a sweep replayed from the
     /// [`SweepMemo`], so this is the work of the full-rescoring search.
     /// A pure function of the input — identical at any thread count.
     pub evaluations: u64,
-    /// Restart tasks actually executed (0 for exhaustive runs; below
+    /// Restarts actually executed (0 for exhaustive runs; below
     /// `RemapConfig::starts` only when the eval budget is smaller than the
-    /// task count, in which case zero-slice tasks are skipped). A pure
-    /// function of the input.
+    /// restart count, in which case zero-slice restarts are skipped). A
+    /// pure function of the input.
     pub starts_run: u32,
-    /// Improving cycle rotations applied by LNS tasks.
-    pub cycle_moves: u64,
-    /// Branch-and-bound nodes expanded (0 unless the strategy was
-    /// [`RemapStrategy::BranchBound`]).
-    pub bb_nodes: u64,
     /// Which searcher produced `cost_after`.
     pub winner: RemapWinner,
     /// True when `cost_after` is a certified optimum: the exhaustive
-    /// enumeration or branch-and-bound completed within budget, or a
-    /// zero-cost vector (unbeatable) was found.
+    /// enumeration completed within budget, or a zero-cost vector
+    /// (unbeatable) was found.
     pub certified: bool,
     /// Wall-clock time of the whole remap (graph build + search), ns.
     pub search_nanos: u64,
@@ -303,8 +196,6 @@ impl RemapStats {
             exhaustive: false,
             evaluations: 0,
             starts_run: 0,
-            cycle_moves: 0,
-            bb_nodes: 0,
             winner: RemapWinner::Identity,
             certified: false,
             search_nanos: 0,
@@ -313,26 +204,21 @@ impl RemapStats {
     }
 }
 
-/// Work counters shared by the search strategies.
+/// Work counters of a search.
 #[derive(Clone, Copy, Debug, Default)]
 struct SearchCounters {
     evaluations: u64,
     starts_run: u32,
-    cycle_moves: u64,
-    bb_nodes: u64,
 }
 
 impl SearchCounters {
     fn absorb(&mut self, other: SearchCounters) {
         self.evaluations += other.evaluations;
         self.starts_run += other.starts_run;
-        self.cycle_moves += other.cycle_moves;
-        self.bb_nodes += other.bb_nodes;
     }
 }
 
-/// Result of one complete search (exhaustive, branch-and-bound, or the
-/// multistart portfolio).
+/// Result of one complete search (exhaustive or the greedy multistart).
 struct SearchOutcome {
     rv: Vec<u8>,
     cost: f64,
@@ -364,8 +250,6 @@ pub fn remap_function(f: &mut Function, cfg: &RemapConfig) -> RemapStats {
             exhaustive: false,
             evaluations: 0,
             starts_run: 0,
-            cycle_moves: 0,
-            bb_nodes: 0,
             winner: RemapWinner::Identity,
             certified: true,
             search_nanos: t0.elapsed().as_nanos() as u64,
@@ -373,14 +257,11 @@ pub fn remap_function(f: &mut Function, cfg: &RemapConfig) -> RemapStats {
         };
     }
 
-    let use_exhaustive =
-        cfg.strategy != RemapStrategy::BranchBound && reg_n <= cfg.exhaustive_limit;
-    let outcome = if cfg.strategy == RemapStrategy::BranchBound {
-        branch_and_bound(&g, &idx, cfg)
-    } else if use_exhaustive {
+    let use_exhaustive = reg_n <= cfg.exhaustive_limit;
+    let outcome = if use_exhaustive {
         exhaustive_search(&idx, cfg)
     } else {
-        portfolio_multistart(&idx, cfg, cfg.strategy.racers())
+        multistart(&idx, cfg)
     };
 
     idx.recycle();
@@ -395,8 +276,6 @@ pub fn remap_function(f: &mut Function, cfg: &RemapConfig) -> RemapStats {
         exhaustive: use_exhaustive,
         evaluations: outcome.counters.evaluations,
         starts_run: outcome.counters.starts_run,
-        cycle_moves: outcome.counters.cycle_moves,
-        bb_nodes: outcome.counters.bb_nodes,
         winner: if improved {
             outcome.winner
         } else {
@@ -406,14 +285,6 @@ pub fn remap_function(f: &mut Function, cfg: &RemapConfig) -> RemapStats {
         search_nanos: t0.elapsed().as_nanos() as u64,
         degraded: false,
     }
-}
-
-/// Remap every function of a program independently.
-pub fn remap_program(p: &mut Program, cfg: &RemapConfig) -> Vec<RemapStats> {
-    p.funcs
-        .iter_mut()
-        .map(|f| remap_function(f, cfg))
-        .collect()
 }
 
 /// The identity register vector over `0..reg_n` (`reg_n <= 256`, which
@@ -503,28 +374,12 @@ fn exhaustive_search(idx: &AdjacencyIndex, cfg: &RemapConfig) -> SearchOutcome {
     }
 }
 
-/// Outcome of one restart task.
-struct StartOutcome {
-    rv: Vec<u8>,
-    cost: f64,
-    evals: u64,
-    cycle_moves: u64,
-}
-
 /// Derive the RNG seed of restart `start`: a pure function of
 /// `(seed, start)` (a SplitMix64 finalizer over the combined words), so
 /// any worker thread can regenerate any start's stream independently of
 /// how the starts are partitioned.
 fn start_seed(seed: u64, start: u32) -> u64 {
     mix64(seed ^ (u64::from(start) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Derive the RNG seed of the *search moves* of a task: a pure function of
-/// `(seed, strategy, start)`, distinct from the start-vector stream so all
-/// strategies explore from identical initial vectors but with independent
-/// move randomness.
-fn task_seed(seed: u64, strat_ix: usize, start: u32) -> u64 {
-    mix64(start_seed(seed, start) ^ (strat_ix as u64 + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93))
 }
 
 /// The SplitMix64 finalizer.
@@ -550,11 +405,11 @@ fn start_vector(reg_n: usize, free: &[usize], seed: u64, start: u32) -> Vec<u8> 
     rv
 }
 
-/// The per-task slice of the portfolio-wide evaluation budget: an even
-/// split with the remainder spread over the lowest task indices — a pure
-/// function of `(total, tasks, i)`, independent of scheduling.
-fn slice_budget(total: u64, tasks: u64, i: u64) -> u64 {
-    total / tasks + u64::from(i < total % tasks)
+/// The per-start slice of the search-wide evaluation budget: an even
+/// split with the remainder spread over the lowest start indices — a pure
+/// function of `(total, starts, i)`, independent of scheduling.
+fn slice_budget(total: u64, starts: u64, i: u64) -> u64 {
+    total / starts + u64::from(i < total % starts)
 }
 
 /// Result of one greedy descent ([`descend`], [`reference::descend`]).
@@ -595,7 +450,7 @@ const LOCAL_MINIMUM: u16 = u16::MAX;
 ///
 /// A memo is bound to one `(index, free slots, params)` by construction
 /// and lives exactly as long as the search that owns it (one worker's
-/// range of restart tasks), so no entry can answer for another graph.
+/// range of restarts), so no entry can answer for another graph.
 /// Entries are compact: the keys sit in one flat byte arena (`RegN` bytes
 /// each), the outcome is 2 bytes (the swapped slot pair or "local
 /// minimum"), and a linear-probing table of 4-byte entry indices, at most
@@ -717,7 +572,7 @@ fn fingerprint(rv: &[u8]) -> u64 {
 /// never scored. A complete sweep that missed is recorded, unless it was
 /// the descent's first.
 ///
-/// `budget` caps the candidates this descent visits (the task's slice of
+/// `budget` caps the candidates this descent visits (the start's slice of
 /// [`RemapConfig::eval_budget`]), checked per candidate so the slice is
 /// never overrun: a surface that keeps producing improving swaps stops at
 /// its current (still valid) permutation instead of looping unboundedly.
@@ -845,220 +700,37 @@ pub mod reference {
     }
 }
 
-/// Simulated annealing over the transposition neighborhood. The geometric
-/// temperature ladder is scaled from the mean edge weight and spans
-/// exactly the task's evaluation slice, so the schedule is a pure function
-/// of `(graph, budget, seed)` — deterministic at any thread count. Each
-/// proposal is one random free-pair swap scored with `swap_delta`;
-/// champions are re-scored exactly before being recorded.
-fn anneal(
-    idx: &AdjacencyIndex,
-    free: &[usize],
-    params: DiffParams,
-    budget: u64,
-    seed: u64,
-    mut rv: Vec<u8>,
-) -> StartOutcome {
-    let mut cost = idx.perm_cost(&rv, params);
-    let mut best = rv.clone();
-    let mut best_cost = cost;
-    let mut evals = 0u64;
-    if free.len() < 2 || budget == 0 || best_cost <= EPS {
-        return StartOutcome {
-            rv: best,
-            cost: best_cost,
-            evals,
-            cycle_moves: 0,
-        };
-    }
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mean_w = idx.mean_weight();
-    let t0 = (2.0 * mean_w).max(EPS);
-    let t_end = (1e-3 * mean_w).max(EPS / 2.0);
-    let alpha = (t_end / t0).powf(1.0 / budget as f64);
-    let mut t = t0;
-    while evals < budget && best_cost > EPS {
-        let a = rng.gen_range(0..free.len());
-        let mut b = rng.gen_range(0..free.len() - 1);
-        if b >= a {
-            b += 1;
-        }
-        let (sa, sb) = (free[a], free[b]);
-        let d = idx.swap_delta(&rv, sa as u32, sb as u32, params);
-        evals += 1;
-        let accept = d < EPS || rng.gen::<f64>() < (-d / t).exp();
-        if accept {
-            rv.swap(sa, sb);
-            cost += d;
-            if cost < best_cost - EPS {
-                // Shed incremental drift before recording a champion.
-                let exact = idx.perm_cost(&rv, params);
-                if exact < best_cost {
-                    best_cost = exact;
-                    best.copy_from_slice(&rv);
-                }
-            }
-        }
-        t *= alpha;
-    }
-    StartOutcome {
-        rv: best,
-        cost: best_cost,
-        evals,
-        cycle_moves: 0,
-    }
-}
-
-/// Draw `k` distinct free slots via a partial Fisher–Yates shuffle of the
-/// caller's scratch pool (which persists between samples — only the RNG
-/// stream matters for determinism).
-fn sample_cycle(rng: &mut SmallRng, pool: &mut [usize], k: usize, cycle: &mut Vec<u32>) {
-    for j in 0..k {
-        let r = rng.gen_range(j..pool.len());
-        pool.swap(j, r);
-    }
-    cycle.clear();
-    cycle.extend(pool[..k].iter().map(|&s| s as u32));
-}
-
-/// Apply the left rotation scored by [`AdjacencyIndex::cycle_delta`]:
-/// `rv[cycle[i]] <- rv[cycle[i+1]]`, the last position taking the first's
-/// old value.
-fn apply_cycle(rv: &mut [u8], cycle: &[u32]) {
-    let first = rv[cycle[0] as usize];
-    for i in 0..cycle.len() - 1 {
-        rv[cycle[i] as usize] = rv[cycle[i + 1] as usize];
-    }
-    rv[cycle[cycle.len() - 1] as usize] = first;
-}
-
-/// Large-neighborhood search: greedy-descend to a transposition-local
-/// minimum, then sample 3-cycle and k-cycle (k ≤ 6) rotations scored
-/// incrementally with [`AdjacencyIndex::cycle_delta`]; applying the best
-/// improving rotation escapes the local minimum and the descent resumes.
-/// A k-cycle evaluation charges `k - 1` budget units (it is k-1
-/// transpositions' worth of scoring work).
-fn lns_descend(
-    memo: &mut SweepMemo<'_>,
-    budget: u64,
-    seed: u64,
-    rv: Vec<u8>,
-    scratch: &mut DescentScratch,
-) -> StartOutcome {
-    let (idx, free, params) = (memo.idx, memo.free, memo.params);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut evals = 0u64;
-    let mut cycle_moves = 0u64;
-    let mut pool: Vec<usize> = free.to_vec();
-    let mut cycle: Vec<u32> = Vec::with_capacity(8);
-    let mut cur = rv;
-    loop {
-        let out = descend(memo, budget - evals, cur, scratch);
-        evals += out.evals;
-        cur = out.rv;
-        let cost = out.cost;
-        if cost <= EPS || evals >= budget || free.len() < 3 {
-            return StartOutcome {
-                rv: cur,
-                cost,
-                evals,
-                cycle_moves,
-            };
-        }
-        // At a local minimum: look for an improving rotation.
-        let mut best_cycle: Option<(Vec<u32>, f64)> = None;
-        let kmax = free.len().min(6);
-        'sampling: for k in 3..=kmax {
-            let samples = if k == 3 { 2 * free.len() } else { free.len() };
-            for _ in 0..samples {
-                let units = (k - 1) as u64;
-                if evals + units > budget {
-                    break 'sampling;
-                }
-                sample_cycle(&mut rng, &mut pool, k, &mut cycle);
-                let d = idx.cycle_delta(&cur, &cycle, params);
-                evals += units;
-                if d < -EPS && best_cycle.as_ref().is_none_or(|c| d < c.1) {
-                    best_cycle = Some((cycle.clone(), d));
-                }
-            }
-        }
-        match best_cycle {
-            Some((cyc, _)) => {
-                apply_cycle(&mut cur, &cyc);
-                cycle_moves += 1;
-            }
-            None => {
-                let cost = idx.perm_cost(&cur, params);
-                return StartOutcome {
-                    rv: cur,
-                    cost,
-                    evals,
-                    cycle_moves,
-                };
-            }
-        }
-    }
-}
-
-/// A candidate result from one restart task, tagged for the deterministic
-/// tie-break: lowest cost, then strategy order, then start index.
+/// A candidate result from one restart, tagged for the deterministic
+/// tie-break: lowest cost, then lowest start index.
 struct Candidate {
     cost: f64,
-    strat_ix: usize,
     start: u32,
     rv: Vec<u8>,
 }
 
 impl Candidate {
     fn beats(&self, other: &Candidate) -> bool {
-        match self.cost.partial_cmp(&other.cost).expect("NaN cost") {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => (self.strat_ix, self.start) < (other.strat_ix, other.start),
-        }
+        let by_cost = self.cost.partial_cmp(&other.cost).expect("NaN cost");
+        by_cost.then(self.start.cmp(&other.start)) == Ordering::Less
     }
 }
 
-/// The restart portfolio: `cfg.starts` tasks, task `i` running
-/// `racers[i % racers.len()]` from start vector `i`, each under its
-/// deterministic slice of the shared evaluation budget, on up to
-/// `cfg.threads` scoped worker threads.
+/// The paper's greedy multistart: `cfg.starts` descents, descent `i`
+/// starting from start vector `i` under its deterministic slice of the
+/// shared evaluation budget, on up to `cfg.threads` scoped worker threads.
 ///
-/// Each worker owns a contiguous range of task indices and reports its
+/// Each worker owns a contiguous range of start indices and reports its
 /// best candidate plus its work counters; the merge takes the lowest cost,
-/// breaking ties by strategy order then lowest start index. Because every
-/// task's RNG streams and budget slice depend only on
-/// `(cfg.seed, strategy, start)`, the winning `(rv, cost)` **and the
-/// counters** are bit-identical for any thread count — no task exits early
-/// based on another task's result.
-fn portfolio_multistart(
-    idx: &AdjacencyIndex,
-    cfg: &RemapConfig,
-    racers: &[RemapStrategy],
-) -> SearchOutcome {
+/// breaking ties by lowest start index. Because every start vector and
+/// budget slice depends only on `(cfg.seed, start)`, the winning
+/// `(rv, cost)` **and the counters** are bit-identical for any thread
+/// count — no descent exits early based on another descent's result.
+fn multistart(idx: &AdjacencyIndex, cfg: &RemapConfig) -> SearchOutcome {
     let reg_n = cfg.params.reg_n() as usize;
     let params = cfg.params;
     let free = free_slots(reg_n, &cfg.pinned);
 
     let starts = cfg.starts.max(1);
-    // The portfolio (more than one racer) treats `starts` as an *upper
-    // bound* and concentrates a tight budget on fewer, complete racers: a
-    // task needs several full descent sweeps' worth of evaluations
-    // (8 · |free|·(|free|−1)/2) before its result beats a random start, so
-    // the task count shrinks until every slice clears that bar.
-    // Single-strategy runs keep their fixed restart count and truncate
-    // descents instead — that is exactly the paper's greedy-1000 baseline
-    // the portfolio is measured against. The adapted count is a pure
-    // function of `(budget, starts, |free|)`, so schedule invariance is
-    // unaffected.
-    let starts = if racers.len() > 1 {
-        let pairs = (free.len() * free.len().saturating_sub(1) / 2) as u64;
-        let min_task = (8 * pairs).max(1);
-        (cfg.eval_budget / min_task).clamp(1, u64::from(starts)) as u32
-    } else {
-        starts
-    };
     let threads = if cfg.threads == 0 {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     } else {
@@ -1075,33 +747,14 @@ fn portfolio_multistart(
         for start in lo..hi {
             let slice = slice_budget(cfg.eval_budget, u64::from(starts), u64::from(start));
             if slice == 0 {
-                continue; // budget smaller than the task count
+                continue; // budget smaller than the restart count
             }
-            let strat_ix = start as usize % racers.len();
             let rv0 = start_vector(reg_n, &free, cfg.seed, start);
-            let moves_seed = task_seed(cfg.seed, strat_ix, start);
-            let out = match racers[strat_ix] {
-                RemapStrategy::Greedy => {
-                    let d = descend(&mut memo, slice, rv0, &mut scratch);
-                    StartOutcome {
-                        rv: d.rv,
-                        cost: d.cost,
-                        evals: d.evals,
-                        cycle_moves: 0,
-                    }
-                }
-                RemapStrategy::Anneal => anneal(idx, &free, params, slice, moves_seed, rv0),
-                RemapStrategy::Lns => lns_descend(&mut memo, slice, moves_seed, rv0, &mut scratch),
-                RemapStrategy::BranchBound | RemapStrategy::Portfolio => {
-                    unreachable!("not restart strategies")
-                }
-            };
+            let out = descend(&mut memo, slice, rv0, &mut scratch);
             counters.evaluations += out.evals;
             counters.starts_run += 1;
-            counters.cycle_moves += out.cycle_moves;
             let cand = Candidate {
                 cost: out.cost,
-                strat_ix,
                 start,
                 rv: out.rv,
             };
@@ -1148,16 +801,7 @@ fn portfolio_multistart(
     let identity = identity(reg_n);
     let identity_cost = idx.perm_cost(&identity, params);
     let (rv, cost, win) = match winner {
-        Some(c) if c.cost < identity_cost => {
-            let strat = racers[c.strat_ix];
-            let win = match strat {
-                RemapStrategy::Greedy => RemapWinner::Greedy,
-                RemapStrategy::Anneal => RemapWinner::Anneal,
-                RemapStrategy::Lns => RemapWinner::Lns,
-                _ => unreachable!(),
-            };
-            (c.rv, c.cost, win)
-        }
+        Some(c) if c.cost < identity_cost => (c.rv, c.cost, RemapWinner::Greedy),
         _ => (identity, identity_cost, RemapWinner::Identity),
     };
     SearchOutcome {
@@ -1165,200 +809,6 @@ fn portfolio_multistart(
         rv,
         cost,
         winner: win,
-        counters,
-    }
-}
-
-/// Exact branch-and-bound over the free-slot assignment, with an
-/// admissible bound from the **sorted incident-weight relaxation**: slots
-/// are branched in order of decreasing incident edge weight, and the lower
-/// bound for a partial assignment relaxes every edge between two
-/// unassigned slots to zero, charging each unassigned slot only the
-/// cheapest violation cost any unused number could give it against the
-/// already-assigned slots. That never overestimates the true completion
-/// cost, so pruning is safe and a completed search certifies the optimum.
-///
-/// The incumbent is seeded with one greedy descent from the identity
-/// (spending up to a quarter of the budget), then the tree search spends
-/// the rest; candidate scorings (both branching and bounding) each charge
-/// one evaluation. Budget exhaustion aborts with the incumbent and
-/// `certified = false`.
-struct BranchBound<'a> {
-    idx: &'a AdjacencyIndex,
-    params: DiffParams,
-    /// Free slots in branch order (decreasing incident weight).
-    order: Vec<usize>,
-    /// Candidate numbers (the free slots' own numbers, ascending).
-    values: Vec<u8>,
-    rv: Vec<u8>,
-    assigned: Vec<bool>,
-    used: Vec<bool>,
-    best: Vec<u8>,
-    best_cost: f64,
-    evals: u64,
-    nodes: u64,
-    budget: u64,
-    aborted: bool,
-}
-
-impl BranchBound<'_> {
-    /// Cost of the edges between slot `s` (holding number `v`) and the
-    /// already-assigned slots. O(deg(s)), allocation-free.
-    fn attach_cost(&self, s: usize, v: u8) -> f64 {
-        self.idx
-            .attach_cost(&self.rv, &self.assigned, s as u32, v, self.params)
-    }
-
-    /// Admissible lower bound on completing the assignment from `depth`:
-    /// each unassigned slot pays at least the cheapest attach cost over
-    /// the still-unused numbers (edges among unassigned slots relaxed to
-    /// zero). Returns `None` when the budget runs out mid-bound.
-    fn bound(&mut self, depth: usize) -> Option<f64> {
-        let mut lb = 0.0;
-        for d in depth..self.order.len() {
-            let s = self.order[d];
-            let mut cheapest = f64::INFINITY;
-            for &v in &self.values {
-                if self.used[v as usize] {
-                    continue;
-                }
-                if self.evals >= self.budget {
-                    self.aborted = true;
-                    return None;
-                }
-                self.evals += 1;
-                cheapest = cheapest.min(self.attach_cost(s, v));
-                if cheapest == 0.0 {
-                    break;
-                }
-            }
-            if cheapest.is_finite() {
-                lb += cheapest;
-            }
-        }
-        Some(lb)
-    }
-
-    fn search(&mut self, depth: usize, partial: f64) {
-        if self.aborted || partial >= self.best_cost - EPS {
-            return;
-        }
-        if depth == self.order.len() {
-            // Complete assignment: settle the cost exactly (the partial
-            // sum carries incremental drift) before recording.
-            let exact = self.idx.perm_cost(&self.rv, self.params);
-            if exact < self.best_cost {
-                self.best_cost = exact;
-                self.best.copy_from_slice(&self.rv);
-            }
-            return;
-        }
-        match self.bound(depth) {
-            Some(lb) if partial + lb < self.best_cost - EPS => {}
-            _ => return, // pruned or aborted
-        }
-        let s = self.order[depth];
-        let saved = self.rv[s];
-        for vi in 0..self.values.len() {
-            let v = self.values[vi];
-            if self.used[v as usize] {
-                continue;
-            }
-            if self.evals >= self.budget {
-                self.aborted = true;
-                return;
-            }
-            self.evals += 1;
-            self.nodes += 1;
-            let add = self.attach_cost(s, v);
-            if partial + add >= self.best_cost - EPS {
-                continue;
-            }
-            self.rv[s] = v;
-            self.assigned[s] = true;
-            self.used[v as usize] = true;
-            self.search(depth + 1, partial + add);
-            self.rv[s] = saved;
-            self.assigned[s] = false;
-            self.used[v as usize] = false;
-            if self.aborted {
-                return;
-            }
-        }
-    }
-}
-
-fn branch_and_bound(g: &AdjacencyGraph, idx: &AdjacencyIndex, cfg: &RemapConfig) -> SearchOutcome {
-    let reg_n = cfg.params.reg_n() as usize;
-    let params = cfg.params;
-    let free = free_slots(reg_n, &cfg.pinned);
-    let mut counters = SearchCounters::default();
-
-    // Incumbent: one greedy descent from the identity.
-    let identity = identity(reg_n);
-    let inc = descend(
-        &mut SweepMemo::new(idx, &free, params),
-        cfg.eval_budget / 4,
-        identity.clone(),
-        &mut DescentScratch::default(),
-    );
-    counters.evaluations += inc.evals;
-    counters.starts_run += 1;
-    if inc.cost <= EPS {
-        return SearchOutcome {
-            rv: inc.rv,
-            cost: inc.cost,
-            winner: RemapWinner::BranchBound,
-            certified: true,
-            counters,
-        };
-    }
-
-    let mut order = free.clone();
-    order.sort_by(|&a, &b| {
-        idx.incident_weight(b as u32)
-            .partial_cmp(&idx.incident_weight(a as u32))
-            .expect("NaN weight")
-            .then(a.cmp(&b))
-    });
-    let mut assigned = vec![true; reg_n];
-    for &s in &free {
-        assigned[s] = false;
-    }
-    let mut used = vec![true; reg_n];
-    for &s in &free {
-        used[s] = false; // free slots' own numbers are the candidate pool
-    }
-    let mut rv = identity.clone();
-    // Cost among the pinned slots alone: constant under any branching.
-    let pinned_cost = g.assignment_cost(
-        |n| assigned[n as usize].then(|| rv[n as usize]),
-        params,
-    );
-    let mut bb = BranchBound {
-        idx,
-        params,
-        values: free.iter().map(|&s| s as u8).collect(),
-        order,
-        rv: std::mem::take(&mut rv),
-        assigned,
-        used,
-        best: inc.rv,
-        best_cost: inc.cost,
-        evals: counters.evaluations,
-        nodes: 0,
-        budget: cfg.eval_budget,
-        aborted: false,
-    };
-    bb.search(0, pinned_cost);
-
-    counters.evaluations = bb.evals;
-    counters.bb_nodes = bb.nodes;
-    SearchOutcome {
-        rv: bb.best,
-        cost: bb.best_cost,
-        winner: RemapWinner::BranchBound,
-        certified: !bb.aborted || bb.best_cost == 0.0,
         counters,
     }
 }
@@ -1385,8 +835,8 @@ mod tests {
     }
 
     /// A denser instance on 6 registers with no zero-cost solution at
-    /// `RegN = 6, DiffN = 2` — useful when a test needs the searches to
-    /// actually compete rather than all hit zero.
+    /// `RegN = 6, DiffN = 2`, so certification cannot come from the
+    /// zero-cost shortcut.
     fn tangled() -> Function {
         let mut b = FunctionBuilder::new("tangled");
         for (src, dst) in [
@@ -1594,32 +1044,23 @@ mod tests {
     fn parallel_multistart_matches_sequential() {
         // The determinism contract: identical (permutation, cost) *and
         // counters* at any thread count, including sequential.
-        for strategy in [
-            RemapStrategy::Greedy,
-            RemapStrategy::Anneal,
-            RemapStrategy::Lns,
-            RemapStrategy::Portfolio,
-        ] {
-            let run = |threads: usize| {
-                let mut f = hoppy();
-                let mut cfg = RemapConfig::new(DiffParams::new(12, 8));
-                cfg.exhaustive_limit = 0;
-                cfg.starts = 64;
-                cfg.threads = threads;
-                cfg.strategy = strategy;
-                let stats = remap_function(&mut f, &cfg);
-                (
-                    format!("{f}"),
-                    stats.cost_after.to_bits(),
-                    stats.evaluations,
-                    stats.starts_run,
-                    stats.cycle_moves,
-                )
-            };
-            let sequential = run(1);
-            assert_eq!(run(2), sequential, "{strategy:?}: 2 threads diverged");
-            assert_eq!(run(8), sequential, "{strategy:?}: 8 threads diverged");
-        }
+        let run = |threads: usize| {
+            let mut f = hoppy();
+            let mut cfg = RemapConfig::new(DiffParams::new(12, 8));
+            cfg.exhaustive_limit = 0;
+            cfg.starts = 64;
+            cfg.threads = threads;
+            let stats = remap_function(&mut f, &cfg);
+            (
+                format!("{f}"),
+                stats.cost_after.to_bits(),
+                stats.evaluations,
+                stats.starts_run,
+            )
+        };
+        let sequential = run(1);
+        assert_eq!(run(2), sequential, "2 threads diverged");
+        assert_eq!(run(8), sequential, "8 threads diverged");
     }
 
     /// A sparse instance at `RegN = 64`: 48 moves over a scrambled walk of
@@ -1643,34 +1084,23 @@ mod tests {
     fn sparse_parallel_multistart_matches_sequential() {
         // `parallel_multistart_matches_sequential` on a sparse RegN 64
         // graph, where the delta table serves most candidates.
-        for strategy in [
-            RemapStrategy::Greedy,
-            RemapStrategy::Lns,
-            RemapStrategy::Portfolio,
-        ] {
-            let run = |threads: usize| {
-                let mut f = sparse64();
-                let mut cfg = RemapConfig::new(DiffParams::new(64, 32));
-                cfg.starts = 32;
-                cfg.threads = threads;
-                cfg.strategy = strategy;
-                let stats = remap_function(&mut f, &cfg);
-                assert!(
-                    stats.cost_after < stats.cost_before,
-                    "{strategy:?} found nothing"
-                );
-                (
-                    format!("{f}"),
-                    stats.cost_after.to_bits(),
-                    stats.evaluations,
-                    stats.starts_run,
-                    stats.cycle_moves,
-                )
-            };
-            let sequential = run(1);
-            assert_eq!(run(2), sequential, "{strategy:?}: 2 threads diverged");
-            assert_eq!(run(8), sequential, "{strategy:?}: 8 threads diverged");
-        }
+        let run = |threads: usize| {
+            let mut f = sparse64();
+            let mut cfg = RemapConfig::new(DiffParams::new(64, 32));
+            cfg.starts = 32;
+            cfg.threads = threads;
+            let stats = remap_function(&mut f, &cfg);
+            assert!(stats.cost_after < stats.cost_before, "found nothing");
+            (
+                format!("{f}"),
+                stats.cost_after.to_bits(),
+                stats.evaluations,
+                stats.starts_run,
+            )
+        };
+        let sequential = run(1);
+        assert_eq!(run(2), sequential, "2 threads diverged");
+        assert_eq!(run(8), sequential, "8 threads diverged");
     }
 
     #[test]
@@ -1748,7 +1178,7 @@ mod tests {
             assert!(stats.cost_after <= stats.cost_before);
             assert!(
                 stats.evaluations <= budget,
-                "portfolio overran its budget: {} > {budget}",
+                "multistart overran its budget: {} > {budget}",
                 stats.evaluations
             );
             (
@@ -1805,133 +1235,20 @@ mod tests {
     }
 
     #[test]
-    fn strategy_parse_roundtrip() {
-        for s in [
-            RemapStrategy::Greedy,
-            RemapStrategy::Anneal,
-            RemapStrategy::Lns,
-            RemapStrategy::BranchBound,
-            RemapStrategy::Portfolio,
-        ] {
-            assert_eq!(RemapStrategy::parse(s.label()), Some(s));
-        }
-        assert_eq!(RemapStrategy::parse("sa"), Some(RemapStrategy::Anneal));
-        assert_eq!(RemapStrategy::parse("bb"), Some(RemapStrategy::BranchBound));
-        assert_eq!(RemapStrategy::parse("nope"), None);
-    }
-
-    #[test]
-    fn every_strategy_matches_exhaustive_on_small_case() {
-        let mut f0 = hoppy();
-        let ex = remap_function(&mut f0, &RemapConfig::new(DiffParams::new(4, 2)));
-        for strategy in [
-            RemapStrategy::Anneal,
-            RemapStrategy::Lns,
-            RemapStrategy::Portfolio,
-            RemapStrategy::BranchBound,
-        ] {
-            let mut f = hoppy();
-            let mut cfg = RemapConfig::new(DiffParams::new(4, 2));
-            cfg.exhaustive_limit = 0; // force the strategy itself
-            cfg.starts = 32;
-            cfg.strategy = strategy;
-            let stats = remap_function(&mut f, &cfg);
-            assert_eq!(
-                stats.cost_after, ex.cost_after,
-                "{strategy:?} missed the optimum"
-            );
-        }
-    }
-
-    #[test]
-    fn branch_and_bound_certifies_and_counts_nodes() {
+    fn exhaustive_certifies_a_nonzero_optimum() {
+        let mut f = tangled();
+        let ex = remap_function(&mut f, &RemapConfig::new(DiffParams::new(6, 2)));
+        assert!(ex.exhaustive);
+        assert!(ex.cost_after > 0.0, "tangled has no zero-cost numbering");
+        assert!(ex.certified, "a completed enumeration certifies");
+        // No greedy restart can beat a certified optimum.
         let mut f = tangled();
         let mut cfg = RemapConfig::new(DiffParams::new(6, 2));
-        cfg.strategy = RemapStrategy::BranchBound;
-        let stats = remap_function(&mut f, &cfg);
-        assert!(!stats.exhaustive, "bb bypasses the exhaustive gate");
-        assert!(stats.certified, "bb within budget must certify");
-        assert!(stats.bb_nodes > 0, "no tree search happened");
-        // Cross-check the certificate against full enumeration.
-        let mut f2 = tangled();
-        let ex = remap_function(&mut f2, &RemapConfig::new(DiffParams::new(6, 2)));
-        assert_eq!(stats.cost_after, ex.cost_after, "certified cost not optimal");
-    }
-
-    #[test]
-    fn branch_and_bound_respects_budget_and_uncertifies() {
-        let mut f = tangled();
-        let mut cfg = RemapConfig::new(DiffParams::new(6, 2));
-        cfg.strategy = RemapStrategy::BranchBound;
-        cfg.eval_budget = 8;
-        let stats = remap_function(&mut f, &cfg);
-        assert!(stats.evaluations <= 8);
-        assert!(stats.cost_after <= stats.cost_before);
-        assert!(
-            !stats.certified || stats.cost_after == 0.0,
-            "a budget-cut bb must not claim certification"
-        );
-    }
-
-    #[test]
-    fn branch_and_bound_respects_pinning() {
-        let mut f = tangled();
-        let mut cfg = RemapConfig::new(DiffParams::new(6, 2));
-        cfg.strategy = RemapStrategy::BranchBound;
-        cfg.pinned = vec![PReg(0), PReg(5)];
-        let stats = remap_function(&mut f, &cfg);
-        assert!(stats.cost_after <= stats.cost_before);
-        // Pinned slots never change numbers: check against an unpinned
-        // optimum only if it renumbers r0 or r5 — instead just verify the
-        // rewrite kept r0/r5 operands stable by construction: the pinned
-        // optimum's cost can't beat the unpinned one.
-        let mut f2 = tangled();
-        let unpinned = remap_function(&mut f2, &{
-            let mut c = RemapConfig::new(DiffParams::new(6, 2));
-            c.strategy = RemapStrategy::BranchBound;
-            c
-        });
-        assert!(stats.cost_after >= unpinned.cost_after);
-    }
-
-    #[test]
-    fn lns_counts_cycle_moves_deterministically() {
-        let run = |threads: usize| {
-            let mut f = tangled();
-            let mut cfg = RemapConfig::new(DiffParams::new(6, 2));
-            cfg.exhaustive_limit = 0;
-            cfg.strategy = RemapStrategy::Lns;
-            cfg.starts = 24;
-            cfg.threads = threads;
-            let stats = remap_function(&mut f, &cfg);
-            (stats.cycle_moves, stats.evaluations, stats.starts_run)
-        };
-        assert_eq!(run(1), run(4), "cycle-move counter is schedule-dependent");
-    }
-
-    /// Under a tight budget the portfolio concentrates on fewer, complete
-    /// racers instead of starving `starts` tasks; single-strategy greedy
-    /// keeps its fixed restart count (the paper's baseline behavior).
-    #[test]
-    fn portfolio_concentrates_a_tight_budget() {
-        let run = |strategy: RemapStrategy| {
-            let mut f = tangled();
-            let mut cfg = RemapConfig::new(DiffParams::new(6, 2));
-            cfg.exhaustive_limit = 0;
-            cfg.strategy = strategy;
-            cfg.starts = 100;
-            cfg.eval_budget = 1000;
-            remap_function(&mut f, &cfg)
-        };
-        // |free| = 6 → 15 pairs → 120-eval minimum slice → 8 tasks.
-        let port = run(RemapStrategy::Portfolio);
-        assert_eq!(port.starts_run, 8, "tasks should shrink to fit the budget");
-        assert!(port.evaluations <= 1000);
-        let greedy = run(RemapStrategy::Greedy);
-        assert_eq!(greedy.starts_run, 100, "plain greedy keeps its restart count");
-        // With complete descents the portfolio must not lose to greedy's
-        // 100 starved 10-evaluation slices.
-        assert!(port.cost_after <= greedy.cost_after + 1e-9);
+        cfg.exhaustive_limit = 0;
+        cfg.starts = 32;
+        let gr = remap_function(&mut f, &cfg);
+        assert!(!gr.certified);
+        assert!(gr.cost_after >= ex.cost_after);
     }
 
     #[test]
@@ -1943,27 +1260,5 @@ mod tests {
         assert_eq!(m.winner, RemapWinner::Identity);
         let real = remap_function(&mut hoppy(), &RemapConfig::new(DiffParams::new(4, 2)));
         assert!(!real.degraded, "normal remaps never carry the marker");
-    }
-
-    #[test]
-    fn program_remap_covers_every_function() {
-        let prog_fn = || {
-            let mut b = FunctionBuilder::new("g");
-            for (src, dst) in [(0u8, 2u8), (2, 1), (1, 3), (3, 0)] {
-                b.push(Inst::Mov {
-                    dst: PReg(dst).into(),
-                    src: PReg(src).into(),
-                });
-            }
-            b.ret(None);
-            b.finish()
-        };
-        let mut p = Program {
-            funcs: vec![prog_fn(), prog_fn()],
-            entry: 0,
-        };
-        let stats = remap_program(&mut p, &RemapConfig::new(DiffParams::new(4, 2)));
-        assert_eq!(stats.len(), 2);
-        assert!(stats.iter().all(|s| s.cost_after == 0.0));
     }
 }

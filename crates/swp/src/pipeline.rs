@@ -16,7 +16,7 @@ use crate::ims::{modulo_schedule, modulo_schedule_from, Schedule};
 use crate::kernel::{allocate_kernel, lifetimes, max_live, spill_value};
 use dra_adjgraph::DiffParams;
 use dra_encoding::{insert_set_last_reg, EncodingConfig};
-use dra_regalloc::{remap_function, RemapConfig, RemapStrategy};
+use dra_regalloc::{remap_function, RemapConfig};
 use dra_sim::{loop_cycles, VliwConfig};
 
 /// Configuration of the pipelining flow.
@@ -37,8 +37,6 @@ pub struct PipelineConfig {
     /// Worker threads for the kernel remapping restarts (`0` = one per
     /// CPU; the result is identical at any thread count).
     pub remap_threads: usize,
-    /// Search strategy for the kernel remapping pass.
-    pub remap_strategy: RemapStrategy,
     /// Replay the repaired kernel's register fields through the symbolic
     /// checker ([`dra_regalloc::check_function_encoding`]) after decode
     /// verification; a rejection is a [`PipelineError::Check`]. Off by
@@ -57,7 +55,6 @@ impl PipelineConfig {
             max_ii: 512,
             max_spills: 256,
             remap_threads: 0,
-            remap_strategy: RemapStrategy::Greedy,
             check: false,
         }
     }
@@ -187,7 +184,6 @@ pub fn pipeline_loop(ddg: &LoopDdg, cfg: &PipelineConfig) -> Result<PipelinedLoo
         let mut remap_cfg = RemapConfig::new(params);
         remap_cfg.starts = 32; // kernels are small; a few restarts suffice
         remap_cfg.threads = cfg.remap_threads;
-        remap_cfg.strategy = cfg.remap_strategy;
         remap_evaluations = remap_function(&mut alloc.func, &remap_cfg).evaluations;
         let enc = EncodingConfig::new(params);
         let stats = insert_set_last_reg(&mut alloc.func, &enc);

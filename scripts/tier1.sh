@@ -9,7 +9,8 @@
 # against the crates by path, so nothing else here compiles it), the
 # committed artifacts check (scripts/check_artifacts.sh, which also runs
 # the telemetry, checker, profile and corpus smokes in a temporary
-# directory), and the fault, serve and overload smokes. Nothing here
+# directory), the fault, serve and overload smokes, and a report of the
+# non-test line count (scripts/loc.sh). Nothing here
 # writes into the tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -129,3 +130,7 @@ EOF
 wait "$OVER_PID"
 [ ! -S "$OSOCK" ] || { echo "stale overload socket left behind"; exit 1; }
 echo "overload smoke OK"
+
+# Size report (not a gate): non-test lines under crates/, the count every
+# simplicity change quotes before and after.
+echo "non-test lines under crates/: $(scripts/loc.sh)"

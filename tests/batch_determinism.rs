@@ -4,11 +4,11 @@
 //!
 //! The only field excluded is the remap search's wall-clock measurement
 //! (`search_nanos`) and, for the same reason, telemetry spans. The remap
-//! *work* counters (`evaluations`, `starts_run`, `cycle_moves`,
-//! `bb_nodes`) are part of the contract: the portfolio splits its
-//! evaluation budget deterministically across restart tasks and never
-//! exits early based on another task's result, so they are pure functions
-//! of the input at any thread count.
+//! *work* counters (`evaluations`, `starts_run`) are part of the
+//! contract: the greedy multistart splits its evaluation budget
+//! deterministically across restarts and never exits early based on
+//! another restart's result, so they are pure functions of the input at
+//! any thread count.
 
 use dra_core::batch::{run_batch, run_lowend_matrix_with_telemetry};
 use dra_core::highend::run_highend_sweep_with_telemetry;
@@ -71,7 +71,7 @@ fn telemetry_counter_aggregates_identical_across_thread_counts() {
         Approach::Adaptive,
     ];
     // The remap work counters are schedule-invariant at any remap thread
-    // count (the portfolio pre-splits its budget), so the *entire*
+    // count (the multistart pre-splits its budget), so the *entire*
     // aggregated counter map must be bit-identical at any batch width —
     // even with the parallel remap search left at its default.
     let mut setup = LowEndSetup::default();

@@ -137,6 +137,38 @@ fn hostile_input_gets_structured_errors_not_disconnects() {
     handle.join().expect("clean shutdown");
 }
 
+/// `01` is not a JSON number, so its line is not JSON; 2^64 is a JSON
+/// number but one past `u64::MAX`, so it is no deadline. Neither may be
+/// read as some other deadline and compiled.
+#[test]
+fn malformed_and_out_of_range_deadlines_are_rejected() {
+    let mut config = tcp_config();
+    config.workers = 1;
+    let handle = serve(config).expect("bind");
+    let mut client = ServeClient::connect(handle.addr()).expect("connect");
+
+    let line = |id: &str, deadline: &str| {
+        format!(
+            "{{\"schema\":\"dra-serve-v2\",\"id\":\"{id}\",\"kind\":\"compile\",\
+             \"approach\":\"select\",\"bench\":\"crc32\",\"deadline_ms\":{deadline}}}"
+        )
+    };
+    for (id, deadline, want) in [
+        ("d1", "01", "bad-json"),
+        ("d2", "18446744073709551616", "bad-request"),
+    ] {
+        let resp = client.request(&line(id, deadline)).unwrap();
+        assert!(!resp.ok, "deadline_ms {deadline} was accepted");
+        assert_eq!(resp.error.unwrap().0, want, "deadline_ms {deadline}");
+    }
+    // The same request with a valid deadline compiles.
+    let ok = client.request(&line("d3", "60000")).unwrap();
+    assert!(ok.ok, "{:?}", ok.error);
+
+    client.shutdown("q").unwrap();
+    handle.join().expect("clean shutdown");
+}
+
 #[test]
 fn oversized_lines_are_rejected_with_a_structured_error() {
     let mut config = tcp_config();
