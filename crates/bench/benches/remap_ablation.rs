@@ -32,7 +32,7 @@ fn bench_remap(c: &mut Criterion) {
                     let mut cfg = RemapConfig::new(DiffParams::new(12, 8));
                     cfg.exhaustive_limit = 0; // force greedy
                     cfg.starts = starts;
-                    black_box(remap_function(&mut f, &cfg));
+                    black_box(remap_function(&mut f, &cfg, None));
                 })
             },
         );

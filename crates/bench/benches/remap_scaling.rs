@@ -108,7 +108,7 @@ fn bench_remap_scaling(c: &mut Criterion) {
                 cfg.exhaustive_limit = 0;
                 cfg.starts = 32;
                 cfg.threads = 1;
-                black_box(remap_function(&mut f, &cfg))
+                black_box(remap_function(&mut f, &cfg, None))
             })
         });
         group.bench_with_input(BenchmarkId::new("paper-1000", reg_n), &f, |b, f| {
@@ -116,7 +116,7 @@ fn bench_remap_scaling(c: &mut Criterion) {
                 let mut f = f.clone();
                 let mut cfg = RemapConfig::new(params); // 1000 starts, all CPUs
                 cfg.exhaustive_limit = 0;
-                black_box(remap_function(&mut f, &cfg))
+                black_box(remap_function(&mut f, &cfg, None))
             })
         });
     }
@@ -143,7 +143,7 @@ fn bench_remap_scaling(c: &mut Criterion) {
         cfg.exhaustive_limit = 0;
         cfg.threads = threads;
         let t = Instant::now();
-        let stats = remap_function(&mut f2, &cfg);
+        let stats = remap_function(&mut f2, &cfg, None);
         (t.elapsed(), stats)
     };
     let (inc, one) = run_incremental(1);

@@ -122,14 +122,14 @@ fn main() {
             greedy_cfg.eval_budget = gap_budget;
             let (mut optimal, mut cost) = (0.0f64, 0.0f64);
             for f in &prog.funcs {
-                let st = remap_function(&mut f.clone(), &exact_cfg);
+                let st = remap_function(&mut f.clone(), &exact_cfg, None);
                 assert!(
                     st.certified,
                     "{name}/{}: the exhaustive search must certify RegN = 8 instances",
                     f.name
                 );
                 optimal += st.cost_after;
-                cost += remap_function(&mut f.clone(), &greedy_cfg).cost_after;
+                cost += remap_function(&mut f.clone(), &greedy_cfg, None).cost_after;
             }
             let gap = cost - optimal;
             gap_rows.push(vec![

@@ -95,10 +95,10 @@ fn get<'a>(obj: &'a BTreeMap<String, Json>, key: &str) -> Result<&'a Json, Strin
 }
 
 fn get_f64(obj: &BTreeMap<String, Json>, key: &str) -> Result<f64, String> {
-    match get(obj, key)? {
-        Json::Num(n) => Ok(*n),
-        other => Err(format!("{key:?} is not a number: {other:?}")),
-    }
+    let value = get(obj, key)?;
+    value
+        .as_f64()
+        .ok_or_else(|| format!("{key:?} is not a number: {value:?}"))
 }
 
 fn get_hist<const N: usize>(obj: &BTreeMap<String, Json>, key: &str) -> Result<[f64; N], String> {
@@ -110,10 +110,9 @@ fn get_hist<const N: usize>(obj: &BTreeMap<String, Json>, key: &str) -> Result<[
     }
     let mut out = [0.0; N];
     for (i, item) in items.iter().enumerate() {
-        match item {
-            Json::Num(n) => out[i] = *n,
-            other => return Err(format!("{key:?}[{i}] is not a number: {other:?}")),
-        }
+        out[i] = item
+            .as_f64()
+            .ok_or_else(|| format!("{key:?}[{i}] is not a number: {item:?}"))?;
     }
     Ok(out)
 }

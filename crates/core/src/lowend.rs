@@ -10,8 +10,8 @@ use dra_ir::{Function, Inst, Program, Reg};
 use dra_isa::code_size_bits;
 use dra_regalloc::{
     check_allocation, check_function_encoding, remap_function, AllocConfig, AllocationRecord,
-    Allocator, AllocatorStats, CheckError, CheckStats, Coalescing, DenseIrc, Ospill, RemapConfig,
-    RemapStats,
+    Allocator, AllocatorStats, CheckError, CheckStats, Coalescing, DenseIrc, Ospill, RemapCache,
+    RemapConfig, RemapStats,
 };
 use dra_sim::{simulate, LowEndConfig};
 use dra_workloads::benchmark;
@@ -524,13 +524,15 @@ impl Plan {
 /// Compile function `fi` in place under `plan`: allocate, then — for a
 /// differential plan — remap, repair and decode-verify, then run the
 /// symbolic checker when [`LowEndSetup::check`] is set. Returns the remap
-/// statistics of a differential plan. The [`PipelineFaults`] alloc and
-/// verify injection points target differential plans only.
+/// statistics of a differential plan. `remaps` is the compile session's
+/// search cache, if any. The [`PipelineFaults`] alloc and verify
+/// injection points target differential plans only.
 fn compile_function(
     f: &mut Function,
     fi: usize,
     plan: &Plan,
     setup: &LowEndSetup,
+    remaps: Option<&RemapCache>,
     t: &mut Telemetry,
 ) -> Result<Option<RemapStats>, PipelineError> {
     let injected = |targets: &BTreeSet<usize>, stage: &'static str| {
@@ -547,7 +549,7 @@ fn compile_function(
     let mut remap = None;
     if plan.differential {
         // Figure 4: remapping may always run after any allocator.
-        let rs = remap_function(f, &setup.remap_config());
+        let rs = remap_function(f, &setup.remap_config(), remaps);
         record_remap(t, &rs);
         remap = Some(rs);
         let repair = t.time("repair", || insert_set_last_reg(f, &enc));
@@ -597,6 +599,19 @@ pub fn compile_program_telemetry(
     pressures: Option<&[usize]>,
     t: &mut Telemetry,
 ) -> Result<Vec<RemapStats>, PipelineError> {
+    compile_program(p, approach, setup, pressures, None, t)
+}
+
+/// [`compile_program_telemetry`] with a compile session's remapping
+/// search cache.
+fn compile_program(
+    p: &mut Program,
+    approach: Approach,
+    setup: &LowEndSetup,
+    pressures: Option<&[usize]>,
+    remaps: Option<&RemapCache>,
+    t: &mut Telemetry,
+) -> Result<Vec<RemapStats>, PipelineError> {
     if let Some(ps) = pressures {
         if ps.len() != p.funcs.len() {
             return Err(PipelineError::PressureMismatch {
@@ -619,11 +634,11 @@ pub fn compile_program_telemetry(
         });
         fits_register_file(top, fi, &plan)?;
         if !(degrade && plan.differential) {
-            remap_stats.extend(compile_function(f, fi, &plan, setup, t)?);
+            remap_stats.extend(compile_function(f, fi, &plan, setup, remaps, t)?);
             continue;
         }
         let mut attempt = f.clone();
-        match compile_function(&mut attempt, fi, &plan, setup, t) {
+        match compile_function(&mut attempt, fi, &plan, setup, remaps, t) {
             Ok(rs) => {
                 *f = attempt;
                 remap_stats.extend(rs);
@@ -633,7 +648,7 @@ pub fn compile_program_telemetry(
                 t.count(degrade_counter(&e), 1);
                 let direct = Plan::direct(setup);
                 fits_register_file(top, fi, &direct)?;
-                compile_function(f, fi, &direct, setup, t)?;
+                compile_function(f, fi, &direct, setup, remaps, t)?;
                 remap_stats.push(RemapStats::degraded_marker());
             }
         }
@@ -673,8 +688,9 @@ fn highest_preg(f: &Function) -> Option<u8> {
 
 /// The one body behind every `compile_and_run*` front end and
 /// [`crate::CompileSession`]: compile a copy of `source` (with `pressures`
-/// as in [`compile_program_telemetry`]), simulate it, and assemble the
-/// [`LowEndRun`], recording into `t`.
+/// as in [`compile_program_telemetry`], and the session's search cache
+/// `remaps`, if any), simulate it, and assemble the [`LowEndRun`],
+/// recording into `t`.
 ///
 /// A simulation failure of a differential artifact (including one
 /// injected via [`PipelineFaults::fail_sim`]) is the last rung of the
@@ -687,10 +703,11 @@ pub(crate) fn compile_and_simulate(
     pressures: Option<&[usize]>,
     approach: Approach,
     setup: &LowEndSetup,
+    remaps: Option<&RemapCache>,
     mut t: Telemetry,
 ) -> Result<LowEndRun, PipelineError> {
     let mut program = source.clone();
-    let mut remap = compile_program_telemetry(&mut program, approach, setup, pressures, &mut t)?;
+    let mut remap = compile_program(&mut program, approach, setup, pressures, remaps, &mut t)?;
     let attempt = if setup.faults.fail_sim && approach.can_degrade() {
         Err(PipelineError::Injected {
             stage: "simulate",
@@ -711,7 +728,8 @@ pub(crate) fn compile_and_simulate(
             // The differential artifact is unrunnable: rebuild the whole
             // program with the direct plan (`Baseline`) and simulate that.
             program = source.clone();
-            compile_program_telemetry(&mut program, Approach::Baseline, setup, None, &mut t)?;
+            let direct = Approach::Baseline;
+            compile_program(&mut program, direct, setup, None, remaps, &mut t)?;
             t.count("degrade.functions", program.funcs.len() as u64);
             remap = vec![RemapStats::degraded_marker(); program.funcs.len()];
             t.time("simulate", || simulate(&program, &setup.machine, &setup.args))?
@@ -752,7 +770,7 @@ pub fn compile_and_run(
 ) -> Result<LowEndRun, PipelineError> {
     let mut telemetry = Telemetry::new();
     let program = telemetry.time("parse", || benchmark(name));
-    compile_and_simulate(&program, None, approach, setup, telemetry)
+    compile_and_simulate(&program, None, approach, setup, None, telemetry)
 }
 
 /// [`compile_and_run`] over arbitrary (possibly hostile) program *text*
@@ -769,6 +787,17 @@ pub fn compile_and_run_source(
     approach: Approach,
     setup: &LowEndSetup,
 ) -> Result<LowEndRun, PipelineError> {
+    compile_and_run_text(text, approach, setup, None)
+}
+
+/// [`compile_and_run_source`] with a compile session's remapping search
+/// cache.
+pub(crate) fn compile_and_run_text(
+    text: &str,
+    approach: Approach,
+    setup: &LowEndSetup,
+    remaps: Option<&RemapCache>,
+) -> Result<LowEndRun, PipelineError> {
     let mut telemetry = Telemetry::new();
     let program = telemetry.time("parse", || dra_ir::parse::parse_program(text))?;
     for (fi, f) in program.funcs.iter().enumerate() {
@@ -783,7 +812,7 @@ pub fn compile_and_run_source(
         func: 0,
         message: e.to_string(),
     })?;
-    compile_and_simulate(&program, None, approach, setup, telemetry)
+    compile_and_simulate(&program, None, approach, setup, remaps, telemetry)
 }
 
 #[cfg(test)]

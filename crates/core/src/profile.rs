@@ -61,7 +61,7 @@ pub fn compile_and_run_profiled(
     let mut p = telemetry.time("parse", || benchmark(name));
     let cold = apply_profile(&mut p, &profile_run.block_counts);
     telemetry.count("profile.cold_blocks", cold as u64);
-    compile_and_simulate(&p, None, approach, setup, telemetry)
+    compile_and_simulate(&p, None, approach, setup, None, telemetry)
 }
 
 #[cfg(test)]

@@ -16,7 +16,14 @@
 //! * a **content-hash-keyed, LRU-bounded result cache** memoizes whole
 //!   [`LowEndRun`]s: two requests for identical input under the same
 //!   approach share one allocation, giving a resident server its
-//!   warm-path latency floor.
+//!   warm-path latency floor;
+//! * a [`RemapCache`] memoizes remapping searches by their whole input:
+//!   two different requests whose functions reach the same search (an
+//!   `Adaptive` function compiled exactly as `Select`, a `Coalesce`
+//!   allocation identical to `Select`'s) run it once. Its capacity is the
+//!   fixed [`dra_regalloc::REMAP_CACHE_CAPACITY`], and it lives and dies
+//!   with the session: no search result ever crosses from one session to
+//!   another.
 //!
 //! Keys are 128-bit FNV-1a hashes over `(namespace, content, approach)`
 //! where content is the benchmark name (`bench:`) or the full program
@@ -30,14 +37,19 @@
 //! misses count insert-wins, hits are derived, so all `result_cache.*`
 //! values are schedule-invariant as long as nothing is evicted (a racing
 //! duplicate computation is neither hit nor miss, and an error is
-//! counted under `result_cache.uncacheable`).
+//! counted under `result_cache.uncacheable`). The search cache counts
+//! `remap_cache.lookups` (one per remapped function) and
+//! `remap_cache.hits` (lookups minus distinct searches, since a search is
+//! claimed before it runs), which are schedule-invariant on the same
+//! terms.
 
 use crate::batch::SourceCache;
 use crate::cache::LruCache;
 use crate::lowend::{
-    compile_and_run_source, compile_and_simulate, Approach, LowEndRun, LowEndSetup, PipelineError,
+    compile_and_run_text, compile_and_simulate, Approach, LowEndRun, LowEndSetup, PipelineError,
 };
 use crate::telemetry::Telemetry;
+use dra_regalloc::RemapCache;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -86,6 +98,8 @@ pub struct CompileSession {
     setup: LowEndSetup,
     sources: SourceCache,
     results: Mutex<LruCache<ResultKey, Arc<LowEndRun>>>,
+    /// Remapping searches this session ran, shared by its workers.
+    remaps: RemapCache,
     /// Total result-cache consults (one per compile call).
     lookups: AtomicU64,
     /// Insert-wins (see the module docs for why this, not computations).
@@ -103,6 +117,7 @@ impl CompileSession {
         CompileSession {
             sources: SourceCache::with_capacity(setup.source_cache_cap),
             results: Mutex::new(LruCache::new(setup.result_cache_cap)),
+            remaps: RemapCache::new(),
             setup,
             lookups: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -143,8 +158,9 @@ impl CompileSession {
         let key = result_key("bench", name, approach);
         self.compile_keyed(key, || {
             let src = self.sources.get(name);
+            let (pressures, remaps) = (Some(&src.pressures[..]), Some(&self.remaps));
             let t = Telemetry::new();
-            compile_and_simulate(&src.program, Some(&src.pressures), approach, &self.setup, t)
+            compile_and_simulate(&src.program, pressures, approach, &self.setup, remaps, t)
         })
     }
 
@@ -155,15 +171,17 @@ impl CompileSession {
     /// # Errors
     ///
     /// [`PipelineError::Parse`] / [`PipelineError::Validate`] for bad
-    /// text, otherwise as [`compile_and_run_source`]; errors are never
-    /// cached.
+    /// text, otherwise as [`crate::lowend::compile_and_run_source`];
+    /// errors are never cached.
     pub fn compile_source(
         &self,
         text: &str,
         approach: Approach,
     ) -> Result<(Arc<LowEndRun>, bool), PipelineError> {
         let key = result_key("src", text, approach);
-        self.compile_keyed(key, || compile_and_run_source(text, approach, &self.setup))
+        self.compile_keyed(key, || {
+            compile_and_run_text(text, approach, &self.setup, Some(&self.remaps))
+        })
     }
 
     fn compile_keyed(
@@ -208,9 +226,10 @@ impl CompileSession {
         self.results().len()
     }
 
-    /// Record both caches' counters into `t`: `source_cache.*` (see
-    /// [`SourceCache::record_counters`]) and `result_cache.lookups` /
-    /// `.hits` / `.misses` / `.evictions` / `.uncacheable`.
+    /// Record the session's cache counters into `t`: `source_cache.*` (see
+    /// [`SourceCache::record_counters`]), `result_cache.lookups` /
+    /// `.hits` / `.misses` / `.evictions` / `.uncacheable`, and
+    /// `remap_cache.lookups` / `.hits` / `.evictions`.
     pub fn record_counters(&self, t: &mut Telemetry) {
         self.sources.record_counters(t);
         let lookups = self.lookups.load(Ordering::Relaxed);
@@ -224,6 +243,9 @@ impl CompileSession {
             lookups.saturating_sub(misses).saturating_sub(uncacheable),
         );
         t.count("result_cache.evictions", self.results().evictions());
+        t.count("remap_cache.lookups", self.remaps.lookups());
+        t.count("remap_cache.hits", self.remaps.hits());
+        t.count("remap_cache.evictions", self.remaps.evictions());
     }
 }
 
@@ -339,6 +361,49 @@ mod tests {
         let mut t = Telemetry::new();
         session.record_counters(&mut t);
         assert_eq!(t.counter("result_cache.evictions"), 1);
+    }
+
+    #[test]
+    fn sessions_never_share_remap_searches() {
+        let remap_counts = |session: &CompileSession| {
+            let mut t = Telemetry::new();
+            session.record_counters(&mut t);
+            (
+                t.counter("remap_cache.lookups"),
+                t.counter("remap_cache.hits"),
+            )
+        };
+        // `Adaptive` compiles sha's pressured functions exactly as `Select`
+        // does, so within one session its searches are all repeats.
+        let first = CompileSession::new(quick_setup());
+        first.compile_bench("sha", Approach::Select).unwrap();
+        let (searches, hits) = remap_counts(&first);
+        assert!(searches > 0);
+        assert_eq!(hits, 0);
+        first.compile_bench("sha", Approach::Adaptive).unwrap();
+        let (lookups, hits) = remap_counts(&first);
+        assert!(
+            hits > 0 && hits == lookups - searches,
+            "{lookups} lookups, {hits} hits"
+        );
+        // A fresh session starts empty: the same request misses every time.
+        let second = CompileSession::new(quick_setup());
+        second.compile_bench("sha", Approach::Adaptive).unwrap();
+        assert_eq!(remap_counts(&second), (lookups - searches, 0));
+        // And a fresh session per matrix pass: two passes report the same
+        // counters, the first pass's searches never answering the second's.
+        let names = ["sha", "crc32"];
+        let approaches = [Approach::Select, Approach::Adaptive];
+        let pass = || {
+            let (_, mut t) =
+                crate::batch::run_lowend_matrix_with_telemetry(&names, &approaches, &quick_setup());
+            t.clear_spans();
+            t
+        };
+        let once = pass();
+        let hits = once.counter("remap_cache.hits");
+        assert!(hits > 0 && hits < once.counter("remap_cache.lookups"));
+        assert_eq!(pass(), once);
     }
 
     #[test]

@@ -240,7 +240,7 @@ pub const REQUIRED_KEYS: [&str; 4] = ["schema", "binary", "counters", "spans_ns"
 /// schema-valid. Keeping the registry in one place means a typo'd or
 /// renamed stage fails `drac report` (and the tier-1 smoke) instead of
 /// shipping a silently unreadable counter.
-pub const STAGES: [&str; 20] = [
+pub const STAGES: [&str; 21] = [
     "alloc",
     "batch",
     "cells",
@@ -252,6 +252,7 @@ pub const STAGES: [&str; 20] = [
     "parse",
     "profile",
     "remap",
+    "remap_cache",
     "repair",
     "result_cache",
     "serve",
@@ -570,8 +571,14 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number; integral values round-trip exactly up to 2^63.
+    /// Any number an `f64` holds exactly, and every other non-integer
+    /// literal (rounded). Every integer of magnitude up to 2^53 is a
+    /// `Num`.
     Num(f64),
+    /// A non-negative integer literal (no fraction, no exponent) above
+    /// 2^53 that fits a `u64`, kept exact: above 2^53 an `f64` no longer
+    /// holds every integer.
+    Int(u64),
     /// A string (escapes resolved).
     Str(String),
     /// An array.
@@ -597,13 +604,26 @@ impl Json {
         }
     }
 
-    /// The numeric value as u64, if integral and in range. `u64::MAX as
-    /// f64` rounds up to 2^64, one past the range, so the bound is strict.
+    /// The numeric value as u64, if integral and in range. Every integer
+    /// literal up to `u64::MAX` reads back exactly; a `Num` is read as it
+    /// was rounded. `u64::MAX as f64` rounds up to 2^64, one past the
+    /// range, so the bound is strict.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            Json::Int(n) => Some(*n),
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
+            _ => None,
+        }
+    }
+
+    /// The numeric value as f64 (rounded for an [`Json::Int`]), if this is
+    /// a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            Json::Int(n) => Some(*n as f64),
             _ => None,
         }
     }
@@ -667,8 +687,14 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, Stri
     }
 }
 
+/// Largest integer every smaller non-negative integer of which an `f64`
+/// holds exactly.
+const F64_EXACT_INT: u64 = 1 << 53;
+
 /// A number by the JSON grammar:
-/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`.
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`. A plain
+/// non-negative integer above 2^53 that fits a `u64` is a [`Json::Int`];
+/// everything else is a [`Json::Num`].
 fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
     let bad = || format!("bad number at byte {start}");
@@ -706,6 +732,11 @@ fn parse_num(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     // The grammar admits only ASCII, so the slice is valid UTF-8, and
     // every string it admits is a valid Rust float literal.
     let s = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+    if let Ok(n) = s.parse::<u64>() {
+        if n > F64_EXACT_INT {
+            return Ok(Json::Int(n));
+        }
+    }
     s.parse::<f64>().map(Json::Num).map_err(|_| bad())
 }
 
@@ -1127,6 +1158,43 @@ mod tests {
         let big = parse_json("18446744073709551616").unwrap();
         assert_eq!(big.as_u64(), None);
         assert_eq!(parse_json("9007199254740992").unwrap().as_u64(), Some(1 << 53));
+    }
+
+    #[test]
+    fn integers_above_2_pow_53_stay_exact() {
+        // Up to 2^53 an integer is still a plain `Num`.
+        for (text, value) in [
+            ("9007199254740992", 9007199254740992.0),
+            ("-9007199254740993", -9007199254740992.0),
+        ] {
+            assert_eq!(parse_json(text), Ok(Json::Num(value)), "{text}");
+        }
+        // Above it, where `f64` skips integers, the literal is kept exact.
+        let odd = parse_json("9007199254740993").unwrap();
+        assert_eq!(odd, Json::Int(9_007_199_254_740_993));
+        assert_eq!(odd.as_u64(), Some(9_007_199_254_740_993));
+        assert_eq!(odd.as_f64(), Some(9007199254740992.0));
+        let max = parse_json("18446744073709551615").unwrap();
+        assert_eq!(max.as_u64(), Some(u64::MAX));
+        // One past `u64::MAX` is a number, but not a u64.
+        let over = parse_json("18446744073709551616").unwrap();
+        assert!(matches!(over, Json::Num(_)));
+        assert_eq!(over.as_u64(), None);
+        // A fraction or an exponent makes a rounded `Num`.
+        for rounded in ["9007199254740993.5", "9007199254740993e0"] {
+            assert!(matches!(parse_json(rounded), Ok(Json::Num(_))), "{rounded}");
+        }
+        // A telemetry frame carries such counters through unchanged.
+        let frame = format!(
+            "{{\"schema\": \"{SCHEMA}\", \"binary\": \"x\", \"counters\": \
+             {{\"remap.evaluations\": 9007199254740993, \"remap.functions\": {}}}, \
+             \"spans_ns\": {{}}}}",
+            u64::MAX
+        );
+        let rep = validate_telemetry(&frame).unwrap();
+        assert_eq!(rep.counters["remap.evaluations"], 9_007_199_254_740_993);
+        assert_eq!(rep.counters["remap.functions"], u64::MAX);
+        assert!(rep.render().contains("9007199254740993"));
     }
 
     #[test]

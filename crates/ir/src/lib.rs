@@ -26,6 +26,7 @@
 pub mod bitset;
 pub mod block;
 pub mod builder;
+pub mod cache;
 pub mod dom;
 pub mod function;
 pub mod inst;

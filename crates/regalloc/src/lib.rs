@@ -61,4 +61,7 @@ pub use irc::{
 };
 pub use ospill::{ospill_allocate, ospill_allocate_program, ospill_allocate_recorded, OspillConfig, OspillStats};
 pub use coalesce::{coalesce_allocate, coalesce_allocate_program, coalesce_allocate_recorded, CoalesceConfig, CoalesceEval, CoalesceStats};
-pub use remap::{remap_function, RemapConfig, RemapStats, RemapWinner, DEFAULT_EVAL_BUDGET};
+pub use remap::{
+    remap_function, RemapCache, RemapConfig, RemapStats, RemapWinner, DEFAULT_EVAL_BUDGET,
+    REMAP_CACHE_CAPACITY,
+};

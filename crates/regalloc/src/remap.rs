@@ -43,13 +43,25 @@
 //! ([`RemapStats::evaluations`], [`RemapStats::starts_run`]) are
 //! bit-identical at any thread count, including the sequential
 //! `threads = 1` path.
+//!
+//! # Searches a session already ran
+//!
+//! A search is a pure function of its input: the preg adjacency graph
+//! and every [`RemapConfig`] field except `threads`. A [`RemapCache`]
+//! maps that whole input to the search's result, so a caller that keeps
+//! one (a compile session) runs each distinct search once and replays
+//! repeats. A replay rewrites the function and returns the
+//! [`RemapStats`] exactly as the search did, work counters included.
 
-use dra_adjgraph::{build_preg_adjacency, AdjacencyIndex, DiffParams};
+use dra_adjgraph::{build_preg_adjacency, AdjacencyGraph, AdjacencyIndex, DiffParams};
+use dra_ir::cache::LruCache;
 use dra_ir::{Function, PReg, Reg, RegClass};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cmp::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// Improvement threshold for incrementally-maintained costs: deltas within
@@ -229,14 +241,46 @@ struct SearchOutcome {
 
 /// Remap the register numbers of an allocated function in place.
 ///
+/// With a `cache`, a search whose whole input the cache has seen is not
+/// run again: the stored register vector is applied and the stored
+/// statistics are returned, `search_nanos` aside (see [`RemapCache`]).
+///
 /// # Panics
 ///
 /// Panics if `f` still contains virtual registers of `cfg.class`, or uses
 /// physical numbers `>= RegN`.
-pub fn remap_function(f: &mut Function, cfg: &RemapConfig) -> RemapStats {
+pub fn remap_function(
+    f: &mut Function,
+    cfg: &RemapConfig,
+    cache: Option<&RemapCache>,
+) -> RemapStats {
     let t0 = Instant::now();
+    let g = build_preg_adjacency(f, cfg.class, cfg.params.reg_n());
+    let found = match cache {
+        Some(cache) => cache.get_or_search(SearchKey::new(&g, cfg), || search(&g, cfg)),
+        None => search(&g, cfg),
+    };
+    if let Some(rv) = &found.rv {
+        apply_permutation(f, rv, cfg.class);
+    }
+    RemapStats {
+        search_nanos: t0.elapsed().as_nanos() as u64,
+        ..found.stats
+    }
+}
+
+/// What a search decided: the register vector to apply (`None` keeps the
+/// allocator's numbering) and its statistics with `search_nanos` zero.
+#[derive(Clone, Debug)]
+struct Found {
+    rv: Option<Vec<u8>>,
+    stats: RemapStats,
+}
+
+/// The paper's search over `g`: exhaustive enumeration when
+/// `RegN <= exhaustive_limit`, the greedy multistart otherwise.
+fn search(g: &AdjacencyGraph, cfg: &RemapConfig) -> Found {
     let reg_n = cfg.params.reg_n();
-    let g = build_preg_adjacency(f, cfg.class, reg_n);
     let idx = g.index();
     let cost_before = idx.perm_cost(&identity(reg_n as usize), cfg.params);
 
@@ -244,16 +288,19 @@ pub fn remap_function(f: &mut Function, cfg: &RemapConfig) -> RemapStats {
     // float class of integer-only code. Nothing to search or rewrite.
     if cost_before == 0.0 {
         idx.recycle();
-        return RemapStats {
-            cost_before: 0.0,
-            cost_after: 0.0,
-            exhaustive: false,
-            evaluations: 0,
-            starts_run: 0,
-            winner: RemapWinner::Identity,
-            certified: true,
-            search_nanos: t0.elapsed().as_nanos() as u64,
-            degraded: false,
+        return Found {
+            rv: None,
+            stats: RemapStats {
+                cost_before: 0.0,
+                cost_after: 0.0,
+                exhaustive: false,
+                evaluations: 0,
+                starts_run: 0,
+                winner: RemapWinner::Identity,
+                certified: true,
+                search_nanos: 0,
+                degraded: false,
+            },
         };
     }
 
@@ -267,23 +314,163 @@ pub fn remap_function(f: &mut Function, cfg: &RemapConfig) -> RemapStats {
     idx.recycle();
     // Keep the identity if the search could not improve on it.
     let improved = outcome.cost < cost_before;
-    if improved {
-        apply_permutation(f, &outcome.rv, cfg.class);
-    }
-    RemapStats {
-        cost_before,
-        cost_after: if improved { outcome.cost } else { cost_before },
-        exhaustive: use_exhaustive,
-        evaluations: outcome.counters.evaluations,
-        starts_run: outcome.counters.starts_run,
-        winner: if improved {
-            outcome.winner
-        } else {
-            RemapWinner::Identity
+    Found {
+        stats: RemapStats {
+            cost_before,
+            cost_after: if improved { outcome.cost } else { cost_before },
+            exhaustive: use_exhaustive,
+            evaluations: outcome.counters.evaluations,
+            starts_run: outcome.counters.starts_run,
+            winner: if improved {
+                outcome.winner
+            } else {
+                RemapWinner::Identity
+            },
+            certified: outcome.certified,
+            search_nanos: 0,
+            degraded: false,
         },
-        certified: outcome.certified,
-        search_nanos: t0.elapsed().as_nanos() as u64,
-        degraded: false,
+        rv: improved.then_some(outcome.rv),
+    }
+}
+
+/// Entries a [`RemapCache`] holds before it evicts the least recently
+/// used. A paper-matrix pass (10 benchmarks × 6 approaches) makes 88
+/// distinct searches; an entry is its key's edge list (at most `RegN²`
+/// edges of 16 bytes) plus a `RegN`-byte vector, so a full cache at the
+/// evaluation's `RegN = 12` holds under 3 MB.
+pub const REMAP_CACHE_CAPACITY: usize = 1024;
+
+/// The whole input of one search: the preg adjacency graph's edges (with
+/// their weights' bits) and every [`RemapConfig`] field the result
+/// depends on. `threads` is left out: the result is identical at any
+/// thread count.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct SearchKey {
+    /// `(from, to, weight bits)` in the graph's edge order.
+    edges: Vec<(u32, u32, u64)>,
+    params: DiffParams,
+    class: RegClass,
+    exhaustive_limit: u16,
+    starts: u32,
+    pinned: Vec<PReg>,
+    seed: u64,
+    eval_budget: u64,
+}
+
+impl SearchKey {
+    fn new(g: &AdjacencyGraph, cfg: &RemapConfig) -> SearchKey {
+        SearchKey {
+            edges: g
+                .iter_edges()
+                .map(|(a, b, w)| (a, b, w.to_bits()))
+                .collect(),
+            params: cfg.params,
+            class: cfg.class,
+            exhaustive_limit: cfg.exhaustive_limit,
+            starts: cfg.starts,
+            pinned: cfg.pinned.clone(),
+            seed: cfg.seed,
+            eval_budget: cfg.eval_budget,
+        }
+    }
+}
+
+/// A search slot: empty until the one search of its key completes.
+type Slot = Arc<OnceLock<Found>>;
+
+/// Results of the searches [`remap_function`] ran, keyed by their whole
+/// input and shared by any number of threads.
+///
+/// * **Full keys.** A lookup compares the complete [`SearchKey`] (every
+///   edge and weight bit, `RegN`/`DiffN`, class, `exhaustive_limit`,
+///   `starts`, `pinned`, `seed`, `eval_budget`), never a fingerprint, so
+///   a hit is exactly a repeat.
+/// * **Replayed work is charged in full.** A hit returns the stored
+///   [`RemapStats`] — `evaluations` and `starts_run` included — so every
+///   `remap.*` counter reads as if the search had run again.
+/// * **Compute once.** A key's slot is claimed before its search runs; a
+///   concurrent lookup of the same key waits for that search instead of
+///   racing a duplicate. Hits therefore equal lookups minus distinct keys
+///   at any thread count. A search that unwinds leaves its slot empty,
+///   and the next lookup of the key runs it.
+/// * **Bounded.** At most [`REMAP_CACHE_CAPACITY`] keys, least recently
+///   used evicted first.
+///
+/// The cache has no global instance: whoever owns one decides its scope.
+/// A compile session owns one for its lifetime.
+#[derive(Debug)]
+pub struct RemapCache {
+    slots: Mutex<LruCache<Arc<SearchKey>, Slot>>,
+    lookups: AtomicU64,
+    hits: AtomicU64,
+}
+
+impl Default for RemapCache {
+    fn default() -> Self {
+        RemapCache::new()
+    }
+}
+
+impl RemapCache {
+    /// An empty cache of [`REMAP_CACHE_CAPACITY`] entries.
+    pub fn new() -> RemapCache {
+        RemapCache {
+            slots: Mutex::new(LruCache::new(REMAP_CACHE_CAPACITY)),
+            lookups: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+        }
+    }
+
+    /// Searches looked up (one per [`remap_function`] call given this
+    /// cache).
+    pub fn lookups(&self) -> u64 {
+        self.lookups.load(AtomicOrdering::Relaxed)
+    }
+
+    /// Lookups answered by a search another lookup ran.
+    pub fn hits(&self) -> u64 {
+        self.hits.load(AtomicOrdering::Relaxed)
+    }
+
+    /// Keys evicted by the capacity bound.
+    pub fn evictions(&self) -> u64 {
+        self.lock().evictions()
+    }
+
+    /// Lock the key map, recovering from poison: no search runs under the
+    /// lock, and every map operation leaves it consistent.
+    fn lock(&self) -> MutexGuard<'_, LruCache<Arc<SearchKey>, Slot>> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The result stored for `key`, running `search` into a freshly
+    /// claimed slot when there is none.
+    fn get_or_search(&self, key: SearchKey, search: impl FnOnce() -> Found) -> Found {
+        self.lookups.fetch_add(1, AtomicOrdering::Relaxed);
+        let key = Arc::new(key);
+        let slot = {
+            let mut slots = self.lock();
+            match slots.get(&key) {
+                Some(slot) => Arc::clone(slot),
+                None => {
+                    let slot = Slot::default();
+                    slots.insert(key, Arc::clone(&slot));
+                    slot
+                }
+            }
+        };
+        let mut ran = false;
+        let found = slot
+            .get_or_init(|| {
+                ran = true;
+                search()
+            })
+            .clone();
+        if !ran {
+            self.hits.fetch_add(1, AtomicOrdering::Relaxed);
+        }
+        found
     }
 }
 
@@ -866,7 +1053,7 @@ mod tests {
     fn exhaustive_finds_zero_cost() {
         let mut f = hoppy();
         let cfg = RemapConfig::new(DiffParams::new(4, 2));
-        let stats = remap_function(&mut f, &cfg);
+        let stats = remap_function(&mut f, &cfg, None);
         assert!(stats.exhaustive);
         assert!(stats.cost_before > 0.0);
         assert_eq!(stats.cost_after, 0.0, "a zero-cost permutation exists");
@@ -886,12 +1073,12 @@ mod tests {
     fn greedy_matches_exhaustive_on_small_case() {
         let mut f1 = hoppy();
         let mut cfg = RemapConfig::new(DiffParams::new(4, 2));
-        let ex = remap_function(&mut f1, &cfg);
+        let ex = remap_function(&mut f1, &cfg, None);
 
         let mut f2 = hoppy();
         cfg.exhaustive_limit = 0; // force greedy
         cfg.starts = 32;
-        let gr = remap_function(&mut f2, &cfg);
+        let gr = remap_function(&mut f2, &cfg, None);
         assert!(!gr.exhaustive);
         assert_eq!(gr.cost_after, ex.cost_after);
     }
@@ -907,7 +1094,7 @@ mod tests {
         b.ret(None);
         let mut f = b.finish();
         let before = f.clone();
-        let stats = remap_function(&mut f, &RemapConfig::new(DiffParams::new(4, 2)));
+        let stats = remap_function(&mut f, &RemapConfig::new(DiffParams::new(4, 2)), None);
         assert_eq!(stats.cost_after, 0.0);
         assert_eq!(stats.winner, RemapWinner::Identity);
         assert!(stats.certified);
@@ -919,7 +1106,7 @@ mod tests {
         let mut f = hoppy();
         let mut cfg = RemapConfig::new(DiffParams::new(4, 2));
         cfg.pinned = vec![PReg(0), PReg(3)];
-        let stats = remap_function(&mut f, &cfg);
+        let stats = remap_function(&mut f, &cfg, None);
         assert!(stats.cost_after <= stats.cost_before);
         // The first mov reads r0 and the last writes r0: those operands
         // must still be r0 (and likewise r3) after any remapping.
@@ -949,7 +1136,7 @@ mod tests {
         });
         b.ret(None);
         let mut f = b.finish();
-        remap_function(&mut f, &RemapConfig::new(DiffParams::new(4, 2)));
+        remap_function(&mut f, &RemapConfig::new(DiffParams::new(4, 2)), None);
         let regs: Vec<u8> = f.blocks[0].insts[0]
             .accesses()
             .iter()
@@ -977,7 +1164,7 @@ mod tests {
         let mut f = b.finish();
         let mut cfg = RemapConfig::new(DiffParams::new(256, 8)).with_threads(1);
         cfg.starts = 8;
-        let stats = remap_function(&mut f, &cfg);
+        let stats = remap_function(&mut f, &cfg, None);
         assert!(stats.cost_before > 0.0);
         assert!(stats.cost_after <= stats.cost_before);
         // A permutation: the four registers stay four distinct registers.
@@ -999,7 +1186,7 @@ mod tests {
             let mut cfg = RemapConfig::new(DiffParams::new(12, 8));
             cfg.exhaustive_limit = 0;
             cfg.seed = seed;
-            remap_function(&mut f, &cfg);
+            remap_function(&mut f, &cfg, None);
             format!("{f}")
         };
         assert_eq!(run(42), run(42));
@@ -1016,7 +1203,7 @@ mod tests {
         let before = f.clone();
         let mut cfg = RemapConfig::new(DiffParams::new(4, 2));
         cfg.class = RegClass::Float;
-        let stats = remap_function(&mut f, &cfg);
+        let stats = remap_function(&mut f, &cfg, None);
         assert_eq!(f, before, "float remap rewrote integer registers");
         assert_eq!(stats.cost_before, 0.0, "no float accesses, empty graph");
         assert_eq!(stats.cost_after, 0.0);
@@ -1050,7 +1237,7 @@ mod tests {
             cfg.exhaustive_limit = 0;
             cfg.starts = 64;
             cfg.threads = threads;
-            let stats = remap_function(&mut f, &cfg);
+            let stats = remap_function(&mut f, &cfg, None);
             (
                 format!("{f}"),
                 stats.cost_after.to_bits(),
@@ -1089,7 +1276,7 @@ mod tests {
             let mut cfg = RemapConfig::new(DiffParams::new(64, 32));
             cfg.starts = 32;
             cfg.threads = threads;
-            let stats = remap_function(&mut f, &cfg);
+            let stats = remap_function(&mut f, &cfg, None);
             assert!(stats.cost_after < stats.cost_before, "found nothing");
             (
                 format!("{f}"),
@@ -1142,7 +1329,7 @@ mod tests {
         cfg.exhaustive_limit = 0;
         cfg.starts = 16;
         cfg.threads = 1;
-        let stats = remap_function(&mut f, &cfg);
+        let stats = remap_function(&mut f, &cfg, None);
         assert!(!stats.exhaustive);
         // Counters are schedule-invariant now: every task with a nonzero
         // budget slice runs, so all 16 starts execute (zero-cost start
@@ -1156,7 +1343,7 @@ mod tests {
     #[test]
     fn exhaustive_early_exits_on_zero_cost() {
         let mut f = hoppy();
-        let stats = remap_function(&mut f, &RemapConfig::new(DiffParams::new(4, 2)));
+        let stats = remap_function(&mut f, &RemapConfig::new(DiffParams::new(4, 2)), None);
         assert!(stats.exhaustive);
         assert_eq!(stats.cost_after, 0.0);
         // Heap's over 4 free slots visits at most 4! - 1 = 23 transpositions;
@@ -1174,7 +1361,7 @@ mod tests {
             cfg.starts = 16;
             cfg.threads = threads;
             cfg.eval_budget = budget;
-            let stats = remap_function(&mut f, &cfg);
+            let stats = remap_function(&mut f, &cfg, None);
             assert!(stats.cost_after <= stats.cost_before);
             assert!(
                 stats.evaluations <= budget,
@@ -1209,7 +1396,7 @@ mod tests {
         cfg.starts = 16;
         cfg.threads = 1;
         cfg.eval_budget = 10;
-        let stats = remap_function(&mut f, &cfg);
+        let stats = remap_function(&mut f, &cfg, None);
         // 10 budget over 16 tasks: the first 10 tasks get a one-evaluation
         // slice, the rest get zero and are skipped. (A task whose start
         // vector is already zero-cost spends less than its slice, so the
@@ -1224,7 +1411,7 @@ mod tests {
         let mut f = hoppy();
         let mut cfg = RemapConfig::new(DiffParams::new(4, 2));
         cfg.eval_budget = 3;
-        let stats = remap_function(&mut f, &cfg);
+        let stats = remap_function(&mut f, &cfg, None);
         assert!(stats.exhaustive);
         assert!(stats.evaluations <= 3, "budget ignored: {}", stats.evaluations);
         assert!(stats.cost_after <= stats.cost_before);
@@ -1237,7 +1424,7 @@ mod tests {
     #[test]
     fn exhaustive_certifies_a_nonzero_optimum() {
         let mut f = tangled();
-        let ex = remap_function(&mut f, &RemapConfig::new(DiffParams::new(6, 2)));
+        let ex = remap_function(&mut f, &RemapConfig::new(DiffParams::new(6, 2)), None);
         assert!(ex.exhaustive);
         assert!(ex.cost_after > 0.0, "tangled has no zero-cost numbering");
         assert!(ex.certified, "a completed enumeration certifies");
@@ -1246,9 +1433,166 @@ mod tests {
         let mut cfg = RemapConfig::new(DiffParams::new(6, 2));
         cfg.exhaustive_limit = 0;
         cfg.starts = 32;
-        let gr = remap_function(&mut f, &cfg);
+        let gr = remap_function(&mut f, &cfg, None);
         assert!(!gr.certified);
         assert!(gr.cost_after >= ex.cost_after);
+    }
+
+    /// The fields of `st` a cache hit must reproduce: all but
+    /// `search_nanos`, costs by their bits.
+    fn replayable(st: &RemapStats) -> (u64, u64, bool, u64, u32, RemapWinner, bool, bool) {
+        (
+            st.cost_before.to_bits(),
+            st.cost_after.to_bits(),
+            st.exhaustive,
+            st.evaluations,
+            st.starts_run,
+            st.winner,
+            st.certified,
+            st.degraded,
+        )
+    }
+
+    #[test]
+    fn cache_hit_replays_the_search_exactly() {
+        let mut cfg = RemapConfig::new(DiffParams::new(64, 32)).with_threads(1);
+        cfg.starts = 32;
+        let mut fresh = sparse64();
+        let want = remap_function(&mut fresh, &cfg, None);
+        assert!(want.cost_after < want.cost_before, "nothing to replay");
+
+        let cache = RemapCache::new();
+        let mut first = sparse64();
+        let ran = remap_function(&mut first, &cfg, Some(&cache));
+        assert_eq!((cache.lookups(), cache.hits()), (1, 0));
+        // `threads` is not part of the key: results agree at any count.
+        cfg.threads = 2;
+        let mut again = sparse64();
+        let hit = remap_function(&mut again, &cfg, Some(&cache));
+        assert_eq!((cache.lookups(), cache.hits()), (2, 1));
+        assert_eq!(format!("{again}"), format!("{fresh}"));
+        assert_eq!(format!("{first}"), format!("{fresh}"));
+        assert_eq!(replayable(&hit), replayable(&want));
+        assert_eq!(replayable(&ran), replayable(&want));
+        assert_eq!(cache.evictions(), 0);
+
+        // A search that keeps the identity replays as a non-rewrite.
+        let mut b = FunctionBuilder::new("f");
+        b.push(Inst::Mov {
+            dst: PReg(1).into(),
+            src: PReg(0).into(),
+        });
+        b.ret(None);
+        let optimal = b.finish();
+        let cfg = RemapConfig::new(DiffParams::new(4, 2));
+        for _ in 0..2 {
+            let mut f = optimal.clone();
+            let st = remap_function(&mut f, &cfg, Some(&cache));
+            assert_eq!(f, optimal);
+            assert_eq!(st.winner, RemapWinner::Identity);
+        }
+        assert_eq!((cache.lookups(), cache.hits()), (4, 2));
+    }
+
+    /// Look `(g, cfg)` up in `cache`, searching on a miss; true on a hit.
+    fn lookup_hits(cache: &RemapCache, g: &AdjacencyGraph, cfg: &RemapConfig) -> bool {
+        let hits = cache.hits();
+        cache.get_or_search(SearchKey::new(g, cfg), || search(g, cfg));
+        cache.hits() > hits
+    }
+
+    #[test]
+    fn cache_key_covers_the_whole_search_input() {
+        let f = hoppy();
+        let mut base = RemapConfig::new(DiffParams::new(12, 8)).with_threads(1);
+        base.exhaustive_limit = 0;
+        base.starts = 8;
+        let g = build_preg_adjacency(&f, RegClass::Int, 12);
+        let cache = RemapCache::new();
+        assert!(!lookup_hits(&cache, &g, &base));
+        assert!(lookup_hits(&cache, &g, &base), "a true repeat hits");
+
+        type Vary = fn(&mut RemapConfig);
+        let variants: [(&str, Vary); 7] = [
+            ("pinned", |c| c.pinned = vec![PReg(0)]),
+            ("starts", |c| c.starts += 1),
+            ("seed", |c| c.seed += 1),
+            ("DiffN", |c| c.params = DiffParams::new(12, 4)),
+            ("class", |c| c.class = RegClass::Float),
+            ("exhaustive_limit", |c| c.exhaustive_limit = 1),
+            ("eval_budget", |c| c.eval_budget -= 1),
+        ];
+        for (what, vary) in variants {
+            let mut cfg = base.clone();
+            vary(&mut cfg);
+            assert!(!lookup_hits(&cache, &g, &cfg), "{what} must miss");
+        }
+        // RegN: the same edges over a larger register file.
+        let wide = RemapConfig {
+            params: DiffParams::new(16, 8),
+            ..base.clone()
+        };
+        let g16 = build_preg_adjacency(&f, RegClass::Int, 16);
+        assert!(g16.iter_edges().eq(g.iter_edges()));
+        assert!(!lookup_hits(&cache, &g16, &wide), "RegN must miss");
+        // One edge weight one ulp up.
+        let mut nudged = g.clone();
+        let (a, b, w) = g.iter_edges().next().unwrap();
+        nudged.add_edge(a, b, f64::from_bits(w.to_bits() + 1) - w);
+        assert_eq!(nudged.weight(a, b).to_bits(), w.to_bits() + 1);
+        assert!(
+            !lookup_hits(&cache, &nudged, &base),
+            "a weight's last bit must miss"
+        );
+        assert_eq!(cache.lookups(), 2 + variants.len() as u64 + 2);
+        assert_eq!(cache.hits(), 1);
+    }
+
+    #[test]
+    fn a_search_that_unwinds_leaves_its_key_computable() {
+        let f = hoppy();
+        let cfg = RemapConfig::new(DiffParams::new(4, 2));
+        let g = build_preg_adjacency(&f, RegClass::Int, 4);
+        let cache = RemapCache::new();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_search(SearchKey::new(&g, &cfg), || panic!("injected search fault"))
+        }));
+        assert!(unwound.is_err());
+        // The next lookup runs the search (not a hit) and stores it.
+        assert!(!lookup_hits(&cache, &g, &cfg));
+        assert!(lookup_hits(&cache, &g, &cfg));
+        assert_eq!((cache.lookups(), cache.hits()), (3, 1));
+    }
+
+    #[test]
+    fn concurrent_lookups_of_one_key_run_one_search() {
+        let f = sparse64();
+        let mut cfg = RemapConfig::new(DiffParams::new(64, 32)).with_threads(1);
+        cfg.starts = 16;
+        let g = build_preg_adjacency(&f, RegClass::Int, 64);
+        let cache = RemapCache::new();
+        let searches = std::sync::atomic::AtomicU64::new(0);
+        let start = std::sync::Barrier::new(4);
+        let results: Vec<Found> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        cache.get_or_search(SearchKey::new(&g, &cfg), || {
+                            searches.fetch_add(1, AtomicOrdering::Relaxed);
+                            search(&g, &cfg)
+                        })
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(searches.into_inner(), 1);
+        assert_eq!((cache.lookups(), cache.hits()), (4, 3));
+        for r in &results {
+            assert_eq!(r.rv, results[0].rv);
+            assert_eq!(replayable(&r.stats), replayable(&results[0].stats));
+        }
     }
 
     #[test]
@@ -1258,7 +1602,7 @@ mod tests {
         assert_eq!(m.evaluations, 0);
         assert_eq!(m.starts_run, 0);
         assert_eq!(m.winner, RemapWinner::Identity);
-        let real = remap_function(&mut hoppy(), &RemapConfig::new(DiffParams::new(4, 2)));
+        let real = remap_function(&mut hoppy(), &RemapConfig::new(DiffParams::new(4, 2)), None);
         assert!(!real.degraded, "normal remaps never carry the marker");
     }
 }

@@ -215,7 +215,7 @@ proptest! {
             cfg.starts = 48;
             cfg.seed = seed;
             cfg.threads = threads;
-            let stats = remap_function(&mut f, &cfg);
+            let stats = remap_function(&mut f, &cfg, None);
             (
                 format!("{f}"),
                 stats.cost_after.to_bits(),
@@ -241,7 +241,7 @@ proptest! {
             cfg.exhaustive_limit = 0;
             cfg.starts = 16;
             cfg.seed = seed;
-            let stats = remap_function(&mut f, &cfg);
+            let stats = remap_function(&mut f, &cfg, None);
             (format!("{f}"), stats)
         };
         let (text, stats) = run();
@@ -280,7 +280,7 @@ proptest! {
             }
         });
 
-        let stats = remap_function(&mut f, &RemapConfig::new(params));
+        let stats = remap_function(&mut f, &RemapConfig::new(params), None);
         prop_assert!(stats.exhaustive, "RegN {} is under the exhaustive limit", reg_n);
         prop_assert!(stats.certified, "a completed enumeration must certify");
         prop_assert!(

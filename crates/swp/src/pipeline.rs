@@ -184,7 +184,7 @@ pub fn pipeline_loop(ddg: &LoopDdg, cfg: &PipelineConfig) -> Result<PipelinedLoo
         let mut remap_cfg = RemapConfig::new(params);
         remap_cfg.starts = 32; // kernels are small; a few restarts suffice
         remap_cfg.threads = cfg.remap_threads;
-        remap_evaluations = remap_function(&mut alloc.func, &remap_cfg).evaluations;
+        remap_evaluations = remap_function(&mut alloc.func, &remap_cfg, None).evaluations;
         let enc = EncodingConfig::new(params);
         let stats = insert_set_last_reg(&mut alloc.func, &enc);
         dra_encoding::verify_function(&alloc.func, &enc)

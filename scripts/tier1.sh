@@ -44,10 +44,11 @@ echo "fault containment OK"
 
 # Serve smoke: a resident daemon on a temp Unix socket, driven through
 # the dra-serve-v1 line protocol — ping, two identical compiles (the
-# second must come from the cross-request result cache), a stats probe,
-# graceful shutdown (asserted by `wait` under `set -e`, and by the
-# socket file being cleaned up) — then the telemetry frame the daemon
-# wrote on shutdown must be schema-valid.
+# second must come from the cross-request result cache), a stats probe
+# (which must count the result cache's hit and the remapping search
+# cache's lookups), graceful shutdown (asserted by `wait` under `set -e`,
+# and by the socket file being cleaned up) — then the telemetry frame the
+# daemon wrote on shutdown must be schema-valid.
 SOCK="$(mktemp -u /tmp/drac-serve-XXXXXX.sock)"
 SMOKE_DIR="$(mktemp -d /tmp/drac-serve-smoke-XXXXXX)"
 trap 'rm -rf "$SMOKE_DIR"; rm -f "$SOCK"' EXIT
@@ -73,6 +74,7 @@ assert again["ok"] and again["cached"], again
 assert again["result"] == first["result"], (first, again)
 stats = rpc(schema="dra-serve-v1", id="s", kind="stats")
 assert stats["stats"]["counters"]["result_cache.hits"] >= 1, stats
+assert stats["stats"]["counters"]["remap_cache.lookups"] >= 1, stats
 assert rpc(schema="dra-serve-v1", id="q", kind="shutdown")["kind"] == "bye"
 EOF
 wait "$SERVE_PID"

@@ -104,6 +104,98 @@ fn telemetry_counter_aggregates_identical_across_thread_counts() {
     }
 }
 
+/// The remapping searches the low-end matrix runs over `names` under
+/// `approaches`, counted without the search cache: every differentially
+/// compiled function is allocated the way the pipeline allocates it, and
+/// its preg adjacency edges are the search input (all searches share one
+/// `RemapConfig`). Returns (searches, distinct inputs).
+fn census_searches(names: &[&str], approaches: &[Approach], setup: &LowEndSetup) -> (u64, usize) {
+    use dra_adjgraph::build_preg_adjacency;
+    use dra_ir::RegClass;
+    use dra_regalloc::{AllocConfig, Allocator, Coalescing, DenseIrc};
+    let mut searches = 0;
+    let mut inputs = std::collections::HashSet::new();
+    for name in names {
+        let program = dra_workloads::benchmark(name);
+        for &approach in approaches {
+            for f in &program.funcs {
+                let pressured = dra_ir::liveness::max_pressure_of(f) > setup.direct_regs as usize;
+                let (engine, mut cfg): (&dyn Allocator, AllocConfig) = match approach {
+                    Approach::Remapping => (&DenseIrc, AllocConfig::baseline(setup.diff.reg_n())),
+                    Approach::Select => (&DenseIrc, AllocConfig::differential(setup.diff)),
+                    Approach::Adaptive if pressured => {
+                        (&DenseIrc, AllocConfig::differential(setup.diff))
+                    }
+                    Approach::Coalesce => (&Coalescing, AllocConfig::differential(setup.diff)),
+                    _ => continue,
+                };
+                cfg.call_clobbers = setup.call_clobbers.clone();
+                let mut allocated = f.clone();
+                engine
+                    .allocate_fn(&mut allocated, &cfg, setup.check)
+                    .expect("allocates");
+                let g = build_preg_adjacency(&allocated, RegClass::Int, setup.diff.reg_n());
+                let edges: Vec<(u32, u32, u64)> = g
+                    .iter_edges()
+                    .map(|(a, b, w)| (a, b, w.to_bits()))
+                    .collect();
+                searches += 1;
+                inputs.insert(edges);
+            }
+        }
+    }
+    (searches, inputs.len())
+}
+
+/// The session's remapping search cache on the whole mibench matrix:
+/// every counter, `remap_cache.*` included, is identical at any batch
+/// width, and the cache hits exactly the repeated searches.
+#[test]
+fn remap_cache_hits_exactly_the_repeated_searches() {
+    let names = dra_workloads::benchmark_names();
+    let approaches = [
+        Approach::Baseline,
+        Approach::Remapping,
+        Approach::Select,
+        Approach::OSpill,
+        Approach::Coalesce,
+        Approach::Adaptive,
+    ];
+    // The repeats are structural (equal allocations), so fewer restarts
+    // keep the test quick without changing which searches repeat.
+    let mut setup = LowEndSetup {
+        remap_starts: 50,
+        ..LowEndSetup::default()
+    };
+    let (searches, distinct) = census_searches(&names, &approaches, &setup);
+
+    let mut reference = None;
+    for threads in [1usize, 2, 8] {
+        setup.batch_threads = threads;
+        let (_, mut telemetry) = run_lowend_matrix_with_telemetry(&names, &approaches, &setup);
+        telemetry.clear_spans();
+        assert_eq!(telemetry.counter("remap_cache.lookups"), searches);
+        assert_eq!(telemetry.counter("remap.functions"), searches);
+        assert_eq!(
+            telemetry.counter("remap_cache.hits"),
+            searches - distinct as u64,
+            "hits must be lookups minus distinct searches at batch_threads = {threads}"
+        );
+        assert!(
+            telemetry.counter("remap_cache.hits") > 0,
+            "the matrix repeats searches"
+        );
+        assert_eq!(telemetry.counter("remap_cache.evictions"), 0);
+        match &reference {
+            None => reference = Some(telemetry),
+            Some(want) => assert_eq!(
+                want, &telemetry,
+                "telemetry counters diverged at batch_threads = {threads}"
+            ),
+        }
+    }
+}
+
 /// Panic isolation extends the determinism contract to faulty matrices:
 /// an injected worker panic fails exactly its own cell, and every
 /// *surviving* cell is bit-identical to the clean run — at any width.

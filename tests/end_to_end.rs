@@ -159,3 +159,33 @@ fn adaptive_mode_agrees_and_pays_less() {
         );
     }
 }
+
+/// `drac report` prints integer counters above 2^53 exactly and accepts
+/// `u64::MAX`: telemetry counters are `u64` end to end.
+#[test]
+fn drac_report_keeps_u64_counters_exact() {
+    let dir = std::env::temp_dir().join(format!("dra-report-u64-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("big.json");
+    std::fs::write(
+        &path,
+        "{\"schema\": \"dra-telemetry-v1\", \"binary\": \"big\", \"counters\": \
+         {\"remap.evaluations\": 9007199254740993, \"remap.functions\": 18446744073709551615}, \
+         \"spans_ns\": {}}",
+    )
+    .unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_drac"))
+        .arg("report")
+        .arg(&path)
+        .output()
+        .unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "drac report rejected the frame: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("9007199254740993"), "{stdout}");
+    assert!(stdout.contains("18446744073709551615"), "{stdout}");
+}
