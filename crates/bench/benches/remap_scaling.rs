@@ -20,8 +20,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dra_adjgraph::{build_preg_adjacency, AdjacencyGraph, DiffParams};
-use dra_core::lowend::{compile_program_telemetry, Approach, LowEndSetup};
-use dra_core::Telemetry;
+use dra_core::lowend::{Approach, LowEndSetup};
+use dra_core::{CompileSession, Telemetry};
 use dra_ir::{Function, RegClass};
 use dra_regalloc::{remap_function, RemapConfig};
 use rand::rngs::SmallRng;
@@ -79,10 +79,13 @@ fn full_rescore_greedy(g: &AdjacencyGraph, params: DiffParams, starts: u32, seed
 /// The hottest `sha` function, baseline-allocated with `reg_n` registers
 /// (no remapping applied — the search input, not its output).
 fn allocated_function(reg_n: u16) -> Function {
-    let mut setup = LowEndSetup::default();
-    setup.direct_regs = reg_n;
+    let session = CompileSession::new(LowEndSetup {
+        direct_regs: reg_n,
+        ..LowEndSetup::default()
+    });
     let mut prog = dra_workloads::benchmark("sha");
-    compile_program_telemetry(&mut prog, Approach::Baseline, &setup, None, &mut Telemetry::new())
+    session
+        .compile_program(&mut prog, Approach::Baseline, &mut Telemetry::new())
         .expect("sha allocates under baseline");
     prog.funcs
         .into_iter()

@@ -8,19 +8,17 @@
 //! trade differently than roomy ones.
 
 use dra_bench::render_table;
-use dra_core::lowend::{compile_and_run, Approach, LowEndSetup};
+use dra_core::lowend::{Approach, LowEndSetup};
+use dra_core::CompileSession;
 use dra_sim::CacheConfig;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "sha".to_string());
     let sizes = [1u32, 2, 4, 8];
-
-    let mut rows = Vec::new();
-    let mut approaches = Approach::ALL.to_vec();
-    approaches.push(Approach::Adaptive);
-    for a in approaches {
-        let mut row = vec![a.label().to_string()];
-        for kib in sizes {
+    // One session per I-cache size: the machine is part of the setup.
+    let sessions: Vec<CompileSession> = sizes
+        .iter()
+        .map(|kib| {
             let mut setup = LowEndSetup::default();
             setup.machine.icache = CacheConfig {
                 size_bytes: kib * 1024,
@@ -28,7 +26,18 @@ fn main() {
                 assoc: 2,
                 miss_penalty: 20,
             };
-            let r = compile_and_run(&name, a, &setup)
+            CompileSession::new(setup)
+        })
+        .collect();
+
+    let mut rows = Vec::new();
+    let mut approaches = Approach::ALL.to_vec();
+    approaches.push(Approach::Adaptive);
+    for a in approaches {
+        let mut row = vec![a.label().to_string()];
+        for (kib, session) in sizes.iter().zip(&sessions) {
+            let (r, _) = session
+                .compile_bench(&name, a)
                 .unwrap_or_else(|e| panic!("{}/{kib}K: {e}", a.label()));
             row.push(format!("{} ({} im)", r.cycles, r.icache_misses));
         }

@@ -4,25 +4,30 @@
 //! the best in-paper approaches.
 
 use dra_bench::{average, render_table};
-use dra_core::lowend::{compile_and_run, Approach, LowEndSetup};
-use dra_core::profile::compile_and_run_profiled;
+use dra_core::lowend::{Approach, LowEndSetup};
+use dra_core::CompileSession;
 use dra_workloads::benchmark_names;
 
 fn main() {
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
+    let run = |name: &str, a: Approach| {
+        let (run, _) = session
+            .compile_bench(name, a)
+            .unwrap_or_else(|e| panic!("{name}/{}: {e}", a.label()));
+        run
+    };
     let mut rows = Vec::new();
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); 4];
 
     for name in benchmark_names() {
-        let base = compile_and_run(name, Approach::Baseline, &setup)
-            .unwrap_or_else(|e| panic!("{name}/baseline: {e}"));
+        let base = run(name, Approach::Baseline);
         let spd = |cycles: u64| 100.0 * (base.cycles as f64 - cycles as f64) / cycles as f64;
 
-        let select = compile_and_run(name, Approach::Select, &setup).unwrap();
-        let coalesce = compile_and_run(name, Approach::Coalesce, &setup).unwrap();
-        let adaptive = compile_and_run(name, Approach::Adaptive, &setup).unwrap();
-        let profiled = compile_and_run_profiled(name, Approach::Adaptive, &setup).unwrap();
-        for r in [&select, &coalesce, &adaptive, &profiled] {
+        let select = run(name, Approach::Select);
+        let coalesce = run(name, Approach::Coalesce);
+        let adaptive = run(name, Approach::Adaptive);
+        let profiled = session.compile_profiled(name, Approach::Adaptive).unwrap();
+        for r in [&*select, &*coalesce, &*adaptive, &profiled] {
             assert_eq!(r.ret_value, base.ret_value, "{name}: result diverged");
         }
 

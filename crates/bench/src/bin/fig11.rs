@@ -6,14 +6,13 @@
 //! differential setup well below the baseline; coalesce lowest; remapping
 //! and select nearly tied; O-spill between them and the baseline.
 
-use dra_bench::{average, batch_threads, emit_telemetry, render_table};
+use dra_bench::{average, emit_telemetry, matrix_setup, render_table};
 use dra_core::batch::run_lowend_matrix_with_telemetry;
-use dra_core::lowend::{Approach, LowEndSetup};
+use dra_core::lowend::Approach;
 use dra_workloads::benchmark_names;
 
 fn main() {
-    let mut setup = LowEndSetup::default();
-    setup.batch_threads = batch_threads();
+    let setup = matrix_setup();
     let names = benchmark_names();
     let (matrix, telemetry) = run_lowend_matrix_with_telemetry(&names, &Approach::ALL, &setup);
     emit_telemetry(&telemetry, "fig11");

@@ -4,14 +4,13 @@
 //! Paper averages: remapping 10.41%, select 4.21%, coalesce 3.04%. Shape:
 //! the post-pass pays by far the most; coalesce edges out select.
 
-use dra_bench::{average, batch_threads, emit_telemetry, render_table};
+use dra_bench::{average, emit_telemetry, matrix_setup, render_table};
 use dra_core::batch::run_lowend_matrix_with_telemetry;
-use dra_core::lowend::{Approach, LowEndSetup};
+use dra_core::lowend::Approach;
 use dra_workloads::benchmark_names;
 
 fn main() {
-    let mut setup = LowEndSetup::default();
-    setup.batch_threads = batch_threads();
+    let setup = matrix_setup();
     let approaches = [Approach::Remapping, Approach::Select, Approach::Coalesce];
     let names = benchmark_names();
     let (matrix, telemetry) = run_lowend_matrix_with_telemetry(&names, &approaches, &setup);

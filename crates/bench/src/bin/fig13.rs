@@ -10,11 +10,11 @@
 //! the search cost alongside the code-size outcome.
 
 use dra_adjgraph::DiffParams;
-use dra_bench::{average, batch_threads, emit_telemetry, render_table};
+use dra_bench::{average, emit_telemetry, matrix_setup, render_table};
 use dra_core::batch::run_lowend_matrix_with_telemetry;
-use dra_core::lowend::{compile_program_telemetry, Approach, LowEndRun, LowEndSetup};
+use dra_core::lowend::{Approach, LowEndRun};
 use dra_core::telemetry::JsonWriter;
-use dra_core::Telemetry;
+use dra_core::{CompileSession, Telemetry};
 use dra_regalloc::{remap_function, RemapConfig};
 use dra_workloads::benchmark_names;
 
@@ -26,8 +26,7 @@ fn remap_totals(run: &LowEndRun) -> (u64, u32, u64) {
 }
 
 fn main() {
-    let mut setup = LowEndSetup::default();
-    setup.batch_threads = batch_threads();
+    let setup = matrix_setup();
     let others = [
         Approach::Remapping,
         Approach::Select,
@@ -104,6 +103,7 @@ fn main() {
     // objective at `DiffN = 4`, which measures the greedy multistart's
     // absolute gap.
     let gap_params = DiffParams::new(8, 4);
+    let session = CompileSession::new(setup);
     json.key("optimality_gap").arr();
     // Two regimes: a tight budget that cuts descents short, and an ample
     // one that lets every descent finish.
@@ -111,8 +111,8 @@ fn main() {
         let mut gap_rows = Vec::new();
         for name in &names {
             let mut prog = dra_workloads::benchmark(name);
-            let mut t = Telemetry::new();
-            compile_program_telemetry(&mut prog, Approach::Baseline, &setup, None, &mut t)
+            session
+                .compile_program(&mut prog, Approach::Baseline, &mut Telemetry::new())
                 .unwrap_or_else(|e| panic!("{name}/baseline: {e}"));
             let mut exact_cfg = RemapConfig::new(gap_params);
             exact_cfg.exhaustive_limit = 8;

@@ -4,14 +4,13 @@
 //! 4.1%. Shape: coalesce best, select close behind, remapping and O-spill
 //! modest (remapping's wins are eaten by its `set_last_reg`s).
 
-use dra_bench::{average, batch_threads, emit_telemetry, render_table};
+use dra_bench::{average, emit_telemetry, matrix_setup, render_table};
 use dra_core::batch::run_lowend_matrix_with_telemetry;
-use dra_core::lowend::{Approach, LowEndSetup};
+use dra_core::lowend::Approach;
 use dra_workloads::benchmark_names;
 
 fn main() {
-    let mut setup = LowEndSetup::default();
-    setup.batch_threads = batch_threads();
+    let setup = matrix_setup();
     let others = [
         Approach::Remapping,
         Approach::Select,

@@ -87,6 +87,15 @@ pub fn batch_threads() -> usize {
     env_knob("DRA_THREADS", 0)
 }
 
+/// The paper's low-end setup on [`batch_threads`] workers: what the
+/// Figure 11–14 binaries compile under.
+pub fn matrix_setup() -> dra_core::LowEndSetup {
+    dra_core::LowEndSetup {
+        batch_threads: batch_threads(),
+        ..dra_core::LowEndSetup::default()
+    }
+}
+
 /// Write `telemetry` to `results/telemetry/<binary>.json` (relative to
 /// the working directory, like every other `results/` artifact), logging
 /// the outcome to stderr. Emission failure is reported but non-fatal: a

@@ -148,14 +148,6 @@ impl<R> CellOutcome<R> {
             _ => None,
         }
     }
-
-    /// The value by move, if the cell completed.
-    pub fn into_ok(self) -> Option<R> {
-        match self {
-            CellOutcome::Ok(r) => Some(r),
-            _ => None,
-        }
-    }
 }
 
 /// Aggregate fallout of one isolated batch.
@@ -344,18 +336,7 @@ pub struct SourceCache {
     misses: AtomicU64,
 }
 
-impl Default for SourceCache {
-    fn default() -> Self {
-        SourceCache::with_capacity(DEFAULT_SOURCE_CAPACITY)
-    }
-}
-
 impl SourceCache {
-    /// An empty cache with the default entry bound.
-    pub fn new() -> SourceCache {
-        SourceCache::default()
-    }
-
     /// An empty cache holding at most `capacity` benchmarks.
     pub fn with_capacity(capacity: usize) -> SourceCache {
         SourceCache {
@@ -444,8 +425,8 @@ impl SourceCache {
 /// count, like the cells themselves), plus the cell census
 /// (`cells.ok`/`cells.err`/`cells.failed`/`cells.retried`, always
 /// present), the shared [`CompileSession`]'s cache counters
-/// (`source_cache.*` and `result_cache.*`), and a wall-clock `batch` span
-/// around the whole grid.
+/// (`source_cache.*`, `result_cache.*` and `remap_cache.*`), and a
+/// wall-clock `batch` span around the whole grid.
 ///
 /// Since the serving refactor the grid runs through a [`CompileSession`]:
 /// the same object a resident `drac serve` daemon keeps across requests,
@@ -520,7 +501,6 @@ pub fn run_lowend_matrix_with_telemetry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lowend::compile_and_run;
 
     /// Zero the remap wall-clock field (`search_nanos`) and drop telemetry
     /// spans: they measure wall-clock time, not the compilation result, so
@@ -534,6 +514,14 @@ mod tests {
         }
         r.telemetry.clear_spans();
         r
+    }
+
+    /// `name` under `approach` in a one-shot session: empty caches.
+    fn one_shot(name: &str, approach: Approach, setup: &LowEndSetup) -> LowEndRun {
+        let (run, _) = CompileSession::new(setup.clone())
+            .compile_bench(name, approach)
+            .unwrap();
+        normalized((*run).clone())
     }
 
     #[test]
@@ -659,7 +647,7 @@ mod tests {
 
     #[test]
     fn cache_recovers_from_a_poisoned_lock() {
-        let cache = SourceCache::new();
+        let cache = SourceCache::with_capacity(DEFAULT_SOURCE_CAPACITY);
         cache.get("crc32");
         // Poison the mutex the way a mid-batch worker panic would: unwind
         // while holding the guard.
@@ -677,7 +665,7 @@ mod tests {
 
     #[test]
     fn cache_memoizes_and_shares() {
-        let cache = SourceCache::new();
+        let cache = SourceCache::with_capacity(DEFAULT_SOURCE_CAPACITY);
         assert!(cache.is_empty());
         let a = cache.get("crc32");
         let b = cache.get("crc32");
@@ -691,7 +679,7 @@ mod tests {
         let setup = LowEndSetup::default();
         let session = CompileSession::new(setup.clone());
         for approach in [Approach::Baseline, Approach::Select, Approach::Adaptive] {
-            let direct = normalized(compile_and_run("crc32", approach, &setup).unwrap());
+            let direct = one_shot("crc32", approach, &setup);
             let (cached, _) = session.compile_bench("crc32", approach).unwrap();
             let cached = normalized((*cached).clone());
             assert_eq!(direct, cached, "{} diverged", approach.label());
@@ -708,7 +696,7 @@ mod tests {
         for (bi, name) in names.iter().enumerate() {
             assert_eq!(matrix[bi].len(), approaches.len());
             for (ai, &a) in approaches.iter().enumerate() {
-                let direct = normalized(compile_and_run(name, a, &setup).unwrap());
+                let direct = one_shot(name, a, &setup);
                 let batched = normalized(matrix[bi][ai].as_ref().unwrap().clone());
                 assert_eq!(direct, batched, "{name}/{} diverged", a.label());
             }

@@ -14,14 +14,15 @@
 //! and pretty-print a run's emitted telemetry.
 
 use dra_core::corpus::{corpus_setup, resolve_profile, run_corpus_compile, write_profile};
-use dra_core::lowend::{compile_and_run, compile_program_telemetry, Approach, LowEndSetup};
-use dra_core::profile::compile_and_run_profiled;
+use dra_core::lowend::{Approach, LowEndSetup};
 use dra_core::serve::{result_json, serve, ServeAddr, ServeConfig};
 use dra_core::telemetry::{validate_telemetry, Telemetry};
+use dra_core::CompileSession;
 use dra_encoding::EncodingConfig;
 use dra_workloads::benchmark_names;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -79,12 +80,14 @@ fn main() -> ExitCode {
             let (Some(bench), Some(approach)) = (args.bench, args.approach) else {
                 return usage();
             };
-            let mut setup = LowEndSetup::default();
-            setup.check = args.check;
+            let session = CompileSession::new(LowEndSetup {
+                check: args.check,
+                ..LowEndSetup::default()
+            });
             let run = if args.profile {
-                compile_and_run_profiled(&bench, approach, &setup)
+                session.compile_profiled(&bench, approach).map(Arc::new)
             } else {
-                compile_and_run(&bench, approach, &setup)
+                session.compile_bench(&bench, approach).map(|(run, _)| run)
             };
             let run = match run {
                 Ok(r) => r,
@@ -97,8 +100,8 @@ fn main() -> ExitCode {
                 ("compile", "json") | ("run", "json") => println!("{}", result_json(&run)),
                 ("compile", "ir") => print!("{}", run.program),
                 ("compile", "bits") => {
-                    let geom = setup.machine.geometry;
-                    let enc = EncodingConfig::new(setup.diff);
+                    let geom = session.setup().machine.geometry;
+                    let enc = EncodingConfig::new(session.setup().diff);
                     for f in &run.program.funcs {
                         match dra_encoding::assemble_function(f, &enc, &geom) {
                             Ok(img) => {
@@ -145,8 +148,10 @@ fn main() -> ExitCode {
             let Some(bench) = args.bench else {
                 return usage();
             };
-            let mut setup = LowEndSetup::default();
-            setup.check = args.check;
+            let session = CompileSession::new(LowEndSetup {
+                check: args.check,
+                ..LowEndSetup::default()
+            });
             println!(
                 "{:<11} {:>7} {:>7} {:>11} {:>10}",
                 "approach", "spill%", "slr%", "code(bits)", "cycles"
@@ -154,8 +159,8 @@ fn main() -> ExitCode {
             let mut approaches = Approach::ALL.to_vec();
             approaches.push(Approach::Adaptive);
             for a in approaches {
-                match compile_and_run(&bench, a, &setup) {
-                    Ok(r) => println!(
+                match session.compile_bench(&bench, a) {
+                    Ok((r, _)) => println!(
                         "{:<11} {:>6.2}% {:>6.2}% {:>11} {:>10}",
                         a.label(),
                         r.spill_percent(),
@@ -264,11 +269,12 @@ fn run_report(args: &[String]) -> ExitCode {
 }
 
 /// `drac check`: run the symbolic allocation checker over the benchmark ×
-/// approach matrix. Every function of every cell is compiled with
-/// [`LowEndSetup::check`] on (degradation off, so a rejection surfaces
-/// instead of silently recompiling direct), the `checker.*` counters are
-/// aggregated to `results/telemetry/checker.json`, and the exit code is
-/// nonzero if any cell is rejected.
+/// approach matrix. Every function of every cell is compiled through one
+/// session with [`LowEndSetup::check`] on (degradation off, so a rejection
+/// surfaces instead of silently recompiling direct), the `checker.*`
+/// counters and the session's `remap_cache.*` counters are aggregated to
+/// `results/telemetry/checker.json`, and the exit code is nonzero if any
+/// cell is rejected.
 fn run_check(bench: Option<&str>, approach: Option<Approach>) -> ExitCode {
     let names: Vec<&str> = match bench {
         Some(b) => match benchmark_names().iter().find(|n| **n == b) {
@@ -288,16 +294,18 @@ fn run_check(bench: Option<&str>, approach: Option<Approach>) -> ExitCode {
             all
         }
     };
-    let mut setup = LowEndSetup::default();
-    setup.check = true;
-    setup.degrade = false;
+    let session = CompileSession::new(LowEndSetup {
+        check: true,
+        degrade: false,
+        ..LowEndSetup::default()
+    });
     let mut telemetry = Telemetry::new();
     let mut failed = false;
     for name in &names {
         let mut bad = Vec::new();
         for &a in &approaches {
             let mut p = dra_workloads::benchmark(name);
-            if let Err(e) = compile_program_telemetry(&mut p, a, &setup, None, &mut telemetry) {
+            if let Err(e) = session.compile_program(&mut p, a, &mut telemetry) {
                 eprintln!("{name} × {}: {e}", a.label());
                 bad.push(a.label());
                 failed = true;
@@ -316,6 +324,7 @@ fn run_check(bench: Option<&str>, approach: Option<Approach>) -> ExitCode {
         telemetry.counter("checker.fields_replayed"),
         telemetry.counter("checker.violations"),
     );
+    session.record_remap_counters(&mut telemetry);
     match telemetry.write_results(Path::new("."), "checker") {
         Ok(path) => println!("telemetry: {}", path.display()),
         Err(e) => {

@@ -216,10 +216,11 @@ pub fn resolve_profile(spec: &str) -> Result<WorkloadProfile, String> {
 /// thousand restarts per generated function would measure the search,
 /// not the pipeline).
 pub fn corpus_setup() -> LowEndSetup {
-    let mut setup = LowEndSetup::default();
-    setup.remap_starts = 24;
-    setup.remap_threads = 1;
-    setup
+    LowEndSetup {
+        remap_starts: 24,
+        remap_threads: 1,
+        ..LowEndSetup::default()
+    }
 }
 
 /// What one corpus compile+check run observed.

@@ -461,7 +461,7 @@ pub fn run_fault_campaign(
 /// Deterministic fault injection into the *compile pipeline* (as opposed
 /// to the encoded stream): drives the panic isolation of
 /// [`crate::batch::run_batch_isolated`] and the degradation lattice of
-/// [`crate::lowend::compile_program_telemetry`]. Defaults to clean (no
+/// [`crate::CompileSession::compile_program`]. Defaults to clean (no
 /// injection); carried on [`crate::lowend::LowEndSetup`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct PipelineFaults {

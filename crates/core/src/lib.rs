@@ -13,12 +13,14 @@
 //!   swept `RegN` with `DiffN = 32` and aggregate speedups, spills, and
 //!   code growth (Tables 2 and 3).
 //!
-//! ```
-//! use dra_core::lowend::{compile_and_run, Approach, LowEndSetup};
+//! Every compile goes through a [`CompileSession`]:
 //!
-//! let setup = LowEndSetup::default();
-//! let base = compile_and_run("crc32", Approach::Baseline, &setup).unwrap();
-//! let coal = compile_and_run("crc32", Approach::Coalesce, &setup).unwrap();
+//! ```
+//! use dra_core::{Approach, CompileSession, LowEndSetup};
+//!
+//! let session = CompileSession::new(LowEndSetup::default());
+//! let (base, _) = session.compile_bench("crc32", Approach::Baseline).unwrap();
+//! let (coal, _) = session.compile_bench("crc32", Approach::Coalesce).unwrap();
 //! // Differential coalesce must compute the same answer…
 //! assert_eq!(base.ret_value, coal.ret_value);
 //! // …while addressing more registers through the same 3-bit fields.
@@ -53,8 +55,6 @@ pub use faults::{
     SplitMix64, StreamFault,
 };
 pub use highend::{run_highend_sweep_with_telemetry, HighEndAggregate};
-pub use lowend::{
-    compile_and_run, compile_and_run_source, Approach, LowEndRun, LowEndSetup, PipelineError,
-};
-pub use profile::{apply_profile, compile_and_run_profiled};
+pub use lowend::{Approach, LowEndRun, LowEndSetup, PipelineError};
+pub use profile::apply_profile;
 pub use telemetry::{validate_telemetry, Telemetry, TelemetryReport};

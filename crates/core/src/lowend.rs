@@ -14,7 +14,6 @@ use dra_regalloc::{
     RemapConfig, RemapStats,
 };
 use dra_sim::{simulate, LowEndConfig};
-use dra_workloads::benchmark;
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
@@ -144,12 +143,6 @@ pub struct LowEndSetup {
     /// degradation lattice as a verification failure. Off by default
     /// (`drac --check` turns it on).
     pub check: bool,
-    /// Entry bound for the session's parsed-source cache
-    /// ([`crate::batch::SourceCache`]).
-    pub source_cache_cap: usize,
-    /// Entry bound for the session's allocation-result cache (tighter by
-    /// default: a cached [`LowEndRun`] retains the compiled program).
-    pub result_cache_cap: usize,
 }
 
 impl Default for LowEndSetup {
@@ -167,8 +160,6 @@ impl Default for LowEndSetup {
             cell_retries: 1,
             faults: PipelineFaults::default(),
             check: false,
-            source_cache_cap: crate::batch::DEFAULT_SOURCE_CAPACITY,
-            result_cache_cap: crate::session::DEFAULT_RESULT_CAPACITY,
         }
     }
 }
@@ -244,7 +235,8 @@ impl LowEndRun {
 /// Pipeline failure.
 #[derive(Debug)]
 pub enum PipelineError {
-    /// The program text failed to parse (see [`compile_and_run_source`]).
+    /// The program text failed to parse (see
+    /// [`crate::CompileSession::compile_source`]).
     Parse(ParseError),
     /// The parsed program failed structural validation.
     Validate {
@@ -525,14 +517,14 @@ impl Plan {
 /// differential plan — remap, repair and decode-verify, then run the
 /// symbolic checker when [`LowEndSetup::check`] is set. Returns the remap
 /// statistics of a differential plan. `remaps` is the compile session's
-/// search cache, if any. The [`PipelineFaults`] alloc and verify
-/// injection points target differential plans only.
+/// search cache. The [`PipelineFaults`] alloc and verify injection points
+/// target differential plans only.
 fn compile_function(
     f: &mut Function,
     fi: usize,
     plan: &Plan,
     setup: &LowEndSetup,
-    remaps: Option<&RemapCache>,
+    remaps: &RemapCache,
     t: &mut Telemetry,
 ) -> Result<Option<RemapStats>, PipelineError> {
     let injected = |targets: &BTreeSet<usize>, stage: &'static str| {
@@ -549,7 +541,7 @@ fn compile_function(
     let mut remap = None;
     if plan.differential {
         // Figure 4: remapping may always run after any allocator.
-        let rs = remap_function(f, &setup.remap_config(), remaps);
+        let rs = remap_function(f, &setup.remap_config(), Some(remaps));
         record_remap(t, &rs);
         remap = Some(rs);
         let repair = t.time("repair", || insert_set_last_reg(f, &enc));
@@ -563,12 +555,33 @@ fn compile_function(
     Ok(remap)
 }
 
+/// [`crate::CompileSession::compile_program`] without a session: the same
+/// body with a fresh remapping search cache per call, plus `pressures`
+/// (each function's precomputed MAXLIVE, rejected as
+/// [`PipelineError::PressureMismatch`] unless it covers `p.funcs`). Only
+/// the benchmark harness, which times one compile per call, and the
+/// `PressureMismatch` test, the one caller that passes `pressures`, may
+/// call it; everything else compiles through a session.
+///
+/// # Errors
+///
+/// See [`PipelineError`].
+pub fn compile_program_telemetry(
+    p: &mut Program,
+    approach: Approach,
+    setup: &LowEndSetup,
+    pressures: Option<&[usize]>,
+    t: &mut Telemetry,
+) -> Result<Vec<RemapStats>, PipelineError> {
+    compile_program(p, approach, setup, pressures, &RemapCache::new(), t)
+}
+
 /// Compile `p` in place under `approach`, recording per-stage spans and
 /// work counters into `t` (see [`crate::telemetry`] for the names and the
 /// determinism contract). `pressures` optionally supplies each function's
 /// precomputed MAXLIVE (in `p.funcs` order; see
 /// [`crate::batch::SourceCache`]); only `Adaptive` consults it, and `None`
-/// computes it on demand.
+/// computes it on demand. `remaps` is the compile session's search cache.
 ///
 /// Returns the per-function remapping-search statistics, in function
 /// order, for the functions compiled differentially.
@@ -580,11 +593,8 @@ fn compile_function(
 /// [`RemapStats::degraded_marker`]. The happy path is byte-identical to a
 /// `degrade = false` compile and costs one program's worth of clones.
 ///
-/// # Errors
-///
-/// See [`PipelineError`]. A `pressures` slice that doesn't cover
-/// `p.funcs` is rejected up front as
-/// [`PipelineError::PressureMismatch`] — for any approach, since a
+/// A `pressures` slice that doesn't cover `p.funcs` is rejected up front
+/// as [`PipelineError::PressureMismatch`] — for any approach, since a
 /// mismatched table always signals a stale cache entry or caller error
 /// even when the approach would not consult it. The pressure check is
 /// *not* subject to degradation: it indicts the caller, not the
@@ -592,24 +602,12 @@ fn compile_function(
 /// function that names a physical register at or above the register count
 /// of its plan, or of the direct plan it degrades to: no allocator can
 /// honour such a pre-colouring.
-pub fn compile_program_telemetry(
+pub(crate) fn compile_program(
     p: &mut Program,
     approach: Approach,
     setup: &LowEndSetup,
     pressures: Option<&[usize]>,
-    t: &mut Telemetry,
-) -> Result<Vec<RemapStats>, PipelineError> {
-    compile_program(p, approach, setup, pressures, None, t)
-}
-
-/// [`compile_program_telemetry`] with a compile session's remapping
-/// search cache.
-fn compile_program(
-    p: &mut Program,
-    approach: Approach,
-    setup: &LowEndSetup,
-    pressures: Option<&[usize]>,
-    remaps: Option<&RemapCache>,
+    remaps: &RemapCache,
     t: &mut Telemetry,
 ) -> Result<Vec<RemapStats>, PipelineError> {
     if let Some(ps) = pressures {
@@ -686,11 +684,10 @@ fn highest_preg(f: &Function) -> Option<u8> {
         .max()
 }
 
-/// The one body behind every `compile_and_run*` front end and
-/// [`crate::CompileSession`]: compile a copy of `source` (with `pressures`
-/// as in [`compile_program_telemetry`], and the session's search cache
-/// `remaps`, if any), simulate it, and assemble the [`LowEndRun`],
-/// recording into `t`.
+/// The one body behind every [`crate::CompileSession`] run: compile a copy
+/// of `source` (with `pressures` and the session's search cache `remaps`
+/// as in [`compile_program`]), simulate it, and assemble the
+/// [`LowEndRun`], recording into `t`.
 ///
 /// A simulation failure of a differential artifact (including one
 /// injected via [`PipelineFaults::fail_sim`]) is the last rung of the
@@ -703,7 +700,7 @@ pub(crate) fn compile_and_simulate(
     pressures: Option<&[usize]>,
     approach: Approach,
     setup: &LowEndSetup,
-    remaps: Option<&RemapCache>,
+    remaps: &RemapCache,
     mut t: Telemetry,
 ) -> Result<LowEndRun, PipelineError> {
     let mut program = source.clone();
@@ -758,74 +755,18 @@ pub(crate) fn compile_and_simulate(
     })
 }
 
-/// Compile and simulate a benchmark; the full Figure 11–14 measurement.
-///
-/// # Errors
-///
-/// See [`PipelineError`].
-pub fn compile_and_run(
-    name: &str,
-    approach: Approach,
-    setup: &LowEndSetup,
-) -> Result<LowEndRun, PipelineError> {
-    let mut telemetry = Telemetry::new();
-    let program = telemetry.time("parse", || benchmark(name));
-    compile_and_simulate(&program, None, approach, setup, None, telemetry)
-}
-
-/// [`compile_and_run`] over arbitrary (possibly hostile) program *text*
-/// instead of a named benchmark: parse, validate, then run the normal
-/// pipeline. Parse and validation failures are structured
-/// [`PipelineError`]s — malformed text can never panic a batch.
-///
-/// # Errors
-///
-/// [`PipelineError::Parse`] / [`PipelineError::Validate`] for bad text,
-/// otherwise as [`compile_and_run`].
-pub fn compile_and_run_source(
-    text: &str,
-    approach: Approach,
-    setup: &LowEndSetup,
-) -> Result<LowEndRun, PipelineError> {
-    compile_and_run_text(text, approach, setup, None)
-}
-
-/// [`compile_and_run_source`] with a compile session's remapping search
-/// cache.
-pub(crate) fn compile_and_run_text(
-    text: &str,
-    approach: Approach,
-    setup: &LowEndSetup,
-    remaps: Option<&RemapCache>,
-) -> Result<LowEndRun, PipelineError> {
-    let mut telemetry = Telemetry::new();
-    let program = telemetry.time("parse", || dra_ir::parse::parse_program(text))?;
-    for (fi, f) in program.funcs.iter().enumerate() {
-        dra_ir::validate::validate_function(f).map_err(|e| PipelineError::Validate {
-            func: fi,
-            message: e.to_string(),
-        })?;
-    }
-    // Cross-function checks (callee indices) on top of the per-function
-    // pass above (which pinpointed the offending function).
-    dra_ir::validate::validate_program(&program).map_err(|e| PipelineError::Validate {
-        func: 0,
-        message: e.to_string(),
-    })?;
-    compile_and_simulate(&program, None, approach, setup, remaps, telemetry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::CompileSession;
     use dra_workloads::benchmark_names;
 
     #[test]
     fn all_approaches_compile_and_agree_on_crc32() {
-        let setup = LowEndSetup::default();
-        let runs: Vec<LowEndRun> = Approach::ALL
+        let session = CompileSession::new(LowEndSetup::default());
+        let runs: Vec<_> = Approach::ALL
             .iter()
-            .map(|&a| compile_and_run("crc32", a, &setup).unwrap())
+            .map(|&a| session.compile_bench("crc32", a).unwrap().0)
             .collect();
         let expected = runs[0].ret_value;
         for r in &runs {
@@ -840,9 +781,9 @@ mod tests {
 
     #[test]
     fn differential_approaches_reduce_spills_on_pressured_bench() {
-        let setup = LowEndSetup::default();
-        let base = compile_and_run("sha", Approach::Baseline, &setup).unwrap();
-        let select = compile_and_run("sha", Approach::Select, &setup).unwrap();
+        let session = CompileSession::new(LowEndSetup::default());
+        let base = session.compile_bench("sha", Approach::Baseline).unwrap().0;
+        let select = session.compile_bench("sha", Approach::Select).unwrap().0;
         assert!(
             select.spill_insts < base.spill_insts,
             "12 registers must beat 8: {} vs {}",
@@ -857,16 +798,13 @@ mod tests {
     fn remapping_has_higher_cost_than_select() {
         // Figure 12's headline: the post-pass generates far more
         // set_last_regs than the integrated approaches.
-        let setup = LowEndSetup::default();
+        let session = CompileSession::new(LowEndSetup::default());
+        let slrs = |name, a| session.compile_bench(name, a).unwrap().0.set_last_regs;
         let mut remap_total = 0usize;
         let mut select_total = 0usize;
         for name in ["sha", "blowfish", "fft"] {
-            remap_total += compile_and_run(name, Approach::Remapping, &setup)
-                .unwrap()
-                .set_last_regs;
-            select_total += compile_and_run(name, Approach::Select, &setup)
-                .unwrap()
-                .set_last_regs;
+            remap_total += slrs(name, Approach::Remapping);
+            select_total += slrs(name, Approach::Select);
         }
         assert!(
             remap_total > select_total,
@@ -876,11 +814,13 @@ mod tests {
 
     #[test]
     fn every_benchmark_runs_under_baseline_and_coalesce() {
-        let setup = LowEndSetup::default();
+        let session = CompileSession::new(LowEndSetup::default());
         for name in benchmark_names() {
-            let b = compile_and_run(name, Approach::Baseline, &setup)
+            let (b, _) = session
+                .compile_bench(name, Approach::Baseline)
                 .unwrap_or_else(|e| panic!("{name} baseline: {e}"));
-            let c = compile_and_run(name, Approach::Coalesce, &setup)
+            let (c, _) = session
+                .compile_bench(name, Approach::Coalesce)
                 .unwrap_or_else(|e| panic!("{name} coalesce: {e}"));
             assert_eq!(b.ret_value, c.ret_value, "{name} result mismatch");
         }
@@ -888,8 +828,8 @@ mod tests {
 
     #[test]
     fn metrics_are_consistent() {
-        let setup = LowEndSetup::default();
-        let r = compile_and_run("bitcount", Approach::Select, &setup).unwrap();
+        let session = CompileSession::new(LowEndSetup::default());
+        let (r, _) = session.compile_bench("bitcount", Approach::Select).unwrap();
         assert!(r.spill_percent() >= 0.0 && r.spill_percent() <= 100.0);
         assert!(r.cost_percent() >= 0.0 && r.cost_percent() <= 100.0);
         assert!(r.code_bits >= 16 * r.total_insts as u64);

@@ -11,12 +11,10 @@
 //!    10^loop-depth estimate);
 //! 3. recompile with a differential approach — the adjacency-graph edge
 //!    weights, spill costs, and coalesce scores now reflect reality.
+//!
+//! [`crate::CompileSession::compile_profiled`] runs the loop.
 
-use crate::lowend::{compile_and_run, compile_and_simulate, Approach, LowEndSetup, PipelineError};
-use crate::telemetry::Telemetry;
-use crate::LowEndRun;
 use dra_ir::Program;
-use dra_workloads::benchmark;
 use std::collections::HashMap;
 
 /// Install measured block counts as block frequencies.
@@ -41,37 +39,17 @@ pub fn apply_profile(p: &mut Program, counts: &HashMap<(u32, u32), u64>) -> usiz
     cold
 }
 
-/// Compile `name` under `approach` with profile-guided frequencies: a
-/// baseline run supplies the profile, the differential recompilation
-/// consumes it.
-///
-/// # Errors
-///
-/// See [`PipelineError`].
-pub fn compile_and_run_profiled(
-    name: &str,
-    approach: Approach,
-    setup: &LowEndSetup,
-) -> Result<LowEndRun, PipelineError> {
-    // Profiling run (baseline allocation: any allocation yields the same
-    // block counts, since allocation preserves control flow).
-    let profile_run = compile_and_run(name, Approach::Baseline, setup)?;
-
-    let mut telemetry = Telemetry::new();
-    let mut p = telemetry.time("parse", || benchmark(name));
-    let cold = apply_profile(&mut p, &profile_run.block_counts);
-    telemetry.count("profile.cold_blocks", cold as u64);
-    compile_and_simulate(&p, None, approach, setup, None, telemetry)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lowend::{Approach, LowEndSetup};
+    use crate::session::CompileSession;
+    use dra_workloads::benchmark;
 
     #[test]
     fn profile_installs_dynamic_frequencies() {
-        let setup = LowEndSetup::default();
-        let run = compile_and_run("crc32", Approach::Baseline, &setup).unwrap();
+        let session = CompileSession::new(LowEndSetup::default());
+        let (run, _) = session.compile_bench("crc32", Approach::Baseline).unwrap();
         let mut p = benchmark("crc32");
         let cold = apply_profile(&mut p, &run.block_counts);
         // Loop bodies must now carry their real trip counts, far above
@@ -104,8 +82,8 @@ mod tests {
 
     #[test]
     fn profiled_runs_report_cold_blocks() {
-        let setup = LowEndSetup::default();
-        let run = compile_and_run_profiled("crc32", Approach::Select, &setup).unwrap();
+        let session = CompileSession::new(LowEndSetup::default());
+        let run = session.compile_profiled("crc32", Approach::Select).unwrap();
         // The counter must exist even at zero — a fully-covered program
         // and a missing counter must be distinguishable.
         assert!(
@@ -113,14 +91,17 @@ mod tests {
             "profile.cold_blocks missing from {:?}",
             run.telemetry.counters().keys().collect::<Vec<_>>()
         );
+        // The profiling run is the session's own, result-cached baseline.
+        let (_, cached) = session.compile_bench("crc32", Approach::Baseline).unwrap();
+        assert!(cached);
     }
 
     #[test]
     fn profiled_compilation_is_correct_and_competitive() {
-        let setup = LowEndSetup::default();
+        let session = CompileSession::new(LowEndSetup::default());
         for name in ["crc32", "bitcount"] {
-            let static_run = compile_and_run(name, Approach::Select, &setup).unwrap();
-            let profiled = compile_and_run_profiled(name, Approach::Select, &setup).unwrap();
+            let (static_run, _) = session.compile_bench(name, Approach::Select).unwrap();
+            let profiled = session.compile_profiled(name, Approach::Select).unwrap();
             assert_eq!(static_run.ret_value, profiled.ret_value, "{name}");
             // The profile should not make things dramatically worse; it
             // usually helps the dynamic set_last_reg count.

@@ -1,12 +1,9 @@
-//! A reusable, `Send + Sync` compile session: the pipeline entry point a
-//! resident service keeps alive across requests.
+//! A reusable, `Send + Sync` compile session: the one pipeline entry
+//! point. The CLI, the figure binaries, the batch driver and a resident
+//! service all compile through it.
 //!
-//! Historically every `compile_and_run*` front end was a free function
-//! that rebuilt its world per call; the only shared state was the
-//! [`SourceCache`] the batch driver threaded through by hand. A long-
-//! lived daemon needs more: one object owning the setup and **both**
-//! caches — parsed sources *and* finished allocations — that any number
-//! of worker threads can call concurrently with no per-call global state.
+//! One object owns the setup and the caches, and any number of worker
+//! threads can call it concurrently with no per-call global state.
 //! [`CompileSession`] is that object:
 //!
 //! * the [`LowEndSetup`] is fixed at construction, so every request
@@ -43,13 +40,14 @@
 //! claimed before it runs), which are schedule-invariant on the same
 //! terms.
 
-use crate::batch::SourceCache;
+use crate::batch::{SourceCache, DEFAULT_SOURCE_CAPACITY};
 use crate::cache::LruCache;
-use crate::lowend::{
-    compile_and_run_text, compile_and_simulate, Approach, LowEndRun, LowEndSetup, PipelineError,
-};
+use crate::lowend::{compile_and_simulate, Approach, LowEndRun, LowEndSetup, PipelineError};
+use crate::profile::apply_profile;
 use crate::telemetry::Telemetry;
-use dra_regalloc::RemapCache;
+use dra_ir::validate::{validate_function, validate_program, ValidateError};
+use dra_ir::Program;
+use dra_regalloc::{RemapCache, RemapStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -109,14 +107,17 @@ pub struct CompileSession {
 }
 
 impl CompileSession {
-    /// A session with the cache bounds the setup carries
-    /// ([`LowEndSetup::source_cache_cap`] / [`LowEndSetup::result_cache_cap`],
-    /// which default to [`crate::batch::DEFAULT_SOURCE_CAPACITY`] /
-    /// [`DEFAULT_RESULT_CAPACITY`]).
+    /// A session holding at most [`DEFAULT_SOURCE_CAPACITY`] parsed
+    /// sources and [`DEFAULT_RESULT_CAPACITY`] results.
     pub fn new(setup: LowEndSetup) -> CompileSession {
+        CompileSession::with_capacities(setup, DEFAULT_SOURCE_CAPACITY, DEFAULT_RESULT_CAPACITY)
+    }
+
+    /// A session with explicit cache bounds (the LRU tests use small ones).
+    pub(crate) fn with_capacities(setup: LowEndSetup, sources: usize, results: usize) -> Self {
         CompileSession {
-            sources: SourceCache::with_capacity(setup.source_cache_cap),
-            results: Mutex::new(LruCache::new(setup.result_cache_cap)),
+            sources: SourceCache::with_capacity(sources),
+            results: Mutex::new(LruCache::new(results)),
             remaps: RemapCache::new(),
             setup,
             lookups: AtomicU64::new(0),
@@ -158,10 +159,55 @@ impl CompileSession {
         let key = result_key("bench", name, approach);
         self.compile_keyed(key, || {
             let src = self.sources.get(name);
-            let (pressures, remaps) = (Some(&src.pressures[..]), Some(&self.remaps));
+            let pressures = Some(&src.pressures[..]);
             let t = Telemetry::new();
-            compile_and_simulate(&src.program, pressures, approach, &self.setup, remaps, t)
+            compile_and_simulate(&src.program, pressures, approach, &self.setup, &self.remaps, t)
         })
+    }
+
+    /// Compile `p` in place under `approach` without simulating it,
+    /// recording spans and counters into `t` (see [`crate::telemetry`]).
+    /// Returns the remapping-search statistics of the functions compiled
+    /// differentially, in function order. Nothing is result-cached, but
+    /// searches this session already ran come from its search cache.
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineError`] and, for degradation,
+    /// [`LowEndSetup::degrade`].
+    pub fn compile_program(
+        &self,
+        p: &mut Program,
+        approach: Approach,
+        t: &mut Telemetry,
+    ) -> Result<Vec<RemapStats>, PipelineError> {
+        crate::lowend::compile_program(p, approach, &self.setup, None, &self.remaps, t)
+    }
+
+    /// Compile the built-in benchmark `name` under `approach` with the
+    /// block counts of this session's `Baseline` run as its frequencies
+    /// (Section 4; see [`crate::profile`]), counting the blocks that run
+    /// never reached as `profile.cold_blocks`. Not result-cached.
+    ///
+    /// # Errors
+    ///
+    /// See [`PipelineError`].
+    pub fn compile_profiled(
+        &self,
+        name: &str,
+        approach: Approach,
+    ) -> Result<LowEndRun, PipelineError> {
+        // Any allocation yields the same block counts, since allocation
+        // preserves control flow.
+        let (profile_run, _) = self.compile_bench(name, Approach::Baseline)?;
+        let src = self.sources.get(name);
+        let mut p = src.program.clone();
+        let mut t = Telemetry::new();
+        let cold = apply_profile(&mut p, &profile_run.block_counts);
+        t.count("profile.cold_blocks", cold as u64);
+        // MAXLIVE does not depend on block frequencies.
+        let pressures = Some(&src.pressures[..]);
+        compile_and_simulate(&p, pressures, approach, &self.setup, &self.remaps, t)
     }
 
     /// Compile arbitrary program text (parse → validate → full pipeline),
@@ -171,8 +217,9 @@ impl CompileSession {
     /// # Errors
     ///
     /// [`PipelineError::Parse`] / [`PipelineError::Validate`] for bad
-    /// text, otherwise as [`crate::lowend::compile_and_run_source`];
-    /// errors are never cached.
+    /// text, otherwise as [`CompileSession::compile_bench`]. Malformed
+    /// text is always a structured error, never a panic. Errors are never
+    /// cached.
     pub fn compile_source(
         &self,
         text: &str,
@@ -180,7 +227,19 @@ impl CompileSession {
     ) -> Result<(Arc<LowEndRun>, bool), PipelineError> {
         let key = result_key("src", text, approach);
         self.compile_keyed(key, || {
-            compile_and_run_text(text, approach, &self.setup, Some(&self.remaps))
+            let mut t = Telemetry::new();
+            let program = t.time("parse", || dra_ir::parse::parse_program(text))?;
+            let invalid = |func| move |e: ValidateError| PipelineError::Validate {
+                func,
+                message: e.to_string(),
+            };
+            for (fi, f) in program.funcs.iter().enumerate() {
+                validate_function(f).map_err(invalid(fi))?;
+            }
+            // Cross-function checks (callee indices) on top of the
+            // per-function pass above, which named the offending function.
+            validate_program(&program).map_err(invalid(0))?;
+            compile_and_simulate(&program, None, approach, &self.setup, &self.remaps, t)
         })
     }
 
@@ -243,6 +302,12 @@ impl CompileSession {
             lookups.saturating_sub(misses).saturating_sub(uncacheable),
         );
         t.count("result_cache.evictions", self.results().evictions());
+        self.record_remap_counters(t);
+    }
+
+    /// Record only the search cache's counters into `t`:
+    /// `remap_cache.lookups` / `.hits` / `.evictions`.
+    pub fn record_remap_counters(&self, t: &mut Telemetry) {
         t.count("remap_cache.lookups", self.remaps.lookups());
         t.count("remap_cache.hits", self.remaps.hits());
         t.count("remap_cache.evictions", self.remaps.evictions());
@@ -261,10 +326,21 @@ mod tests {
     use super::*;
 
     fn quick_setup() -> LowEndSetup {
-        let mut setup = LowEndSetup::default();
-        setup.remap_starts = 20;
-        setup.remap_threads = 1;
-        setup
+        LowEndSetup {
+            remap_starts: 20,
+            remap_threads: 1,
+            ..LowEndSetup::default()
+        }
+    }
+
+    /// Zero the remap wall-clock field and drop telemetry spans: they
+    /// measure time, not the compilation result.
+    fn normalized(mut r: LowEndRun) -> LowEndRun {
+        for st in &mut r.remap {
+            st.search_nanos = 0;
+        }
+        r.telemetry.clear_spans();
+        r
     }
 
     #[test]
@@ -335,32 +411,49 @@ mod tests {
 
     #[test]
     fn session_matches_the_one_shot_pipeline() {
-        let setup = quick_setup();
-        let session = CompileSession::new(setup.clone());
-        for approach in [Approach::Baseline, Approach::Select] {
-            let direct = crate::lowend::compile_and_run("bitcount", approach, &setup).unwrap();
-            let (via_session, _) = session.compile_bench("bitcount", approach).unwrap();
-            assert_eq!(direct.cycles, via_session.cycles);
-            assert_eq!(direct.ret_value, via_session.ret_value);
-            assert_eq!(direct.total_insts, via_session.total_insts);
-            assert_eq!(direct.code_bits, via_session.code_bits);
-            assert_eq!(direct.set_last_regs, via_session.set_last_regs);
+        // A shared session's caches never change a run: every compile
+        // equals the same compile in a one-shot session with empty caches.
+        let session = CompileSession::new(quick_setup());
+        for approach in [Approach::Baseline, Approach::Select, Approach::Adaptive] {
+            let fresh = CompileSession::new(quick_setup());
+            let (want, _) = fresh.compile_bench("bitcount", approach).unwrap();
+            let (got, _) = session.compile_bench("bitcount", approach).unwrap();
+            assert_eq!(
+                normalized((*want).clone()),
+                normalized((*got).clone()),
+                "{}",
+                approach.label()
+            );
         }
     }
 
     #[test]
-    fn setup_capacities_flow_into_new_sessions() {
-        let mut setup = quick_setup();
-        setup.source_cache_cap = 16;
-        setup.result_cache_cap = 2;
-        let session = CompileSession::new(setup);
-        session.compile_bench("crc32", Approach::Baseline).unwrap();
-        session.compile_bench("bitcount", Approach::Baseline).unwrap();
-        session.compile_bench("qsort", Approach::Baseline).unwrap();
-        assert_eq!(session.result_cache_len(), 2);
-        let mut t = Telemetry::new();
-        session.record_counters(&mut t);
-        assert_eq!(t.counter("result_cache.evictions"), 1);
+    fn compile_program_matches_the_harness_wrapper() {
+        let mut want = dra_workloads::benchmark("sha");
+        let mut wt = Telemetry::new();
+        let ws = crate::lowend::compile_program_telemetry(
+            &mut want,
+            Approach::Select,
+            &quick_setup(),
+            None,
+            &mut wt,
+        )
+        .unwrap();
+        let session = CompileSession::new(quick_setup());
+        let mut got = dra_workloads::benchmark("sha");
+        let mut gt = Telemetry::new();
+        let gs = session
+            .compile_program(&mut got, Approach::Select, &mut gt)
+            .unwrap();
+        assert_eq!(want.to_string(), got.to_string());
+        wt.clear_spans();
+        gt.clear_spans();
+        assert_eq!(wt, gt);
+        let timeless = |mut stats: Vec<RemapStats>| {
+            stats.iter_mut().for_each(|st| st.search_nanos = 0);
+            stats
+        };
+        assert_eq!(timeless(ws), timeless(gs));
     }
 
     #[test]
@@ -408,9 +501,7 @@ mod tests {
 
     #[test]
     fn result_cache_is_lru_bounded() {
-        let mut setup = quick_setup();
-        setup.result_cache_cap = 2;
-        let session = CompileSession::new(setup);
+        let session = CompileSession::with_capacities(quick_setup(), 16, 2);
         session.compile_bench("crc32", Approach::Baseline).unwrap();
         session.compile_bench("bitcount", Approach::Baseline).unwrap();
         session.compile_bench("qsort", Approach::Baseline).unwrap();

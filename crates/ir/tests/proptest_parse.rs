@@ -1,6 +1,7 @@
 //! Parser totality: `parse_function`/`parse_program` must return
 //! `Ok`/`Err` on *any* input — hostile text reaching a batch pipeline
-//! (e.g. through `compile_and_run_source`) may never panic a worker.
+//! (e.g. through `CompileSession::compile_source`) may never panic a
+//! worker.
 //!
 //! Three attack surfaces, escalating in structure:
 //!

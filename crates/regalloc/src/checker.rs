@@ -636,10 +636,8 @@ fn step_deleted_move(aligner: &Aligner<'_>, st: &mut AbsState, dst: Reg, src: Re
                 }
             }
         }
-        (None, Some(p)) => {
-            if p.index() < st.regs.len() {
-                st.regs[p.index()].insert(vd.0);
-            }
+        (None, Some(p)) if p.index() < st.regs.len() => {
+            st.regs[p.index()].insert(vd.0);
         }
         _ => {}
     }

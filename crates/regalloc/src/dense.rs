@@ -311,7 +311,7 @@ mod tests {
         let got: Vec<u8> = dense.iter().collect();
         let want: Vec<u8> = model.iter().copied().collect();
         assert_eq!(got, want);
-        assert!(!ColorSet::below(0).iter().next().is_some());
+        assert!(ColorSet::below(0).iter().next().is_none());
         assert!(ColorSet::below(0).is_empty());
     }
 }

@@ -35,6 +35,10 @@ pub struct MoveRef {
     pub src: u32,
 }
 
+/// An [`InterferenceGraph`] taken apart by [`InterferenceGraph::into_parts`]:
+/// the bit matrix, adjacency lists, degrees, moves and use/def weights.
+pub type GraphParts = (BitMatrix, Vec<Vec<u32>>, Vec<u32>, Vec<MoveRef>, Vec<f64>);
+
 /// An undirected interference graph over entities, plus the move list.
 #[derive(Clone, Debug)]
 pub struct InterferenceGraph {
@@ -272,9 +276,9 @@ impl InterferenceGraph {
         &self.bits
     }
 
-    /// Decompose into `(bit-matrix, adjacency lists, degrees)` so a
-    /// consumer (the IRC worklists) can take ownership without copying.
-    pub fn into_parts(self) -> (BitMatrix, Vec<Vec<u32>>, Vec<u32>, Vec<MoveRef>, Vec<f64>) {
+    /// Decompose into its [`GraphParts`] so a consumer (the IRC worklists)
+    /// can take ownership without copying.
+    pub fn into_parts(self) -> GraphParts {
         (self.bits, self.adj, self.degree, self.moves, self.use_def_weight)
     }
 }

@@ -1145,9 +1145,8 @@ impl<'a> IrcState<'a> {
         let mut best: Option<(u32, f64)> = None;
         for n in self.spill_worklist.iter() {
             let metric = self.spill_metric(n);
-            match best {
-                Some((_, bm)) if !(metric < bm) => {}
-                _ => best = Some((n, metric)),
+            if best.is_none_or(|(_, bm)| metric < bm) {
+                best = Some((n, metric));
             }
         }
         let m = best.expect("nonempty spill worklist").0;

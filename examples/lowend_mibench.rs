@@ -6,7 +6,8 @@
 //!
 //! Run with: `cargo run -p dra-core --example lowend_mibench [--release] [name]`
 
-use dra_core::lowend::{compile_and_run, Approach, LowEndSetup};
+use dra_core::lowend::{Approach, LowEndSetup};
+use dra_core::CompileSession;
 use dra_workloads::benchmark_names;
 
 fn main() {
@@ -19,7 +20,8 @@ fn main() {
         benchmark_names()
     );
 
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
+    let setup = session.setup();
     println!(
         "benchmark `{name}`: direct setups use {} registers, differential use RegN={} DiffN={}\n",
         setup.direct_regs,
@@ -33,7 +35,8 @@ fn main() {
 
     let mut baseline_cycles = None;
     for a in Approach::ALL {
-        let r = compile_and_run(&name, a, &setup)
+        let (r, _) = session
+            .compile_bench(&name, a)
             .unwrap_or_else(|e| panic!("{}: {e}", a.label()));
         if a == Approach::Baseline {
             baseline_cycles = Some(r.cycles);
@@ -53,7 +56,7 @@ fn main() {
     if let Some(base) = baseline_cycles {
         println!("\nspeedups over baseline:");
         for a in [Approach::Remapping, Approach::Select, Approach::OSpill, Approach::Coalesce] {
-            let r = compile_and_run(&name, a, &setup).unwrap();
+            let (r, _) = session.compile_bench(&name, a).unwrap();
             let s = 100.0 * (base as f64 - r.cycles as f64) / r.cycles as f64;
             println!("  {:<11} {s:+.2}%", a.label());
         }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 verification: release build, full test suite, a build of every
+# Tier-1 verification: release build, a clippy gate over every target of
+# the workspace (any warning fails), full test suite, a build of every
 # bench target (`cargo test` builds none of them), one-shot smokes of
 # the remap_scaling, remap_ablation, irc and encoding benches (criterion's `--test` mode runs
 # each bench body exactly once, so regressions in the bench harnesses,
@@ -16,6 +17,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo test -q
 cargo bench --no-run
 cargo bench --bench remap_scaling -- --test

@@ -36,8 +36,10 @@ fn lowend_matrix_identical_across_thread_counts() {
     ];
     // Few remap starts keep the test quick; determinism must hold at any
     // configuration.
-    let mut setup = LowEndSetup::default();
-    setup.remap_starts = 50;
+    let mut setup = LowEndSetup {
+        remap_starts: 50,
+        ..LowEndSetup::default()
+    };
 
     let mut reference: Option<Vec<Vec<LowEndRun>>> = None;
     for threads in [1usize, 2, 8] {
@@ -74,8 +76,10 @@ fn telemetry_counter_aggregates_identical_across_thread_counts() {
     // count (the multistart pre-splits its budget), so the *entire*
     // aggregated counter map must be bit-identical at any batch width —
     // even with the parallel remap search left at its default.
-    let mut setup = LowEndSetup::default();
-    setup.remap_starts = 50;
+    let mut setup = LowEndSetup {
+        remap_starts: 50,
+        ..LowEndSetup::default()
+    };
 
     let mut reference = None;
     for threads in [1usize, 2, 8] {
@@ -208,9 +212,11 @@ fn injected_panic_fails_one_cell_and_preserves_the_rest() {
         Approach::Select,
         Approach::Adaptive,
     ];
-    let mut setup = LowEndSetup::default();
-    setup.remap_starts = 50;
-    setup.remap_threads = 1;
+    let mut setup = LowEndSetup {
+        remap_starts: 50,
+        remap_threads: 1,
+        ..LowEndSetup::default()
+    };
 
     let (clean, _) = run_lowend_matrix_with_telemetry(&names, &approaches, &setup);
 

@@ -5,8 +5,9 @@
 //! reproducing form, together with the seeded-corruption cases that prove
 //! the checker itself has teeth end to end.
 
-use dra_core::lowend::{compile_program_telemetry, Approach, LowEndSetup};
+use dra_core::lowend::{Approach, LowEndSetup};
 use dra_core::telemetry::Telemetry;
+use dra_core::CompileSession;
 use dra_ir::{BinOp, FunctionBuilder, PReg, Reg};
 use dra_regalloc::{check_allocation, AllocConfig, Allocator, CheckError, DenseIrc};
 use dra_sim::{simulate, LowEndConfig};
@@ -144,6 +145,11 @@ fn checked_compile_matches_unchecked() {
         muldiv_ratio: 0.1,
     };
     let machine = LowEndConfig::default();
+    let plain_session = CompileSession::new(LowEndSetup::default());
+    let checked_session = CompileSession::new(LowEndSetup {
+        check: true,
+        ..LowEndSetup::default()
+    });
     for approach in [
         Approach::Baseline,
         Approach::Remapping,
@@ -152,16 +158,15 @@ fn checked_compile_matches_unchecked() {
         Approach::Coalesce,
         Approach::Adaptive,
     ] {
-        let plain_setup = LowEndSetup::default();
         let mut plain = generate(&spec);
-        compile_program_telemetry(&mut plain, approach, &plain_setup, None, &mut Telemetry::new())
+        plain_session
+            .compile_program(&mut plain, approach, &mut Telemetry::new())
             .unwrap();
 
-        let mut checked_setup = LowEndSetup::default();
-        checked_setup.check = true;
         let mut checked = generate(&spec);
         let mut t = Telemetry::new();
-        compile_program_telemetry(&mut checked, approach, &checked_setup, None, &mut t)
+        checked_session
+            .compile_program(&mut checked, approach, &mut t)
             .unwrap_or_else(|e| panic!("{}: {e}", approach.label()));
         assert_eq!(
             plain, checked,
@@ -178,4 +183,42 @@ fn checked_compile_matches_unchecked() {
         let want = simulate(&plain, &machine, &[]).unwrap();
         assert_eq!(r.ret_value, want.ret_value, "{}", approach.label());
     }
+}
+
+/// `drac check`'s matrix through one session: every mibench benchmark
+/// under all six approaches, checker on and degradation off. The session
+/// answers the 37 repeated searches of its 125 from its search cache, and
+/// every cell's program and non-span counters equal a one-shot session's.
+#[test]
+fn one_check_session_replays_repeated_searches_exactly() {
+    let setup = LowEndSetup {
+        check: true,
+        degrade: false,
+        ..LowEndSetup::default()
+    };
+    let session = CompileSession::new(setup.clone());
+    let mut approaches = Approach::ALL.to_vec();
+    approaches.push(Approach::Adaptive);
+    for name in dra_workloads::benchmark_names() {
+        for &a in &approaches {
+            let cell = format!("{name} × {}", a.label());
+            let compile = |session: &CompileSession| {
+                let mut p = dra_workloads::benchmark(name);
+                let mut t = Telemetry::new();
+                session
+                    .compile_program(&mut p, a, &mut t)
+                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                t.clear_spans();
+                (p.to_string(), t)
+            };
+            let shared = compile(&session);
+            let fresh = compile(&CompileSession::new(setup.clone()));
+            assert!(shared == fresh, "{cell}: the shared session changed the compile");
+        }
+    }
+    let mut t = Telemetry::new();
+    session.record_remap_counters(&mut t);
+    assert_eq!(t.counter("remap_cache.lookups"), 125);
+    assert_eq!(t.counter("remap_cache.hits"), 37);
+    assert_eq!(t.counter("remap_cache.evictions"), 0);
 }

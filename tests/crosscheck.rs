@@ -96,14 +96,16 @@ fn analytic_and_executed_loop_cycles_agree() {
 /// the real assembler agree on every compiled benchmark function.
 #[test]
 fn size_model_matches_assembler_on_compiled_benchmarks() {
-    use dra_core::lowend::{compile_program_telemetry, Approach, LowEndSetup};
-    let setup = LowEndSetup::default();
+    use dra_core::lowend::{Approach, LowEndSetup};
+    use dra_core::{CompileSession, Telemetry};
+    let session = CompileSession::new(LowEndSetup::default());
     let geom = dra_isa::IsaGeometry::leaf16(3);
-    let enc = EncodingConfig::new(setup.diff);
+    let enc = EncodingConfig::new(session.setup().diff);
     for name in ["crc32", "qsort"] {
         let mut p = dra_workloads::benchmark(name);
-        let mut t = dra_core::Telemetry::new();
-        compile_program_telemetry(&mut p, Approach::Select, &setup, None, &mut t).unwrap();
+        session
+            .compile_program(&mut p, Approach::Select, &mut Telemetry::new())
+            .unwrap();
         for f in &p.funcs {
             let image = dra_encoding::assemble_function(f, &enc, &geom)
                 .unwrap_or_else(|e| panic!("{name}/{}: {e}", f.name));
@@ -122,9 +124,10 @@ fn size_model_matches_assembler_on_compiled_benchmarks() {
 /// accounting is consistent with the static placement.
 #[test]
 fn dynamic_slr_count_is_consistent_with_trace() {
-    use dra_core::lowend::{compile_and_run, Approach, LowEndSetup};
-    let setup = LowEndSetup::default();
-    let r = compile_and_run("crc32", Approach::Select, &setup).unwrap();
+    use dra_core::lowend::{Approach, LowEndSetup};
+    use dra_core::CompileSession;
+    let session = CompileSession::new(LowEndSetup::default());
+    let (r, _) = session.compile_bench("crc32", Approach::Select).unwrap();
     // Per-block static counts of the whole program, weighted by the
     // measured block execution counts.
     let mut expected = 0u64;

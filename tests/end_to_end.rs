@@ -3,21 +3,30 @@
 //! simulated machine — and dynamic hardware decoding of the executed trace
 //! must reconstruct every register operand.
 
-use dra_core::lowend::{compile_and_run, Approach, LowEndSetup};
+use dra_core::lowend::{Approach, LowEndRun, LowEndSetup};
+use dra_core::CompileSession;
 use dra_encoding::{decode_trace, EncodingConfig};
 use dra_workloads::benchmark_names;
+use std::sync::Arc;
 
 /// Benchmarks small enough to run under every approach in test time.
 const FAST: &[&str] = &["crc32", "adpcm", "stringsearch", "bitcount", "qsort"];
 
+/// `name` under `approach` in `session`, panicking with the cell on error.
+fn run(session: &CompileSession, name: &str, approach: Approach) -> Arc<LowEndRun> {
+    let (run, _) = session
+        .compile_bench(name, approach)
+        .unwrap_or_else(|e| panic!("{name}/{}: {e}", approach.label()));
+    run
+}
+
 #[test]
 fn all_approaches_agree_on_fast_benchmarks() {
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
     for name in FAST {
         let mut results = Vec::new();
         for a in Approach::ALL {
-            let r = compile_and_run(name, a, &setup)
-                .unwrap_or_else(|e| panic!("{name}/{}: {e}", a.label()));
+            let r = run(&session, name, a);
             results.push((a, r.ret_value));
         }
         let expected = results[0].1;
@@ -29,12 +38,11 @@ fn all_approaches_agree_on_fast_benchmarks() {
 
 #[test]
 fn differential_programs_decode_along_executed_traces() {
-    let setup = LowEndSetup::default();
-    let enc = EncodingConfig::new(setup.diff);
+    let session = CompileSession::new(LowEndSetup::default());
+    let enc = EncodingConfig::new(session.setup().diff);
     for name in FAST {
         for a in [Approach::Remapping, Approach::Select, Approach::Coalesce] {
-            let r = compile_and_run(name, a, &setup)
-                .unwrap_or_else(|e| panic!("{name}/{}: {e}", a.label()));
+            let r = run(&session, name, a);
             // The simulator records the entry activation's block trace;
             // hardware decoding along that exact dynamic path must agree
             // with the static code on every operand.
@@ -47,15 +55,15 @@ fn differential_programs_decode_along_executed_traces() {
 
 #[test]
 fn differential_reduces_spills_without_changing_results() {
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
     let mut total_base = 0usize;
     let mut total_diff = 0usize;
     for name in benchmark_names() {
         if !FAST.contains(&name) {
             continue;
         }
-        let base = compile_and_run(name, Approach::Baseline, &setup).unwrap();
-        let sel = compile_and_run(name, Approach::Select, &setup).unwrap();
+        let base = run(&session, name, Approach::Baseline);
+        let sel = run(&session, name, Approach::Select);
         assert_eq!(base.ret_value, sel.ret_value, "{name}");
         total_base += base.spill_insts;
         total_diff += sel.spill_insts;
@@ -68,9 +76,9 @@ fn differential_reduces_spills_without_changing_results() {
 
 #[test]
 fn baseline_has_no_set_last_regs_and_uses_only_eight_registers() {
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
     for name in FAST {
-        let r = compile_and_run(name, Approach::Baseline, &setup).unwrap();
+        let r = run(&session, name, Approach::Baseline);
         assert_eq!(r.set_last_regs, 0, "{name}");
         for f in &r.program.funcs {
             for i in f.iter_insts() {
@@ -88,8 +96,8 @@ fn baseline_has_no_set_last_regs_and_uses_only_eight_registers() {
 #[test]
 fn differential_uses_extended_registers() {
     // The whole point: registers 8..12 must actually get used.
-    let setup = LowEndSetup::default();
-    let r = compile_and_run("sha", Approach::Select, &setup).unwrap();
+    let session = CompileSession::new(LowEndSetup::default());
+    let r = run(&session, "sha", Approach::Select);
     let mut high = 0;
     for f in &r.program.funcs {
         for i in f.iter_insts() {
@@ -109,11 +117,11 @@ fn compiled_benchmark_assembles_and_bit_decodes() {
     // assemble the entry function to actual LEAF16 words, execute on the
     // cycle simulator, then reconstruct every register operand of the
     // executed trace FROM THE BITS and check it against the IR.
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
     let geom = dra_isa::IsaGeometry::leaf16(3);
-    let enc = EncodingConfig::new(setup.diff);
+    let enc = EncodingConfig::new(session.setup().diff);
     for name in ["crc32", "bitcount"] {
-        let r = compile_and_run(name, Approach::Coalesce, &setup).unwrap();
+        let r = run(&session, name, Approach::Coalesce);
         let f = &r.program.funcs[r.program.entry as usize];
         let image = dra_encoding::assemble_function(f, &enc, &geom)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
@@ -131,10 +139,10 @@ fn compiled_benchmark_assembles_and_bit_decodes() {
 #[test]
 fn baseline_assembles_directly_in_three_bits() {
     // Direct encoding with 8 registers fits 3-bit fields with no repairs.
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
     let geom = dra_isa::IsaGeometry::leaf16(3);
     let enc = EncodingConfig::new(dra_adjgraph::DiffParams::direct(8));
-    let r = compile_and_run("crc32", Approach::Baseline, &setup).unwrap();
+    let r = run(&session, "crc32", Approach::Baseline);
     let f = &r.program.funcs[r.program.entry as usize];
     // Direct encoding still needs the entry repair under our decoder
     // model; insert and assemble.
@@ -145,11 +153,11 @@ fn baseline_assembles_directly_in_three_bits() {
 
 #[test]
 fn adaptive_mode_agrees_and_pays_less() {
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
     for name in FAST {
-        let base = compile_and_run(name, Approach::Baseline, &setup).unwrap();
-        let select = compile_and_run(name, Approach::Select, &setup).unwrap();
-        let adaptive = compile_and_run(name, Approach::Adaptive, &setup).unwrap();
+        let base = run(&session, name, Approach::Baseline);
+        let select = run(&session, name, Approach::Select);
+        let adaptive = run(&session, name, Approach::Adaptive);
         assert_eq!(base.ret_value, adaptive.ret_value, "{name}");
         assert!(
             adaptive.set_last_regs <= select.set_last_regs,

@@ -22,12 +22,12 @@
 
 use dra_core::batch::run_lowend_matrix_with_telemetry;
 use dra_core::faults::{run_fault_campaign, FaultOutcome, PipelineFaults, SplitMix64};
-use dra_core::lowend::{
-    compile_and_run, compile_and_run_source, Approach, LowEndSetup, PipelineError,
-};
+use dra_core::lowend::{Approach, LowEndRun, LowEndSetup, PipelineError};
+use dra_core::CompileSession;
 use dra_encoding::{decode_trace_fields, encode_fields, EncodingConfig, LastReg};
 use dra_ir::{BlockId, FunctionBuilder, Inst, PReg};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn quick_setup() -> LowEndSetup {
     LowEndSetup {
@@ -38,14 +38,32 @@ fn quick_setup() -> LowEndSetup {
     }
 }
 
+/// `name` under `approach` in `session`.
+fn compile(
+    session: &CompileSession,
+    name: &str,
+    approach: Approach,
+) -> Result<Arc<LowEndRun>, PipelineError> {
+    session.compile_bench(name, approach).map(|(run, _)| run)
+}
+
+/// Program `text` under `approach` in `session`.
+fn compile_text(
+    session: &CompileSession,
+    text: &str,
+    approach: Approach,
+) -> Result<Arc<LowEndRun>, PipelineError> {
+    session.compile_source(text, approach).map(|(run, _)| run)
+}
+
 /// Stream-fault campaigns over real compiled benchmarks: every injected
 /// fault adjudicated, detections present, zero divergence.
 #[test]
 fn campaigns_on_compiled_benchmarks_fully_adjudicate() {
-    let setup = quick_setup();
-    let cfg = EncodingConfig::new(setup.diff);
+    let session = CompileSession::new(quick_setup());
+    let cfg = EncodingConfig::new(session.setup().diff);
     for (name, seed) in [("crc32", 11u64), ("bitcount", 22), ("sha", 33)] {
-        let run = compile_and_run(name, Approach::Select, &setup).unwrap();
+        let run = compile(&session, name, Approach::Select).unwrap();
         let f = &run.program.funcs[run.program.entry as usize];
         let report = run_fault_campaign(f, &cfg, &run.entry_trace, seed, 128)
             .unwrap_or_else(|e| panic!("{name}: clean decode failed: {e}"));
@@ -80,9 +98,9 @@ fn campaigns_on_compiled_benchmarks_fully_adjudicate() {
 /// The campaign is a pure function of its seed.
 #[test]
 fn campaigns_are_deterministic() {
-    let setup = quick_setup();
-    let cfg = EncodingConfig::new(setup.diff);
-    let run = compile_and_run("crc32", Approach::Select, &setup).unwrap();
+    let session = CompileSession::new(quick_setup());
+    let cfg = EncodingConfig::new(session.setup().diff);
+    let run = compile(&session, "crc32", Approach::Select).unwrap();
     let f = &run.program.funcs[run.program.entry as usize];
     let a = run_fault_campaign(f, &cfg, &run.entry_trace, 7, 48).unwrap();
     let b = run_fault_campaign(f, &cfg, &run.entry_trace, 7, 48).unwrap();
@@ -175,12 +193,12 @@ type ShapeSeed = (
 fn shape_correct_seed() -> &'static ShapeSeed {
     static SEED: std::sync::OnceLock<ShapeSeed> = std::sync::OnceLock::new();
     SEED.get_or_init(|| {
-        let setup = quick_setup();
-        let cfg = EncodingConfig::new(setup.diff);
-        let run = compile_and_run("bitcount", Approach::Select, &setup).unwrap();
+        let session = CompileSession::new(quick_setup());
+        let cfg = EncodingConfig::new(session.setup().diff);
+        let run = compile(&session, "bitcount", Approach::Select).unwrap();
         let f = run.program.funcs[run.program.entry as usize].clone();
         let encoded = encode_fields(&f, &cfg).unwrap();
-        (f, encoded, run.entry_trace, cfg)
+        (f, encoded, run.entry_trace.clone(), cfg)
     })
 }
 
@@ -188,12 +206,11 @@ fn shape_correct_seed() -> &'static ShapeSeed {
 /// direct encoding; the program still runs and computes the clean answer.
 #[test]
 fn injected_alloc_failure_degrades_function_not_program() {
-    let setup = quick_setup();
-    let clean = compile_and_run("crc32", Approach::Select, &setup).unwrap();
+    let clean = compile(&CompileSession::new(quick_setup()), "crc32", Approach::Select).unwrap();
 
     let mut faulty = quick_setup();
     faulty.faults.fail_alloc_funcs.insert(0);
-    let run = compile_and_run("crc32", Approach::Select, &faulty)
+    let run = compile(&CompileSession::new(faulty), "crc32", Approach::Select)
         .expect("degradation should contain the injected failure");
     assert_eq!(run.ret_value, clean.ret_value, "degraded run still correct");
     assert_eq!(run.telemetry.counter("degrade.programs"), 1);
@@ -215,9 +232,10 @@ fn injected_alloc_failure_degrades_function_not_program() {
 fn injected_verify_failure_degrades_too() {
     let mut faulty = quick_setup();
     faulty.faults.fail_verify_funcs.insert(0);
+    let (clean, faulty) = (CompileSession::new(quick_setup()), CompileSession::new(faulty));
     for approach in [Approach::Remapping, Approach::Select, Approach::Coalesce] {
-        let clean = compile_and_run("bitcount", approach, &quick_setup()).unwrap();
-        let run = compile_and_run("bitcount", approach, &faulty)
+        let clean = compile(&clean, "bitcount", approach).unwrap();
+        let run = compile(&faulty, "bitcount", approach)
             .unwrap_or_else(|e| panic!("{}: {e}", approach.label()));
         assert_eq!(run.ret_value, clean.ret_value, "{}", approach.label());
         assert!(run.telemetry.counter("degrade.functions") >= 1);
@@ -231,10 +249,10 @@ fn injected_verify_failure_degrades_too() {
 /// repair work, so the remap and repair counters match the clean run's.
 #[test]
 fn degraded_runs_do_not_repeat_differential_work() {
-    let clean = compile_and_run("crc32", Approach::Select, &quick_setup()).unwrap();
+    let clean = compile(&CompileSession::new(quick_setup()), "crc32", Approach::Select).unwrap();
     let mut faulty = quick_setup();
     faulty.faults.fail_verify_funcs.insert(0);
-    let run = compile_and_run("crc32", Approach::Select, &faulty).unwrap();
+    let run = compile(&CompileSession::new(faulty), "crc32", Approach::Select).unwrap();
     assert_eq!(run.telemetry.counter("degrade.functions"), 1);
     for key in ["remap.functions", "remap.evaluations", "repair.inserted"] {
         assert_eq!(
@@ -247,13 +265,13 @@ fn degraded_runs_do_not_repeat_differential_work() {
 
 #[test]
 fn injected_sim_failure_degrades_whole_program() {
-    let setup = quick_setup();
-    let clean = compile_and_run("crc32", Approach::Select, &setup).unwrap();
-    let direct = compile_and_run("crc32", Approach::Baseline, &setup).unwrap();
+    let session = CompileSession::new(quick_setup());
+    let clean = compile(&session, "crc32", Approach::Select).unwrap();
+    let direct = compile(&session, "crc32", Approach::Baseline).unwrap();
 
     let mut faulty = quick_setup();
     faulty.faults.fail_sim = true;
-    let run = compile_and_run("crc32", Approach::Select, &faulty).unwrap();
+    let run = compile(&CompileSession::new(faulty), "crc32", Approach::Select).unwrap();
     assert_eq!(run.ret_value, clean.ret_value);
     assert_eq!(run.telemetry.counter("degrade.sim"), 1);
     assert!(run.remap.iter().all(|s| s.degraded), "every slot marked");
@@ -267,13 +285,13 @@ fn degradation_off_restores_the_hard_error() {
     let mut faulty = quick_setup();
     faulty.degrade = false;
     faulty.faults.fail_alloc_funcs.insert(0);
-    match compile_and_run("crc32", Approach::Select, &faulty) {
+    match compile(&CompileSession::new(faulty.clone()), "crc32", Approach::Select) {
         Err(PipelineError::Injected { stage: "alloc", .. }) => {}
         other => panic!("expected the injected error, got {other:?}"),
     }
     faulty.faults.fail_alloc_funcs.clear();
     faulty.faults.fail_sim = true;
-    match compile_and_run("crc32", Approach::Select, &faulty) {
+    match compile(&CompileSession::new(faulty), "crc32", Approach::Select) {
         Err(PipelineError::Injected {
             stage: "simulate", ..
         }) => {}
@@ -287,9 +305,10 @@ fn direct_approaches_ignore_differential_faults() {
     faulty.faults.fail_alloc_funcs.insert(0);
     faulty.faults.fail_verify_funcs.insert(0);
     faulty.faults.fail_sim = true;
+    let (clean, faulty) = (CompileSession::new(quick_setup()), CompileSession::new(faulty));
     for approach in [Approach::Baseline, Approach::OSpill] {
-        let clean = compile_and_run("crc32", approach, &quick_setup()).unwrap();
-        let run = compile_and_run("crc32", approach, &faulty).unwrap();
+        let clean = compile(&clean, "crc32", approach).unwrap();
+        let run = compile(&faulty, "crc32", approach).unwrap();
         assert_eq!(run.ret_value, clean.ret_value, "{}", approach.label());
         assert_eq!(run.telemetry.counter("degrade.programs"), 0);
     }
@@ -299,12 +318,14 @@ fn direct_approaches_ignore_differential_faults() {
 fn clean_runs_are_untouched_by_the_lattice() {
     // The degradation machinery must be invisible when nothing fails:
     // bit-identical results with degrade on and off.
-    let on = quick_setup();
-    let mut off = quick_setup();
-    off.degrade = false;
+    let on = CompileSession::new(quick_setup());
+    let off = CompileSession::new(LowEndSetup {
+        degrade: false,
+        ..quick_setup()
+    });
     for approach in [Approach::Select, Approach::Adaptive] {
-        let a = compile_and_run("crc32", approach, &on).unwrap();
-        let b = compile_and_run("crc32", approach, &off).unwrap();
+        let a = compile(&on, "crc32", approach).unwrap();
+        let b = compile(&off, "crc32", approach).unwrap();
         assert_eq!(a.program, b.program, "{}", approach.label());
         assert_eq!(a.ret_value, b.ret_value);
         assert_eq!(a.telemetry.counter("degrade.programs"), 0);
@@ -313,7 +334,7 @@ fn clean_runs_are_untouched_by_the_lattice() {
 
 #[test]
 fn hostile_source_text_is_an_error_not_a_panic() {
-    let setup = quick_setup();
+    let session = CompileSession::new(quick_setup());
     for text in [
         "",
         "fn f)(:\nbb0:\n    ret\n",
@@ -322,16 +343,16 @@ fn hostile_source_text_is_an_error_not_a_panic() {
         "fn f([]):\nbb0:\n    nop\n", // missing terminator
         "fn f([]):\nbb0:\n    call f99()\n    ret\n", // callee out of range
     ] {
-        match compile_and_run_source(text, Approach::Select, &setup) {
+        match compile_text(&session, text, Approach::Select) {
             Err(PipelineError::Parse(_) | PipelineError::Validate { .. }) => {}
             other => panic!("hostile text {text:?} produced {other:?}"),
         }
     }
     // And well-formed text compiles end to end.
-    let run = compile_and_run_source(
+    let run = compile_text(
+        &session,
         "fn main([]):\nbb0:\n    v0 = mov #21\n    v1 = add v0, v0\n    ret v1\n",
         Approach::Select,
-        &setup,
     )
     .unwrap();
     assert_eq!(run.ret_value, Some(42));
@@ -339,7 +360,7 @@ fn hostile_source_text_is_an_error_not_a_panic() {
 
 #[test]
 fn precoloured_registers_outside_the_register_file_are_rejected() {
-    let setup = quick_setup();
+    let session = CompileSession::new(quick_setup());
     let mut approaches = Approach::ALL.to_vec();
     approaches.push(Approach::Adaptive);
     // r20 and r63 exceed every low-end register file (8 direct, 12
@@ -348,7 +369,7 @@ fn precoloured_registers_outside_the_register_file_are_rejected() {
     for r in [20, 63, 64, 255] {
         let text = format!("fn main([]):\nbb0:\n    r{r} = mov #1\n    ret r{r}\n");
         for &a in &approaches {
-            match compile_and_run_source(&text, a, &setup) {
+            match compile_text(&session, &text, a) {
                 Err(PipelineError::Validate { func: 0, message }) => {
                     assert!(message.contains(&format!("r{r}")), "{message}");
                 }
@@ -358,12 +379,8 @@ fn precoloured_registers_outside_the_register_file_are_rejected() {
     }
     // A pre-coloured register inside the file still compiles.
     for &a in &approaches {
-        let run = compile_and_run_source(
-            "fn main([]):\nbb0:\n    r3 = mov #5\n    ret r3\n",
-            a,
-            &setup,
-        )
-        .unwrap_or_else(|e| panic!("r3 under {}: {e}", a.label()));
+        let run = compile_text(&session, "fn main([]):\nbb0:\n    r3 = mov #5\n    ret r3\n", a)
+            .unwrap_or_else(|e| panic!("r3 under {}: {e}", a.label()));
         assert_eq!(run.ret_value, Some(5), "{}", a.label());
     }
 }
@@ -378,8 +395,8 @@ fn degrading_to_the_direct_file_rechecks_precoloured_registers() {
     alloc_fails.faults.fail_alloc_funcs.insert(0);
     let mut sim_fails = quick_setup();
     sim_fails.faults.fail_sim = true;
-    for setup in [&alloc_fails, &sim_fails] {
-        match compile_and_run_source(text, Approach::Select, setup) {
+    for setup in [alloc_fails, sim_fails] {
+        match compile_text(&CompileSession::new(setup), text, Approach::Select) {
             Err(PipelineError::Validate { func: 0, message }) => {
                 assert!(message.contains("r9"), "{message}");
             }
@@ -387,7 +404,7 @@ fn degrading_to_the_direct_file_rechecks_precoloured_registers() {
         }
     }
     // Undegraded, r9 stays legal under the differential file.
-    let run = compile_and_run_source(text, Approach::Select, &quick_setup()).unwrap();
+    let run = compile_text(&CompileSession::new(quick_setup()), text, Approach::Select).unwrap();
     assert_eq!(run.ret_value, Some(1));
 }
 
@@ -440,11 +457,11 @@ fn seeded_chaos_matrix_is_contained() {
     assert_eq!(telemetry.counter("cells.ok"), 58);
     assert_eq!(telemetry.counter("degrade.functions"), 51);
 
-    let clean = LowEndSetup::default();
-    let cfg = EncodingConfig::new(clean.diff);
+    let clean = CompileSession::new(LowEndSetup::default());
+    let cfg = EncodingConfig::new(clean.setup().diff);
     let (mut injected, mut detected, mut detected_static, mut benign) = (0, 0, 0, 0);
     for (i, name) in names.iter().enumerate() {
-        let run = compile_and_run(name, Approach::Select, &clean).unwrap();
+        let run = compile(&clean, name, Approach::Select).unwrap();
         let f = &run.program.funcs[run.program.entry as usize];
         let campaign_seed = seed.wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let report = run_fault_campaign(f, &cfg, &run.entry_trace, campaign_seed, 96)

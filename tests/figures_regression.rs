@@ -3,19 +3,22 @@
 //! changes to allocators, encoder, simulator, or workloads cannot silently
 //! drift away from the paper's shapes.
 
-use dra_core::lowend::{compile_and_run, Approach, LowEndRun, LowEndSetup};
+use dra_core::lowend::{Approach, LowEndRun, LowEndSetup};
+use dra_core::CompileSession;
+use std::sync::Arc;
 
 const SUBSET: &[&str] = &["qsort", "dijkstra", "stringsearch", "adpcm", "bitcount"];
 
-fn runs(approach: Approach) -> Vec<LowEndRun> {
-    let setup = LowEndSetup::default();
-    SUBSET
-        .iter()
-        .map(|n| {
-            compile_and_run(n, approach, &setup)
-                .unwrap_or_else(|e| panic!("{n}/{}: {e}", approach.label()))
-        })
-        .collect()
+/// `name` under `approach` in `session`, panicking with the cell on error.
+fn run(session: &CompileSession, name: &str, approach: Approach) -> Arc<LowEndRun> {
+    let (run, _) = session
+        .compile_bench(name, approach)
+        .unwrap_or_else(|e| panic!("{name}/{}: {e}", approach.label()));
+    run
+}
+
+fn runs(session: &CompileSession, approach: Approach) -> Vec<Arc<LowEndRun>> {
+    SUBSET.iter().map(|n| run(session, n, approach)).collect()
 }
 
 fn avg(values: impl Iterator<Item = f64>) -> f64 {
@@ -25,9 +28,10 @@ fn avg(values: impl Iterator<Item = f64>) -> f64 {
 
 #[test]
 fn figure11_ordering_differential_cuts_spills() {
-    let base = avg(runs(Approach::Baseline).iter().map(|r| r.spill_percent()));
-    let select = avg(runs(Approach::Select).iter().map(|r| r.spill_percent()));
-    let coalesce = avg(runs(Approach::Coalesce).iter().map(|r| r.spill_percent()));
+    let session = CompileSession::new(LowEndSetup::default());
+    let base = avg(runs(&session, Approach::Baseline).iter().map(|r| r.spill_percent()));
+    let select = avg(runs(&session, Approach::Select).iter().map(|r| r.spill_percent()));
+    let coalesce = avg(runs(&session, Approach::Coalesce).iter().map(|r| r.spill_percent()));
     assert!(
         select < base * 0.6,
         "select must cut spills hard: {select:.2} vs baseline {base:.2}"
@@ -40,9 +44,10 @@ fn figure11_ordering_differential_cuts_spills() {
 
 #[test]
 fn figure12_ordering_remapping_pays_most() {
-    let remap = avg(runs(Approach::Remapping).iter().map(|r| r.cost_percent()));
-    let select = avg(runs(Approach::Select).iter().map(|r| r.cost_percent()));
-    let coalesce = avg(runs(Approach::Coalesce).iter().map(|r| r.cost_percent()));
+    let session = CompileSession::new(LowEndSetup::default());
+    let remap = avg(runs(&session, Approach::Remapping).iter().map(|r| r.cost_percent()));
+    let select = avg(runs(&session, Approach::Select).iter().map(|r| r.cost_percent()));
+    let coalesce = avg(runs(&session, Approach::Coalesce).iter().map(|r| r.cost_percent()));
     assert!(
         remap > select && remap > coalesce,
         "post-pass remapping must pay the most repairs: {remap:.2} vs {select:.2}/{coalesce:.2}"
@@ -51,12 +56,12 @@ fn figure12_ordering_remapping_pays_most() {
 
 #[test]
 fn figure13_remapping_grows_code_most() {
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
     let mut remap_worse = 0;
     for n in SUBSET {
-        let base = compile_and_run(n, Approach::Baseline, &setup).unwrap();
-        let remap = compile_and_run(n, Approach::Remapping, &setup).unwrap();
-        let select = compile_and_run(n, Approach::Select, &setup).unwrap();
+        let base = run(&session, n, Approach::Baseline);
+        let remap = run(&session, n, Approach::Remapping);
+        let select = run(&session, n, Approach::Select);
         let rr = remap.code_bits as f64 / base.code_bits as f64;
         let rs = select.code_bits as f64 / base.code_bits as f64;
         if rr >= rs {
@@ -71,16 +76,16 @@ fn figure13_remapping_grows_code_most() {
 
 #[test]
 fn figure14_ordering_integrated_approaches_win() {
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
     let mut base_total = 0u64;
     let mut remap_total = 0u64;
     let mut select_total = 0u64;
     let mut coalesce_total = 0u64;
     for n in SUBSET {
-        base_total += compile_and_run(n, Approach::Baseline, &setup).unwrap().cycles;
-        remap_total += compile_and_run(n, Approach::Remapping, &setup).unwrap().cycles;
-        select_total += compile_and_run(n, Approach::Select, &setup).unwrap().cycles;
-        coalesce_total += compile_and_run(n, Approach::Coalesce, &setup).unwrap().cycles;
+        base_total += run(&session, n, Approach::Baseline).cycles;
+        remap_total += run(&session, n, Approach::Remapping).cycles;
+        select_total += run(&session, n, Approach::Select).cycles;
+        coalesce_total += run(&session, n, Approach::Coalesce).cycles;
     }
     assert!(
         select_total < base_total && coalesce_total < base_total,
@@ -94,12 +99,12 @@ fn figure14_ordering_integrated_approaches_win() {
 
 #[test]
 fn adaptive_beats_plain_select_on_cycles() {
-    let setup = LowEndSetup::default();
+    let session = CompileSession::new(LowEndSetup::default());
     let mut select_total = 0u64;
     let mut adaptive_total = 0u64;
     for n in SUBSET {
-        select_total += compile_and_run(n, Approach::Select, &setup).unwrap().cycles;
-        adaptive_total += compile_and_run(n, Approach::Adaptive, &setup).unwrap().cycles;
+        select_total += run(&session, n, Approach::Select).cycles;
+        adaptive_total += run(&session, n, Approach::Adaptive).cycles;
     }
     assert!(
         adaptive_total <= select_total,

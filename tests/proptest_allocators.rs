@@ -7,8 +7,8 @@
 //! broken spill rewrite shows up as divergent output.
 
 use dra_adjgraph::DiffParams;
-use dra_core::lowend::{compile_program_telemetry, Approach, LowEndSetup, PipelineError};
-use dra_core::Telemetry;
+use dra_core::lowend::{Approach, LowEndSetup, PipelineError};
+use dra_core::{CompileSession, Telemetry};
 use dra_encoding::{insert_set_last_reg, EncodingConfig};
 use dra_ir::{BinOp, Function, FunctionBuilder, PReg, Reg, VReg};
 use dra_regalloc::{
@@ -23,9 +23,9 @@ use proptest::prelude::*;
 fn compile_program(
     p: &mut dra_ir::Program,
     approach: Approach,
-    setup: &LowEndSetup,
+    session: &CompileSession,
 ) -> Result<(), PipelineError> {
-    compile_program_telemetry(p, approach, setup, None, &mut Telemetry::new()).map(drop)
+    session.compile_program(p, approach, &mut Telemetry::new()).map(drop)
 }
 
 /// A bounded random benchmark spec (all knobs in safe ranges).
@@ -70,12 +70,12 @@ proptest! {
     /// All five approaches produce the same program result.
     #[test]
     fn approaches_agree_on_random_programs(spec in arb_spec()) {
-        let setup = LowEndSetup::default();
+        let session = CompileSession::new(LowEndSetup::default());
         let machine = LowEndConfig::default();
         let mut expected: Option<Option<i64>> = None;
         for a in Approach::ALL {
             let mut p = generate(&spec);
-            compile_program(&mut p, a, &setup)
+            compile_program(&mut p, a, &session)
                 .unwrap_or_else(|e| panic!("{}: {e}", a.label()));
             let r = simulate(&p, &machine, &[]).unwrap_or_else(|e| panic!("{}: {e}", a.label()));
             match &expected {
@@ -161,18 +161,18 @@ proptest! {
     /// Differential allocation at tight DiffN still verifies and agrees.
     #[test]
     fn tight_diffn_still_correct(spec in arb_spec()) {
-        let setup = LowEndSetup {
+        let session = CompileSession::new(LowEndSetup {
             diff: DiffParams::new(12, 4), // much tighter than the eval's 8
             ..LowEndSetup::default()
-        };
+        });
         let machine = LowEndConfig::default();
 
         let mut base = generate(&spec);
-        compile_program(&mut base, Approach::Baseline, &setup).unwrap();
+        compile_program(&mut base, Approach::Baseline, &session).unwrap();
         let want = simulate(&base, &machine, &[]).unwrap().ret_value;
 
         let mut p = generate(&spec);
-        compile_program(&mut p, Approach::Select, &setup).unwrap();
+        compile_program(&mut p, Approach::Select, &session).unwrap();
         let got = simulate(&p, &machine, &[]).unwrap().ret_value;
         prop_assert_eq!(got, want);
     }

@@ -9,8 +9,8 @@
 //! approach, and hand-built programs for each way a simulation fails.
 
 use dra_core::corpus::corpus_setup;
-use dra_core::lowend::{compile_and_run, compile_program_telemetry, Approach};
-use dra_core::Telemetry;
+use dra_core::lowend::Approach;
+use dra_core::{CompileSession, Telemetry};
 use dra_ir::{BinOp, BlockId, Cond, FunctionBuilder, Inst, PReg, Program, Reg};
 use dra_sim::machine::reference;
 use dra_sim::{simulate, LowEndConfig, SimError};
@@ -34,10 +34,12 @@ fn assert_same(p: &Program, cfg: &LowEndConfig, args: &[i64], what: &str) {
 fn mibench_under_every_approach_is_bit_identical() {
     // The corpus setup's 24 remap restarts, not the paper's 1000: the
     // executors are compared on whatever code the pipeline emits.
-    let setup = corpus_setup();
+    let session = CompileSession::new(corpus_setup());
+    let setup = session.setup();
     for name in benchmark_names() {
         for a in approaches() {
-            let run = compile_and_run(name, a, &setup)
+            let (run, _) = session
+                .compile_bench(name, a)
                 .unwrap_or_else(|e| panic!("{name}/{}: {e}", a.label()));
             assert_same(
                 &run.program,
@@ -54,7 +56,8 @@ const FUNCS_PER_PROFILE: usize = 150;
 
 #[test]
 fn generated_corpora_are_bit_identical() {
-    let setup = corpus_setup();
+    let session = CompileSession::new(corpus_setup());
+    let setup = session.setup();
     let approaches = approaches();
     let mut compared = 0;
     for profile in builtin_profiles() {
@@ -62,8 +65,8 @@ fn generated_corpora_are_bit_identical() {
             .expect("builtin profiles always generate");
         for (i, mut p) in programs.into_iter().enumerate() {
             let a = approaches[i % approaches.len()];
-            let mut t = Telemetry::new();
-            compile_program_telemetry(&mut p, a, &setup, None, &mut t)
+            session
+                .compile_program(&mut p, a, &mut Telemetry::new())
                 .unwrap_or_else(|e| panic!("{}#{i}/{}: {e}", profile.name, a.label()));
             assert_same(
                 &p,
