@@ -80,9 +80,10 @@ impl BinOp {
     }
 }
 
-impl fmt::Display for BinOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl BinOp {
+    /// The mnemonic, as printed and parsed.
+    pub fn name(self) -> &'static str {
+        match self {
             BinOp::Add => "add",
             BinOp::Sub => "sub",
             BinOp::Mul => "mul",
@@ -93,8 +94,13 @@ impl fmt::Display for BinOp {
             BinOp::Xor => "xor",
             BinOp::Shl => "shl",
             BinOp::Shr => "shr",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for BinOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -132,17 +138,23 @@ impl Cond {
     }
 }
 
-impl fmt::Display for Cond {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Cond {
+    /// The mnemonic suffix, as printed and parsed.
+    pub fn name(self) -> &'static str {
+        match self {
             Cond::Eq => "eq",
             Cond::Ne => "ne",
             Cond::Lt => "lt",
             Cond::Le => "le",
             Cond::Gt => "gt",
             Cond::Ge => "ge",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Cond {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 

@@ -120,11 +120,13 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
     let mut branch_refs: Vec<(usize, BlockId)> = Vec::new();
 
     for (ln, raw) in lines {
-        let line = raw.split(';').next().unwrap_or("").trim_end();
-        let trimmed = line.trim();
+        // The code before the first `;` and the comment up to the next.
+        let mut parts = raw.split(';');
+        let trimmed = parts.next().unwrap_or("").trim();
+        let comment = parts.next();
         if trimmed.is_empty() {
             // Block annotations may live entirely in the comment.
-            if let (Some(bi), Some(comment)) = (current, raw.split(';').nth(1)) {
+            if let (Some(bi), Some(comment)) = (current, comment) {
                 if let Some(freq) = parse_freq(comment) {
                     blocks[bi].freq = freq;
                 }
@@ -137,10 +139,8 @@ pub fn parse_function(text: &str) -> Result<Function, ParseError> {
                 blocks.push(BasicBlock::new());
             }
             current = Some(id.index());
-            if let Some(comment) = raw.split(';').nth(1) {
-                if let Some(freq) = parse_freq(comment) {
-                    blocks[id.index()].freq = freq;
-                }
+            if let Some(freq) = comment.and_then(parse_freq) {
+                blocks[id.index()].freq = freq;
             }
             continue;
         }
@@ -225,11 +225,11 @@ fn parse_imm(s: &str, line: usize) -> Result<i32, ParseError> {
 }
 
 fn parse_binop(s: &str) -> Option<BinOp> {
-    BinOp::ALL.iter().copied().find(|op| op.to_string() == s)
+    BinOp::ALL.into_iter().find(|op| op.name() == s)
 }
 
 fn parse_cond(s: &str) -> Option<Cond> {
-    Cond::ALL.iter().copied().find(|c| c.to_string() == s)
+    Cond::ALL.into_iter().find(|c| c.name() == s)
 }
 
 fn parse_mem_operand(s: &str, line: usize) -> Result<(Reg, i32), ParseError> {

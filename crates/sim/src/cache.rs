@@ -35,9 +35,11 @@ impl CacheConfig {
 ///
 /// Tags and last-use stamps sit in two flat arrays, `ways` entries per
 /// set; the way with the smallest stamp in a set is its least recently
-/// used. The line accessed last is always resident and already most
-/// recently used, so repeating it (sequential fetch within a line) is a
-/// hit that changes no state beyond the hit count.
+/// used. Set and tag are `line % sets` and `line / sets`, a mask and a
+/// shift when the set count is a power of two. The line accessed last is
+/// always resident and already most recently used, so repeating it
+/// (sequential fetch within a line) is a hit that changes no state beyond
+/// the hit count.
 #[derive(Clone, Debug)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -45,6 +47,8 @@ pub struct Cache {
     line_shift: u32,
     /// Number of sets.
     sets: u64,
+    /// log2 of `sets` when it is a power of two.
+    set_shift: Option<u32>,
     ways: usize,
     /// `tags[set * ways + w]`; `u64::MAX` = invalid.
     tags: Vec<u64>,
@@ -68,6 +72,7 @@ impl Cache {
             cfg,
             line_shift: cfg.line_bytes.trailing_zeros(),
             sets,
+            set_shift: sets.is_power_of_two().then(|| sets.trailing_zeros()),
             ways,
             tags: vec![u64::MAX; sets as usize * ways],
             // Which invalid way a cold set fills first changes no hit or
@@ -83,13 +88,21 @@ impl Cache {
     /// Access `addr`; returns true on hit. Misses allocate (both reads and
     /// writes: write-allocate).
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr >> self.line_shift;
+        self.access_line(addr >> self.line_shift)
+    }
+
+    /// Access line number `line` (the address shifted right by log2 of the
+    /// line size); returns true on hit.
+    pub(crate) fn access_line(&mut self, line: u64) -> bool {
         if self.last_line == Some(line) {
             self.hits += 1;
             return true;
         }
         self.last_line = Some(line);
-        let (set, tag) = (line % self.sets, line / self.sets);
+        let (set, tag) = match self.set_shift {
+            Some(shift) => (line & (self.sets - 1), line >> shift),
+            None => (line % self.sets, line / self.sets),
+        };
         let first = set as usize * self.ways;
         let tags = &mut self.tags[first..first + self.ways];
         let stamps = &mut self.stamps[first..first + self.ways];

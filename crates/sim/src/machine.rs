@@ -1,8 +1,8 @@
 //! The functional + timing executor for the low-end machine.
 //!
-//! Executes fully-allocated [`Program`]s instruction by instruction,
-//! maintaining architectural state (register files, memory, a call stack)
-//! while charging cycles per the 5-stage in-order model:
+//! Executes fully-allocated [`Program`]s, maintaining architectural state
+//! (register files, memory, a call stack) while charging cycles per the
+//! 5-stage in-order model:
 //!
 //! * every instruction word fetched goes through the I-cache;
 //! * loads/stores (including spill traffic) go through the D-cache;
@@ -16,20 +16,34 @@
 //! frame (see DESIGN.md §4 — calling-convention pressure is modeled through
 //! the allocator's `call_clobbers` instead of architectural clobbering).
 //!
-//! [`simulate`] lowers the program once into a flat array of decoded ops
-//! (operands resolved to register numbers, I-cache address and word count,
-//! the mask of registers read, branch targets as global block ids), one
-//! run per block followed by a "fell off the end" sentinel, and then runs
-//! that array in a single loop. An instruction naming a virtual register
-//! lowers to a fault op that fails only when executed, with the error of
-//! the tree-walking interpreter kept in [`mod@reference`], so a malformed
-//! instruction on a path never taken costs nothing. Where that interpreter
-//! panics, the executor returns [`SimError::ControlError`] at the same
-//! point: for a register numbered 64 or higher or a call to a missing
-//! function when the instruction executes; for a branch to a missing block
-//! when control arrives there (a placeholder block whose one op fails
-//! after the step-limit check, before fetch), so the valid side of a
-//! half-bad conditional branch runs normally.
+//! [`simulate`] lowers the program once into *segments*: straight-line
+//! runs that start at a block start or right after a call and end at the
+//! first branch, call or return (or at a fault, a block without a
+//! terminator, or a missing block). Everything about a segment that does
+//! not depend on data is summed at lowering: instructions fetched and
+//! executed, `set_last_reg`s, spill accesses, base and extra cycles, the
+//! load-use interlocks inside it (none carries across a segment start,
+//! since the op before one is never a load) and its I-cache lines in fetch
+//! order with consecutive repeats collapsed (a repeat of the last line is
+//! a hit that changes no cache state). Execution then charges a segment's
+//! sums at once and runs only its data ops (operands resolved to register
+//! numbers; `set_last_reg` and `nop` dropped), its D-cache accesses and its
+//! exit.
+//!
+//! Every error discards all state, so a segment is judged at entry against
+//! the room left under `max_steps`: one that would fetch past the cap
+//! fails with [`SimError::StepLimit`], and one that ends in a failure
+//! fails with that error if the failing op is reached inside the cap —
+//! exactly the outcome of checking the cap before every fetch. An
+//! instruction naming a virtual register lowers to a fault that fails only
+//! when reached, with the error of the tree-walking interpreter kept in
+//! [`mod@reference`], so a malformed instruction on a path never taken
+//! costs nothing. Where that interpreter panics, the executor returns
+//! [`SimError::ControlError`] at the same point: for a register numbered 64
+//! or higher or a call to a missing function when the instruction is
+//! reached; for a branch to a missing block when control arrives there (a
+//! placeholder block whose segment fails before it fetches anything), so
+//! the valid side of a half-bad conditional branch runs normally.
 
 pub mod reference;
 
@@ -40,6 +54,7 @@ use dra_isa::words_for_inst;
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 /// Simulation failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -134,13 +149,10 @@ const STACK_BASE: u64 = 0x4000_0000;
 const REGS: usize = 64;
 /// "No register" in an op's optional register operand.
 const NO_REG: u8 = u8::MAX;
-/// "No branch" in the executor's next-block slot.
-const NO_BLOCK: u32 = u32::MAX;
 
-/// What a decoded op does.
+/// What a data op does.
 #[derive(Clone, Copy, Debug)]
 enum Kind {
-    SetLastReg,
     Bin(BinOp),
     BinImm(BinOp),
     Mov,
@@ -150,52 +162,21 @@ enum Kind {
     Store,
     SpillLoad,
     SpillStore,
-    Br,
-    CondBr(Cond),
-    Call,
-    Ret,
-    Nop,
-    /// Executing this op fails with `faults[imm]`.
-    Fault,
-    /// Control reached the end of block `t2` of function `t1` without a
-    /// terminator. Checked before fetch; occupies no code address.
-    FellOff,
-    /// Control reached block `t2` of function `t1`, which does not exist:
-    /// the one op of a placeholder block that a branch to a missing block
-    /// targets. Checked before fetch; occupies no code address.
-    NoBlock,
 }
 
-/// One pre-decoded instruction. Register operands are numbers below
-/// [`REGS`] (anything else lowered to [`Kind::Fault`]); the meaning of
-/// `dst`, `a`, `b`, `imm`, `t1` and `t2` depends on `kind`.
+/// One pre-decoded instruction with a data effect. Register operands are
+/// numbers below [`REGS`] (anything else lowered to [`Exit::Fault`]); the
+/// meaning of `dst`, `a`, `b` and `imm` depends on `kind`.
 #[derive(Clone, Copy, Debug)]
 struct Op {
     kind: Kind,
-    /// Destination register (`Call`: the return-value register or
-    /// [`NO_REG`]).
     dst: u8,
-    /// First source register (`Ret`: the returned register or [`NO_REG`]).
+    /// First source register.
     a: u8,
     /// Second source register.
     b: u8,
-    /// Instruction words fetched through the I-cache.
-    words: u32,
-    /// Fixed execute cycles beyond the base CPI.
-    extra: u64,
-    /// Bit `r` set when the op reads register `r` (load-use interlock).
-    uses: u64,
-    /// Byte address of the first instruction word.
-    addr: u64,
-    /// Immediate, memory offset, `slot * 8`, parameter index, the start of
-    /// a call's argument registers in `call_args`, or the fault index.
+    /// Immediate, memory offset, `slot * 8` or parameter index.
     imm: i64,
-    /// Branch target / callee entry as a global block id (`FellOff`,
-    /// `NoBlock`: the function index).
-    t1: u32,
-    /// Fall-through target as a global block id (`Call`: the argument
-    /// count; `FellOff`, `NoBlock`: the block index).
-    t2: u32,
 }
 
 impl Op {
@@ -205,30 +186,148 @@ impl Op {
             dst: NO_REG,
             a: NO_REG,
             b: NO_REG,
-            words: 0,
-            extra: 0,
-            uses: 0,
-            addr: 0,
             imm: 0,
-            t1: 0,
-            t2: 0,
         }
     }
+}
+
+/// How a segment ends. Block operands are global block ids.
+#[derive(Clone, Copy, Debug)]
+enum Exit {
+    Br(u32),
+    CondBr {
+        cond: Cond,
+        a: u8,
+        b: u8,
+        then_bb: u32,
+        else_bb: u32,
+    },
+    /// A call to the function whose entry block is `entry`, passing
+    /// `call_args[args..args + n_args]`; the return value goes to `ret_to`
+    /// ([`NO_REG`]: nowhere). The caller resumes at the next segment.
+    Call {
+        entry: u32,
+        args: u32,
+        n_args: u32,
+        ret_to: u8,
+    },
+    /// Return the register (or [`NO_REG`]: no value).
+    Ret(u8),
+    /// The next instruction fails with `faults[i]`.
+    Fault(u32),
+    /// Control reaches the end of block `block` of function `func` without
+    /// a terminator.
+    FellOff {
+        func: u32,
+        block: u32,
+    },
+    /// Control arrives at block `block` of function `func`, which does not
+    /// exist: the one segment of the placeholder block a branch to it
+    /// targets.
+    NoBlock {
+        func: u32,
+        block: u32,
+    },
+}
+
+impl Exit {
+    /// Whether the segment fails once its fetched instructions are in.
+    fn fails(&self) -> bool {
+        matches!(
+            self,
+            Exit::Fault(_) | Exit::FellOff { .. } | Exit::NoBlock { .. }
+        )
+    }
+}
+
+/// The data-independent work of a straight-line run, summed at lowering.
+#[derive(Clone, Copy, Debug, Default)]
+struct Sums {
+    /// Instructions fetched (`set_last_reg` included).
+    fetched: u64,
+    /// Instructions executed (`set_last_reg` excluded).
+    executed: u64,
+    set_last_regs: u64,
+    spill_accesses: u64,
+    /// Base CPI and fixed extra cycles of every executed instruction, plus
+    /// the load-use interlocks inside the run.
+    cycles: u64,
+}
+
+/// A straight-line run. For a failing exit, the sums cover the
+/// instructions before the failing one.
+#[derive(Clone, Copy, Debug)]
+struct Segment {
+    /// Its data ops, `ops[ops.0..ops.1]`.
+    ops: (u32, u32),
+    /// Its I-cache lines in fetch order with consecutive repeats collapsed,
+    /// `lines[lines.0..lines.1]`.
+    lines: (u32, u32),
+    sums: Sums,
+    exit: Exit,
+}
+
+/// The segment [`lower`] is reading.
+struct OpenSegment {
+    ops_start: u32,
+    lines_start: u32,
+    sums: Sums,
+    /// Bit `r` set when the previous instruction loaded `r`: 0 at a segment
+    /// start, since the instruction before one is a branch, call or return.
+    pending_load: u64,
 }
 
 /// A program lowered for execution.
 struct Lowered {
     ops: Vec<Op>,
-    /// Per global block id: index of its first op.
-    block_start: Vec<u32>,
+    lines: Vec<u64>,
+    segs: Vec<Segment>,
+    /// Per global block id: its first segment.
+    block_seg: Vec<u32>,
     /// Per global block id: `(function, block)` in the source program.
     block_name: Vec<(u32, u32)>,
     /// Argument registers of every call, concatenated.
     call_args: Vec<u8>,
-    /// The errors [`Kind::Fault`] ops raise.
+    /// The errors [`Exit::Fault`] raises.
     faults: Vec<SimError>,
     /// Global id of the entry function's entry block.
     entry: u32,
+}
+
+impl Lowered {
+    /// Start a segment at the next op and line.
+    fn open(&self) -> OpenSegment {
+        OpenSegment {
+            ops_start: self.ops.len() as u32,
+            lines_start: self.lines.len() as u32,
+            sums: Sums::default(),
+            pending_load: 0,
+        }
+    }
+
+    /// End segment `s` with `exit`.
+    fn close(&mut self, s: OpenSegment, exit: Exit) {
+        self.segs.push(Segment {
+            ops: (s.ops_start, self.ops.len() as u32),
+            lines: (s.lines_start, self.lines.len() as u32),
+            sums: s.sums,
+            exit,
+        });
+    }
+
+    /// Fetch the `words` instruction words at byte `addr` into segment `s`:
+    /// each I-cache line they touch, unless it repeats the segment's last.
+    fn fetch(&mut self, s: &mut OpenSegment, addr: u64, words: u64, cfg: &LowEndConfig) {
+        let word_bytes = (cfg.geometry.word_bits / 8) as u64;
+        let line_shift = cfg.icache.line_bytes.trailing_zeros();
+        for w in 0..words {
+            let line = (addr + w * word_bytes) >> line_shift;
+            if self.lines[s.lines_start as usize..].last() != Some(&line) {
+                self.lines.push(line);
+            }
+        }
+        s.sums.fetched += 1;
+    }
 }
 
 /// Global block ids: blocks numbered in function, then block order, then
@@ -264,8 +363,26 @@ impl BlockIds<'_> {
     }
 }
 
-/// Lower `p` into a flat op array, laying code out in function, block and
-/// instruction order (the address map the I-cache sees).
+/// One decoded instruction: what it does, its fixed execute cycles beyond
+/// the base CPI, and the mask of the registers it reads (bit `r` for
+/// register `r`, for the load-use interlock).
+struct Decoded {
+    step: Step,
+    extra: u64,
+    uses: u64,
+}
+
+enum Step {
+    SetLastReg,
+    Nop,
+    Data(Op),
+    Exit(Exit),
+}
+
+/// Lower `p` into segments, laying code out in function, block and
+/// instruction order (the address map the I-cache sees). Instructions
+/// after a block's branch, return or fault are never reached; they take
+/// code addresses and nothing else.
 fn lower(p: &Program, cfg: &LowEndConfig) -> Result<Lowered, SimError> {
     let mut ids = BlockIds {
         p,
@@ -277,11 +394,13 @@ fn lower(p: &Program, cfg: &LowEndConfig) -> Result<Lowered, SimError> {
         ids.first.push(ids.blocks);
         ids.blocks += f.blocks.len() as u32;
     }
-    let n_blocks = ids.blocks;
+    let n_blocks = ids.blocks as usize;
     let mut l = Lowered {
-        ops: Vec::with_capacity(p.num_insts() + n_blocks as usize),
-        block_start: Vec::with_capacity(n_blocks as usize),
-        block_name: Vec::with_capacity(n_blocks as usize),
+        ops: Vec::with_capacity(p.num_insts()),
+        lines: Vec::with_capacity(p.num_insts()),
+        segs: Vec::with_capacity(n_blocks),
+        block_seg: Vec::with_capacity(n_blocks),
+        block_name: Vec::with_capacity(n_blocks),
         call_args: Vec::new(),
         faults: Vec::new(),
         entry: ids.entry(p.entry).ok_or_else(|| SimError::ControlError {
@@ -293,37 +412,73 @@ fn lower(p: &Program, cfg: &LowEndConfig) -> Result<Lowered, SimError> {
     for (fi, f) in p.funcs.iter().enumerate() {
         let fi = fi as u32;
         for (bi, b) in f.blocks.iter().enumerate() {
-            l.block_start.push(l.ops.len() as u32);
+            l.block_seg.push(l.segs.len() as u32);
             l.block_name.push((fi, bi as u32));
+            let mut open = Some(l.open());
             for inst in &b.insts {
-                let words = words_for_inst(inst, &cfg.geometry);
-                let mut op = decode(inst, fi, cfg, &mut ids, &mut l.call_args).unwrap_or_else(|e| {
-                    let mut op = Op::new(Kind::Fault);
-                    op.imm = l.faults.len() as i64;
-                    l.faults.push(e);
-                    op
-                });
-                op.words = words;
-                op.addr = addr;
-                addr += words as u64 * word_bytes;
-                l.ops.push(op);
+                let words = words_for_inst(inst, &cfg.geometry) as u64;
+                let at = addr;
+                addr += words * word_bytes;
+                let Some(mut s) = open.take() else {
+                    continue;
+                };
+                let d = match decode(inst, fi, cfg, &mut ids, &mut l.call_args) {
+                    Ok(d) => d,
+                    Err(e) => {
+                        l.faults.push(e);
+                        l.close(s, Exit::Fault(l.faults.len() as u32 - 1));
+                        continue;
+                    }
+                };
+                l.fetch(&mut s, at, words, cfg);
+                if d.uses & s.pending_load != 0 {
+                    s.sums.cycles += cfg.load_use_penalty;
+                }
+                s.pending_load = 0;
+                if let Step::SetLastReg = d.step {
+                    // Consumed at decode: no execute, and its fetch-decode
+                    // slot is charged at execution (`slr_per_cycle` a cycle).
+                    s.sums.set_last_regs += 1;
+                } else {
+                    s.sums.executed += 1;
+                    s.sums.cycles += 1 + d.extra;
+                }
+                match d.step {
+                    Step::SetLastReg | Step::Nop => open = Some(s),
+                    Step::Data(op) => {
+                        if let Kind::Load | Kind::SpillLoad = op.kind {
+                            s.pending_load = 1 << op.dst;
+                        }
+                        if let Kind::SpillLoad | Kind::SpillStore = op.kind {
+                            s.sums.spill_accesses += 1;
+                        }
+                        l.ops.push(op);
+                        open = Some(s);
+                    }
+                    Step::Exit(exit) => {
+                        l.close(s, exit);
+                        if let Exit::Call { .. } = exit {
+                            open = Some(l.open());
+                        }
+                    }
+                }
             }
-            let mut end = Op::new(Kind::FellOff);
-            (end.t1, end.t2) = (fi, bi as u32);
-            l.ops.push(end);
+            if let Some(s) = open {
+                let block = bi as u32;
+                l.close(s, Exit::FellOff { func: fi, block });
+            }
         }
     }
-    for &(fi, bi) in &ids.missing {
-        l.block_start.push(l.ops.len() as u32);
-        l.block_name.push((fi, bi));
-        let mut arrive = Op::new(Kind::NoBlock);
-        (arrive.t1, arrive.t2) = (fi, bi);
-        l.ops.push(arrive);
+    for &(func, block) in &ids.missing {
+        l.block_seg.push(l.segs.len() as u32);
+        l.block_name.push((func, block));
+        let s = l.open();
+        l.close(s, Exit::NoBlock { func, block });
     }
     Ok(l)
 }
 
-/// Decode one instruction of function `func`, or the error executing it
+/// Decode one instruction of function `func`, or the error reaching it
 /// must raise.
 fn decode(
     inst: &Inst,
@@ -331,7 +486,7 @@ fn decode(
     cfg: &LowEndConfig,
     ids: &mut BlockIds<'_>,
     call_args: &mut Vec<u8>,
-) -> Result<Op, SimError> {
+) -> Result<Decoded, SimError> {
     let reg = |r: Reg| -> Result<u8, SimError> {
         match r {
             Reg::Phys(pr) if pr.index() < REGS => Ok(pr.number()),
@@ -341,117 +496,137 @@ fn decode(
             Reg::Virt(_) => Err(SimError::VirtualRegister { func }),
         }
     };
-    // The registers read, for the load-use interlock.
     let mut uses = 0u64;
     for r in inst.uses() {
         uses |= 1 << reg(r)?;
     }
-    let mut op = match *inst {
-        Inst::SetLastReg { .. } => Op::new(Kind::SetLastReg),
-        Inst::Bin { op, dst, lhs, rhs } => Op {
-            dst: reg(dst)?,
-            a: reg(lhs)?,
-            b: reg(rhs)?,
-            extra: op_latency(cfg, op),
-            ..Op::new(Kind::Bin(op))
-        },
-        Inst::BinImm { op, dst, src, imm } => Op {
-            dst: reg(dst)?,
-            a: reg(src)?,
-            imm: imm as i64,
-            extra: op_latency(cfg, op),
-            ..Op::new(Kind::BinImm(op))
-        },
-        Inst::Mov { dst, src } => Op {
-            dst: reg(dst)?,
-            a: reg(src)?,
-            ..Op::new(Kind::Mov)
-        },
-        Inst::MovImm { dst, imm } => Op {
-            dst: reg(dst)?,
-            imm: imm as i64,
-            ..Op::new(Kind::MovImm)
-        },
-        Inst::GetParam { dst, index } => Op {
-            dst: reg(dst)?,
-            imm: index as i64,
-            ..Op::new(Kind::GetParam)
-        },
-        Inst::Load { dst, base, offset } => Op {
-            dst: reg(dst)?,
-            a: reg(base)?,
-            imm: offset as i64,
-            extra: cfg.load_extra,
-            ..Op::new(Kind::Load)
-        },
-        Inst::Store { src, base, offset } => Op {
-            a: reg(src)?,
-            b: reg(base)?,
-            imm: offset as i64,
-            extra: cfg.store_extra,
-            ..Op::new(Kind::Store)
-        },
-        Inst::SpillLoad { dst, slot } => Op {
-            dst: reg(dst)?,
-            imm: slot.0 as i64 * 8,
-            extra: cfg.load_extra,
-            ..Op::new(Kind::SpillLoad)
-        },
-        Inst::SpillStore { src, slot } => Op {
-            a: reg(src)?,
-            imm: slot.0 as i64 * 8,
-            extra: cfg.store_extra,
-            ..Op::new(Kind::SpillStore)
-        },
-        Inst::Br { target: t } => Op {
-            t1: ids.target(func, t),
-            extra: cfg.taken_branch_penalty.saturating_sub(1),
-            ..Op::new(Kind::Br)
-        },
+    let data = |op: Op, extra: u64| (Step::Data(op), extra);
+    let (step, extra) = match *inst {
+        Inst::SetLastReg { .. } => (Step::SetLastReg, 0),
+        Inst::Bin { op, dst, lhs, rhs } => data(
+            Op {
+                dst: reg(dst)?,
+                a: reg(lhs)?,
+                b: reg(rhs)?,
+                ..Op::new(Kind::Bin(op))
+            },
+            op_latency(cfg, op),
+        ),
+        Inst::BinImm { op, dst, src, imm } => data(
+            Op {
+                dst: reg(dst)?,
+                a: reg(src)?,
+                imm: imm as i64,
+                ..Op::new(Kind::BinImm(op))
+            },
+            op_latency(cfg, op),
+        ),
+        Inst::Mov { dst, src } => data(
+            Op {
+                dst: reg(dst)?,
+                a: reg(src)?,
+                ..Op::new(Kind::Mov)
+            },
+            0,
+        ),
+        Inst::MovImm { dst, imm } => data(
+            Op {
+                dst: reg(dst)?,
+                imm: imm as i64,
+                ..Op::new(Kind::MovImm)
+            },
+            0,
+        ),
+        Inst::GetParam { dst, index } => data(
+            Op {
+                dst: reg(dst)?,
+                imm: index as i64,
+                ..Op::new(Kind::GetParam)
+            },
+            0,
+        ),
+        Inst::Load { dst, base, offset } => data(
+            Op {
+                dst: reg(dst)?,
+                a: reg(base)?,
+                imm: offset as i64,
+                ..Op::new(Kind::Load)
+            },
+            cfg.load_extra,
+        ),
+        Inst::Store { src, base, offset } => data(
+            Op {
+                a: reg(src)?,
+                b: reg(base)?,
+                imm: offset as i64,
+                ..Op::new(Kind::Store)
+            },
+            cfg.store_extra,
+        ),
+        Inst::SpillLoad { dst, slot } => data(
+            Op {
+                dst: reg(dst)?,
+                imm: slot.0 as i64 * 8,
+                ..Op::new(Kind::SpillLoad)
+            },
+            cfg.load_extra,
+        ),
+        Inst::SpillStore { src, slot } => data(
+            Op {
+                a: reg(src)?,
+                imm: slot.0 as i64 * 8,
+                ..Op::new(Kind::SpillStore)
+            },
+            cfg.store_extra,
+        ),
+        Inst::Br { target } => (
+            Step::Exit(Exit::Br(ids.target(func, target))),
+            cfg.taken_branch_penalty.saturating_sub(1),
+        ),
         Inst::CondBr {
             cond,
             lhs,
             rhs,
             then_bb,
             else_bb,
-        } => Op {
-            a: reg(lhs)?,
-            b: reg(rhs)?,
-            t1: ids.target(func, then_bb),
-            t2: ids.target(func, else_bb),
-            ..Op::new(Kind::CondBr(cond))
-        },
+        } => (
+            Step::Exit(Exit::CondBr {
+                cond,
+                a: reg(lhs)?,
+                b: reg(rhs)?,
+                then_bb: ids.target(func, then_bb),
+                else_bb: ids.target(func, else_bb),
+            }),
+            0,
+        ),
         Inst::Call {
             callee,
             ref args,
             ret,
         } => {
-            let start = call_args.len();
+            let start = call_args.len() as u32;
             for &r in args {
                 call_args.push(reg(r)?);
             }
-            let dst = ret.map_or(Ok(NO_REG), reg)?;
+            let ret_to = ret.map_or(Ok(NO_REG), reg)?;
             let entry = ids.entry(callee).ok_or_else(|| SimError::ControlError {
                 what: format!("call to missing function f{callee} in f{func}"),
             })?;
-            Op {
-                dst,
-                imm: start as i64,
-                t1: entry,
-                t2: args.len() as u32,
-                extra: cfg.call_penalty,
-                ..Op::new(Kind::Call)
-            }
+            let exit = Exit::Call {
+                entry,
+                args: start,
+                n_args: args.len() as u32,
+                ret_to,
+            };
+            (Step::Exit(exit), cfg.call_penalty)
         }
-        Inst::Ret { value } => Op {
-            a: value.map_or(Ok(NO_REG), reg)?,
-            extra: cfg.call_penalty,
-            ..Op::new(Kind::Ret)
-        },
-        Inst::Nop => Op::new(Kind::Nop),
+        Inst::Ret { value } => (
+            Step::Exit(Exit::Ret(value.map_or(Ok(NO_REG), reg)?)),
+            cfg.call_penalty,
+        ),
+        Inst::Nop => (Step::Nop, 0),
     };
-    op.uses = uses;
-    Ok(op)
+    Ok(Decoded { step, extra, uses })
 }
 
 /// Execute `p` from its entry function with `args`.
@@ -461,12 +636,11 @@ fn decode(
 /// See [`SimError`].
 pub fn simulate(p: &Program, cfg: &LowEndConfig, args: &[i64]) -> Result<SimResult, SimError> {
     let l = lower(p, cfg)?;
-    let word_bytes = (cfg.geometry.word_bits / 8) as u64;
     let mut icache = Cache::new(cfg.icache);
     let mut dcache = Cache::new(cfg.dcache);
-    let mut mem: HashMap<u64, i64> = HashMap::new();
+    let mut mem = HashMap::with_hasher(WordHash::new());
     let mut res = SimResult::default();
-    let mut counts = vec![0u64; l.block_start.len()];
+    let mut counts = vec![0u64; l.block_seg.len()];
 
     // The current activation: its register file is `regs[base..base + REGS]`
     // and its arguments `arg_stack[args_start..args_start + args_len]`.
@@ -477,123 +651,115 @@ pub fn simulate(p: &Program, cfg: &LowEndConfig, args: &[i64]) -> Result<SimResu
     let mut frame_base = STACK_BASE;
     let mut next_frame = STACK_BASE + FRAME_BYTES;
     let mut callers: Vec<Caller> = Vec::new();
-    let mut pc = l.block_start[l.entry as usize] as usize;
+    let mut seg = l.block_seg[l.entry as usize] as usize;
     counts[l.entry as usize] += 1;
     res.entry_trace.push(BlockId(l.block_name[l.entry as usize].1));
 
-    // Load-use interlock: bit `r` set when the previous op loaded `r`.
-    let mut pending_load: u64 = 0;
-    // Fractional accounting for decode-removed set_last_reg slots.
+    // Decode-removed set_last_reg slots: the front end absorbs
+    // `slr_per_cycle` of them per fetch-decode cycle, so only every n-th
+    // one stalls; `slr_budget` counts those since the last stall.
+    let slr_per_cycle = cfg.slr_per_cycle.max(1);
     let mut slr_budget: u64 = 0;
 
     loop {
-        if res.insts_fetched >= cfg.max_steps {
+        let s = &l.segs[seg];
+        let sums = s.sums;
+        // The cap is checked before every fetch. A segment that fetches
+        // past it fails there, and one that fails fails only if its failing
+        // instruction is reached first; either way all state is discarded.
+        let room = cfg.max_steps - res.insts_fetched;
+        if sums.fetched >= room && (sums.fetched > room || s.exit.fails()) {
             return Err(SimError::StepLimit {
                 max_steps: cfg.max_steps,
             });
         }
-        let op = l.ops[pc];
-        match op.kind {
-            Kind::FellOff => {
-                let f = &p.funcs[op.t1 as usize];
-                return Err(SimError::ControlError {
-                    what: format!("fell off the end of {} {}", f.name, BlockId(op.t2)),
-                });
-            }
-            Kind::NoBlock => {
-                return Err(SimError::ControlError {
-                    what: format!("branch to missing block {} in f{}", BlockId(op.t2), op.t1),
-                });
-            }
-            _ => {}
+        res.insts_fetched += sums.fetched;
+        res.insts_executed += sums.executed;
+        res.set_last_regs += sums.set_last_regs;
+        res.spill_accesses += sums.spill_accesses;
+        let mut cycles = sums.cycles;
+        if sums.set_last_regs > 0 {
+            slr_budget += sums.set_last_regs;
+            cycles += slr_budget / slr_per_cycle;
+            slr_budget %= slr_per_cycle;
         }
-        pc += 1;
+        for &line in &l.lines[s.lines.0 as usize..s.lines.1 as usize] {
+            if !icache.access_line(line) {
+                cycles += cfg.icache.miss_penalty;
+            }
+        }
 
-        // Fetch: every word of the instruction goes through the I-cache.
-        let mut cycles = 1 + op.extra; // base CPI of the in-order scalar
-        for w in 0..op.words as u64 {
-            cycles += icache.access_cost(op.addr + w * word_bytes);
+        let act = &mut regs[base..base + REGS];
+        for op in &l.ops[s.ops.0 as usize..s.ops.1 as usize] {
+            let (dst, a, b) = (op.dst as usize, op.a as usize, op.b as usize);
+            match op.kind {
+                Kind::Bin(o) => act[dst] = o.eval(act[a], act[b]),
+                Kind::BinImm(o) => act[dst] = o.eval(act[a], op.imm),
+                Kind::Mov => act[dst] = act[a],
+                Kind::MovImm => act[dst] = op.imm,
+                Kind::GetParam => {
+                    let i = op.imm as usize;
+                    act[dst] = if i < args_len {
+                        arg_stack[args_start + i]
+                    } else {
+                        0
+                    };
+                }
+                Kind::Load | Kind::SpillLoad => {
+                    let addr = if let Kind::Load = op.kind {
+                        // Word-aligned memory.
+                        (act[a] as u64).wrapping_add(op.imm as u64) & !7
+                    } else {
+                        frame_base + op.imm as u64
+                    };
+                    cycles += dcache.access_cost(addr);
+                    act[dst] = mem.get(&addr).copied().unwrap_or(0);
+                }
+                Kind::Store | Kind::SpillStore => {
+                    let addr = if let Kind::Store = op.kind {
+                        (act[b] as u64).wrapping_add(op.imm as u64) & !7
+                    } else {
+                        frame_base + op.imm as u64
+                    };
+                    cycles += dcache.access_cost(addr);
+                    mem.insert(addr, act[a]);
+                }
+            }
         }
-        res.insts_fetched += 1;
-        if op.uses & pending_load != 0 {
-            cycles += cfg.load_use_penalty;
-        }
-        pending_load = 0;
 
         let r = |n: u8| regs[base + n as usize];
-        let mut next = NO_BLOCK;
-        match op.kind {
-            Kind::SetLastReg => {
-                // Consumed at decode; no execute, no architectural effect.
-                // The front end absorbs `slr_per_cycle` of these per
-                // fetch-decode cycle, so only every n-th one stalls.
-                res.set_last_regs += 1;
-                slr_budget += 1;
-                let occupancy = if slr_budget >= cfg.slr_per_cycle.max(1) {
-                    slr_budget = 0;
-                    1
-                } else {
-                    0
-                };
-                res.cycles += cycles - 1 + occupancy;
-                continue;
-            }
-            Kind::Bin(o) => regs[base + op.dst as usize] = o.eval(r(op.a), r(op.b)),
-            Kind::BinImm(o) => regs[base + op.dst as usize] = o.eval(r(op.a), op.imm),
-            Kind::Mov => regs[base + op.dst as usize] = r(op.a),
-            Kind::MovImm => regs[base + op.dst as usize] = op.imm,
-            Kind::GetParam => {
-                let i = op.imm as usize;
-                regs[base + op.dst as usize] = if i < args_len {
-                    arg_stack[args_start + i]
-                } else {
-                    0
-                };
-            }
-            Kind::Load | Kind::SpillLoad => {
-                let a = if let Kind::Load = op.kind {
-                    // Word-aligned memory.
-                    (r(op.a) as u64).wrapping_add(op.imm as u64) & !7
-                } else {
-                    res.spill_accesses += 1;
-                    frame_base + op.imm as u64
-                };
-                cycles += dcache.access_cost(a);
-                regs[base + op.dst as usize] = mem.get(&a).copied().unwrap_or(0);
-                pending_load = 1 << op.dst;
-            }
-            Kind::Store => {
-                let a = (r(op.b) as u64).wrapping_add(op.imm as u64) & !7;
-                cycles += dcache.access_cost(a);
-                mem.insert(a, r(op.a));
-            }
-            Kind::SpillStore => {
-                let a = frame_base + op.imm as u64;
-                cycles += dcache.access_cost(a);
-                mem.insert(a, r(op.a));
-                res.spill_accesses += 1;
-            }
-            Kind::Br => next = op.t1,
-            Kind::CondBr(c) => {
-                next = if c.eval(r(op.a), r(op.b)) {
+        let next = match s.exit {
+            Exit::Br(t) => t,
+            Exit::CondBr {
+                cond,
+                a,
+                b,
+                then_bb,
+                else_bb,
+            } => {
+                if cond.eval(r(a), r(b)) {
                     cycles += cfg.taken_branch_penalty;
-                    op.t1
+                    then_bb
                 } else {
-                    op.t2
-                };
+                    else_bb
+                }
             }
-            Kind::Call => {
+            Exit::Call {
+                entry,
+                args,
+                n_args,
+                ret_to,
+            } => {
                 let start = arg_stack.len();
-                let first = op.imm as usize;
-                for &a in &l.call_args[first..first + op.t2 as usize] {
+                for &a in &l.call_args[args as usize..(args + n_args) as usize] {
                     arg_stack.push(regs[base + a as usize]);
                 }
                 callers.push(Caller {
-                    pc,
+                    resume: seg + 1,
                     frame_base,
                     args_start,
                     args_len,
-                    ret_to: op.dst,
+                    ret_to,
                 });
                 base += REGS;
                 if regs.len() < base + REGS {
@@ -601,17 +767,18 @@ pub fn simulate(p: &Program, cfg: &LowEndConfig, args: &[i64]) -> Result<SimResu
                 } else {
                     regs[base..base + REGS].fill(0);
                 }
-                (args_start, args_len) = (start, op.t2 as usize);
+                (args_start, args_len) = (start, n_args as usize);
                 frame_base = next_frame;
                 next_frame += FRAME_BYTES;
-                pc = l.block_start[op.t1 as usize] as usize;
-                counts[op.t1 as usize] += 1;
+                res.cycles += cycles;
+                seg = l.block_seg[entry as usize] as usize;
+                counts[entry as usize] += 1;
+                continue;
             }
-            Kind::Ret => {
-                let v = (op.a != NO_REG).then(|| r(op.a));
+            Exit::Ret(value) => {
+                let v = (value != NO_REG).then(|| r(value));
+                res.cycles += cycles;
                 let Some(c) = callers.pop() else {
-                    res.insts_executed += 1;
-                    res.cycles += cycles;
                     res.ret_value = v;
                     res.icache_misses = icache.misses();
                     res.dcache_misses = dcache.misses();
@@ -620,32 +787,39 @@ pub fn simulate(p: &Program, cfg: &LowEndConfig, args: &[i64]) -> Result<SimResu
                 };
                 arg_stack.truncate(args_start);
                 base -= REGS;
-                (pc, frame_base, args_start, args_len) =
-                    (c.pc, c.frame_base, c.args_start, c.args_len);
+                (seg, frame_base, args_start, args_len) =
+                    (c.resume, c.frame_base, c.args_start, c.args_len);
                 if let (Some(v), true) = (v, c.ret_to != NO_REG) {
                     regs[base + c.ret_to as usize] = v;
                 }
+                continue;
             }
-            Kind::Nop => {}
-            Kind::Fault => return Err(l.faults[op.imm as usize].clone()),
-            Kind::FellOff | Kind::NoBlock => unreachable!("checked before fetch"),
-        }
-
-        res.insts_executed += 1;
+            Exit::Fault(i) => return Err(l.faults[i as usize].clone()),
+            Exit::FellOff { func, block } => {
+                let f = &p.funcs[func as usize];
+                return Err(SimError::ControlError {
+                    what: format!("fell off the end of {} {}", f.name, BlockId(block)),
+                });
+            }
+            Exit::NoBlock { func, block } => {
+                return Err(SimError::ControlError {
+                    what: format!("branch to missing block {} in f{func}", BlockId(block)),
+                });
+            }
+        };
         res.cycles += cycles;
-        if next != NO_BLOCK {
-            pc = l.block_start[next as usize] as usize;
-            counts[next as usize] += 1;
-            if callers.is_empty() && res.entry_trace.len() < TRACE_CAP {
-                res.entry_trace.push(BlockId(l.block_name[next as usize].1));
-            }
+        seg = l.block_seg[next as usize] as usize;
+        counts[next as usize] += 1;
+        if callers.is_empty() && res.entry_trace.len() < TRACE_CAP {
+            res.entry_trace.push(BlockId(l.block_name[next as usize].1));
         }
     }
 }
 
 /// A suspended caller: where it resumes and what it had in flight.
 struct Caller {
-    pc: usize,
+    /// The segment after its call.
+    resume: usize,
     frame_base: u64,
     args_start: usize,
     args_len: usize,
@@ -662,6 +836,46 @@ fn block_counts(l: &Lowered, counts: &[u64]) -> HashMap<(u32, u32), u64> {
         .filter(|&(_, &n)| n > 0)
         .map(|(&name, &n)| (name, n))
         .collect()
+}
+
+/// Builds the memory map's [`WordHasher`]s under one random key per
+/// simulation, so a program cannot pick addresses that all collide.
+#[derive(Clone, Copy)]
+struct WordHash(u64);
+
+impl WordHash {
+    fn new() -> WordHash {
+        WordHash(RandomState::new().hash_one(STACK_BASE))
+    }
+}
+
+impl BuildHasher for WordHash {
+    type Hasher = WordHasher;
+
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher(self.0)
+    }
+}
+
+/// Hashes a word address with one folded multiply of it and the key: the
+/// high and low halves of the 128-bit product, xored.
+struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        let m = (self.0 ^ x) as u128 * 0x9e37_79b9_7f4a_7c15;
+        self.0 = m as u64 ^ (m >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 fn op_latency(cfg: &LowEndConfig, op: BinOp) -> u64 {

@@ -2,10 +2,11 @@
 # Tier-1 verification: release build, a clippy gate over every target of
 # the workspace (any warning fails), full test suite, a build of every
 # bench target (`cargo test` builds none of them), one-shot smokes of
-# the remap_scaling, remap_ablation, irc and encoding benches (criterion's `--test` mode runs
+# the remap_scaling, remap_ablation, irc, encoding and simulate benches (criterion's `--test` mode runs
 # each bench body exactly once, so regressions in the bench harnesses,
-# the incremental-search plumbing, or the interference-graph
-# representations fail CI without paying for a full sweep), the
+# the incremental-search plumbing, the interference-graph
+# representations or the simulator's two executors fail CI without
+# paying for a full sweep), the
 # perfbench benchmark's own tests (it is a separate workspace built
 # against the crates by path, so nothing else here compiles it), the
 # committed artifacts check (scripts/check_artifacts.sh, which also runs
@@ -25,6 +26,7 @@ cargo bench --bench remap_ablation -- --test
 cargo bench --bench irc_build -- --test
 cargo bench --bench irc_color -- --test
 cargo bench --bench encoding -- --test
+cargo bench --bench simulate -- --test
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # Committed artifacts check themselves: every figure and table binary,

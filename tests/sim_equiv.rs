@@ -1,12 +1,15 @@
-//! The lower-once executor (`dra_sim::simulate`) against the tree-walking
-//! interpreter it replaced (`dra_sim::machine::reference::simulate`, which
-//! also keeps the nested-`Vec` cache model): the whole `SimResult` —
-//! cycles, every counter, `ret_value`, `entry_trace` and `block_counts` —
-//! or the whole `SimError` must be identical.
+//! The segment executor (`dra_sim::simulate`) against the tree-walking
+//! interpreter (`dra_sim::machine::reference::simulate`, which also keeps
+//! the nested-`Vec` cache model): the whole `SimResult` — cycles, every
+//! counter, `ret_value`, `entry_trace` and `block_counts` — or the whole
+//! `SimError` must be identical.
 //!
-//! Inputs: the mibench suite compiled under every approach, generated
-//! corpus programs from each builtin profile compiled under a rotating
-//! approach, and hand-built programs for each way a simulation fails.
+//! Inputs: the mibench suite compiled under every approach (and under
+//! `Select` on a 6-set I-cache), generated corpus programs from each
+//! builtin profile compiled under a rotating approach, hand-built programs
+//! for each way a simulation fails, and hand-built programs that put
+//! calls, loads, `set_last_reg` runs, faults and line-crossing fetches at
+//! segment boundaries under every step cap.
 
 use dra_core::corpus::corpus_setup;
 use dra_core::lowend::Approach;
@@ -357,4 +360,409 @@ fn a_virtual_return_register_wins_over_a_missing_callee() {
         simulate(&p, &cfg, &[]),
         Err(SimError::VirtualRegister { func: 0 })
     );
+}
+
+// Segment boundaries. The executor sums each straight-line run (from a
+// block start or a call's return point to the next branch, call or
+// return) once at lowering and judges the step cap and any failure at
+// the run's entry; these programs put calls, loads, `set_last_reg` runs,
+// faults and line-crossing fetches at those boundaries, and every cap from
+// 0 to one past the run's length must give the interpreter's outcome.
+
+/// Compare the executors under every `max_steps` from 0 until the first
+/// cap the program completes or fails within, and one past it.
+fn sweep_max_steps(p: &Program, cfg: &LowEndConfig, args: &[i64], what: &str) {
+    let mut max_steps = 0;
+    loop {
+        let capped = LowEndConfig {
+            max_steps,
+            ..cfg.clone()
+        };
+        assert_same(p, &capped, args, &format!("{what}, max_steps {max_steps}"));
+        if !matches!(
+            reference::simulate(p, &capped, args),
+            Err(SimError::StepLimit { .. })
+        ) {
+            let past = LowEndConfig {
+                max_steps: max_steps + 1,
+                ..cfg.clone()
+            };
+            assert_same(
+                p,
+                &past,
+                args,
+                &format!("{what}, max_steps {}", max_steps + 1),
+            );
+            return;
+        }
+        max_steps += 1;
+    }
+}
+
+fn slr() -> Inst {
+    Inst::SetLastReg {
+        class: dra_ir::RegClass::Int,
+        value: 0,
+        delay: 0,
+    }
+}
+
+/// `f1(x) = 2x`.
+fn doubler() -> dra_ir::Function {
+    let mut f = FunctionBuilder::new("double");
+    f.push(Inst::GetParam {
+        dst: phys(0),
+        index: 0,
+    });
+    f.push(Inst::BinImm {
+        op: BinOp::Mul,
+        dst: phys(1),
+        src: phys(0),
+        imm: 2,
+    });
+    f.ret(Some(phys(1)));
+    f.finish()
+}
+
+#[test]
+fn a_call_in_the_middle_of_a_block_under_every_cap() {
+    // main: sum = Σ double(i) for i in 1..=3, the call between two ALU ops
+    // of the loop body.
+    let mut m = FunctionBuilder::new("main");
+    m.push(Inst::MovImm {
+        dst: phys(0),
+        imm: 3,
+    });
+    m.push(Inst::MovImm {
+        dst: phys(3),
+        imm: 0,
+    });
+    let head = m.new_block();
+    let body = m.new_block();
+    let exit = m.new_block();
+    m.br(head);
+    m.switch_to(head);
+    m.push(Inst::CondBr {
+        cond: Cond::Lt,
+        lhs: phys(3),
+        rhs: phys(0),
+        then_bb: body,
+        else_bb: exit,
+    });
+    m.switch_to(body);
+    m.push(Inst::BinImm {
+        op: BinOp::Add,
+        dst: phys(3),
+        src: phys(3),
+        imm: 1,
+    });
+    m.push(Inst::Call {
+        callee: 1,
+        args: vec![phys(3)],
+        ret: Some(phys(1)),
+    });
+    m.push(Inst::Bin {
+        op: BinOp::Add,
+        dst: phys(4),
+        lhs: phys(4),
+        rhs: phys(1),
+    });
+    m.br(head);
+    m.switch_to(exit);
+    m.ret(Some(phys(4)));
+    let p = Program {
+        funcs: vec![m.finish(), doubler()],
+        entry: 0,
+    };
+    let cfg = LowEndConfig::default();
+    assert_eq!(simulate(&p, &cfg, &[]).expect("runs").ret_value, Some(12));
+    sweep_max_steps(&p, &cfg, &[], "call mid-block");
+}
+
+#[test]
+fn a_load_feeding_a_call_branch_or_return_under_every_cap() {
+    // main stores 64 at address 64, loads it back and passes it straight
+    // to a call (the interlock lands on the segment's exit). The callee
+    // loads it again and branches on it at once, then loads and returns
+    // it at once.
+    let mut m = FunctionBuilder::new("main");
+    m.push(Inst::MovImm {
+        dst: phys(0),
+        imm: 64,
+    });
+    m.push(Inst::Store {
+        src: phys(0),
+        base: phys(0),
+        offset: 0,
+    });
+    m.push(Inst::Load {
+        dst: phys(1),
+        base: phys(0),
+        offset: 0,
+    });
+    m.push(Inst::Call {
+        callee: 1,
+        args: vec![phys(1)],
+        ret: Some(phys(2)),
+    });
+    m.ret(Some(phys(2)));
+
+    let mut f = FunctionBuilder::new("reload");
+    f.push(Inst::GetParam {
+        dst: phys(0),
+        index: 0,
+    });
+    f.push(Inst::Load {
+        dst: phys(1),
+        base: phys(0),
+        offset: 0,
+    });
+    let hit = f.new_block();
+    let miss = f.new_block();
+    f.push(Inst::CondBr {
+        cond: Cond::Eq,
+        lhs: phys(1),
+        rhs: phys(0),
+        then_bb: hit,
+        else_bb: miss,
+    });
+    f.switch_to(hit);
+    f.push(Inst::SpillStore {
+        src: phys(1),
+        slot: dra_ir::SpillSlot(0),
+    });
+    f.push(Inst::SpillLoad {
+        dst: phys(2),
+        slot: dra_ir::SpillSlot(0),
+    });
+    f.ret(Some(phys(2)));
+    f.switch_to(miss);
+    f.ret(None);
+    let p = Program {
+        funcs: vec![m.finish(), f.finish()],
+        entry: 0,
+    };
+    let cfg = LowEndConfig::default();
+    let full = simulate(&p, &cfg, &[]).expect("runs");
+    assert_eq!(full.ret_value, Some(64));
+    // Three back-to-back load uses: the call, the branch and the return.
+    let spaced = LowEndConfig {
+        load_use_penalty: 0,
+        ..cfg.clone()
+    };
+    assert_eq!(
+        full.cycles - simulate(&p, &spaced, &[]).expect("runs").cycles,
+        3 * cfg.load_use_penalty
+    );
+    sweep_max_steps(&p, &cfg, &[], "load feeding an exit");
+}
+
+#[test]
+fn set_last_reg_runs_across_blocks_and_calls_under_every_cap() {
+    // Runs of `set_last_reg` end blocks, start blocks, sit on both sides
+    // of a call and open the callee, so the front end's fractional budget
+    // carries across every kind of segment boundary.
+    let mut m = FunctionBuilder::new("main");
+    m.push(Inst::MovImm {
+        dst: phys(0),
+        imm: 0,
+    });
+    m.push(Inst::MovImm {
+        dst: phys(1),
+        imm: 3,
+    });
+    m.push(slr());
+    m.push(slr());
+    let head = m.new_block();
+    let body = m.new_block();
+    let exit = m.new_block();
+    m.br(head);
+    m.switch_to(head);
+    m.push(slr());
+    m.push(Inst::CondBr {
+        cond: Cond::Lt,
+        lhs: phys(0),
+        rhs: phys(1),
+        then_bb: body,
+        else_bb: exit,
+    });
+    m.switch_to(body);
+    for _ in 0..3 {
+        m.push(slr());
+    }
+    m.push(Inst::Call {
+        callee: 1,
+        args: vec![phys(0)],
+        ret: Some(phys(2)),
+    });
+    m.push(slr());
+    m.push(Inst::BinImm {
+        op: BinOp::Add,
+        dst: phys(0),
+        src: phys(0),
+        imm: 1,
+    });
+    m.push(slr());
+    m.br(head);
+    m.switch_to(exit);
+    m.push(slr());
+    m.ret(Some(phys(2)));
+
+    let mut f = FunctionBuilder::new("leaf");
+    f.push(slr());
+    f.push(slr());
+    f.push(Inst::GetParam {
+        dst: phys(0),
+        index: 0,
+    });
+    f.push(slr());
+    f.ret(Some(phys(0)));
+    let p = Program {
+        funcs: vec![m.finish(), f.finish()],
+        entry: 0,
+    };
+    for slr_per_cycle in 1..=3 {
+        let cfg = LowEndConfig {
+            slr_per_cycle,
+            ..LowEndConfig::default()
+        };
+        let full = simulate(&p, &cfg, &[]).expect("runs");
+        assert_eq!(full.ret_value, Some(2));
+        // Entry 2, head 4 × 1, body 3 × (5 + callee 3), exit 1.
+        assert_eq!(full.set_last_regs, 2 + 4 + 3 * (5 + 3) + 1);
+        sweep_max_steps(&p, &cfg, &[], &format!("slr_per_cycle {slr_per_cycle}"));
+    }
+}
+
+#[test]
+fn a_fault_after_a_call_in_the_same_block_under_every_cap() {
+    // main calls double(5), adds 1, then writes a virtual register; the
+    // fault sits in the segment that starts at the call's return point.
+    let mut m = FunctionBuilder::new("main");
+    let v = m.new_vreg();
+    m.push(Inst::MovImm {
+        dst: phys(0),
+        imm: 5,
+    });
+    m.push(Inst::Call {
+        callee: 1,
+        args: vec![phys(0)],
+        ret: Some(phys(1)),
+    });
+    m.push(slr());
+    m.push(Inst::BinImm {
+        op: BinOp::Add,
+        dst: phys(1),
+        src: phys(1),
+        imm: 1,
+    });
+    m.mov_imm(v, 7);
+    m.ret(Some(phys(1)));
+    let p = Program {
+        funcs: vec![m.finish(), doubler()],
+        entry: 0,
+    };
+    let cfg = LowEndConfig::default();
+    assert_eq!(
+        simulate(&p, &cfg, &[]),
+        Err(SimError::VirtualRegister { func: 0 })
+    );
+    sweep_max_steps(&p, &cfg, &[], "fault after a call");
+}
+
+#[test]
+fn a_two_word_op_across_a_line_boundary_under_every_cap() {
+    let cfg = LowEndConfig::default();
+    let geometry = cfg.geometry;
+    let words = |i: &Inst| dra_isa::words_for_inst(i, &geometry);
+    let words_per_line = cfg.icache.line_bytes / (geometry.word_bits / 8);
+    // A loop body run twice (the second pass hits every line) in which a
+    // call (two words: opcode and fields, then the callee) and a three-word
+    // add of a wide immediate each start on a line's last word.
+    let call = Inst::Call {
+        callee: 1,
+        args: vec![phys(0)],
+        ret: Some(phys(3)),
+    };
+    let wide = Inst::BinImm {
+        op: BinOp::Add,
+        dst: phys(1),
+        src: phys(3),
+        imm: 1 << 20,
+    };
+    assert_eq!((words(&call), words(&wide), words(&Inst::Nop)), (2, 3, 1));
+    let mut m = FunctionBuilder::new("main");
+    let body = m.new_block();
+    let exit = m.new_block();
+    let entry = [
+        Inst::MovImm {
+            dst: phys(0),
+            imm: 0,
+        },
+        Inst::Br { target: body },
+    ];
+    let mut code: Vec<Inst> = Vec::new();
+    let at = |code: &[Inst]| entry.iter().chain(code).map(words).sum::<u32>();
+    for op in [call, wide] {
+        while at(&code) % words_per_line != words_per_line - 1 {
+            code.push(Inst::Nop);
+        }
+        code.push(op);
+    }
+    code.extend([
+        Inst::BinImm {
+            op: BinOp::Add,
+            dst: phys(0),
+            src: phys(0),
+            imm: 1,
+        },
+        Inst::MovImm {
+            dst: phys(2),
+            imm: 2,
+        },
+        Inst::CondBr {
+            cond: Cond::Lt,
+            lhs: phys(0),
+            rhs: phys(2),
+            then_bb: body,
+            else_bb: exit,
+        },
+    ]);
+    for i in entry {
+        m.push(i);
+    }
+    m.switch_to(body);
+    for i in code {
+        m.push(i);
+    }
+    m.switch_to(exit);
+    m.ret(Some(phys(1)));
+    let p = Program {
+        funcs: vec![m.finish(), doubler()],
+        entry: 0,
+    };
+    let full = simulate(&p, &cfg, &[]).expect("runs");
+    assert_eq!(full.ret_value, Some(2 + (1 << 20)));
+    sweep_max_steps(&p, &cfg, &[], "multi-word ops across lines");
+}
+
+#[test]
+fn mibench_on_a_non_power_of_two_icache_is_bit_identical() {
+    // 6 sets of 2 ways: set and tag by `%` and `/`, not mask and shift.
+    let session = CompileSession::new(corpus_setup());
+    let setup = session.setup();
+    let mut machine = setup.machine.clone();
+    machine.icache.size_bytes = 6 * machine.icache.line_bytes * machine.icache.assoc;
+    assert_eq!(machine.icache.num_sets(), 6);
+    for name in benchmark_names() {
+        let (run, _) = session
+            .compile_bench(name, Approach::Select)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_same(
+            &run.program,
+            &machine,
+            &setup.args,
+            &format!("{name}, 6-set I-cache"),
+        );
+    }
 }
